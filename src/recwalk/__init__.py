@@ -72,6 +72,7 @@ from .spaces import (
 )
 from .stable_laws import (
     DoAReport,
+    LatticeLaw,
     LLTError,
     StableTarget,
     cauchy_density,

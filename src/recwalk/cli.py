@@ -4,8 +4,9 @@ One experiment per invocation; every command is a pure function of its
 configuration and the law cache, so reruns produce byte-identical output
 files.  Timing and cache information go to stderr, never into the files.
 
-Exit codes: 0 pass, 1 usage error, 2 numerical-check failure,
-3 Monte Carlo / exact-oracle contradiction.
+Exit codes: 0 pass, 1 usage error (also when a library check refuses the
+configuration), 2 numerical-check failure, 3 Monte Carlo / exact-oracle
+contradiction.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from . import branched_walk, lawcache, return_laws, stable_laws
-from .engine import SparseDist
 from .rng import DEFAULT_SEED
 
 log = logging.getLogger("recwalk")
@@ -119,6 +119,8 @@ def cmd_return_law(parser: _Parser, args) -> int:
 
 def cmd_lll(parser: _Parser, args) -> int:
     lmax = _even(parser, args.l_max, "--l-max")
+    if _ladder(lmax)[0] < 2:
+        parser.error("--l-max must be >= 40 to fit the tail limit")
     kmax = _even(parser, args.k_max if args.k_max else lmax * lmax, "--k-max")
     schedule = args.schedule
     t0 = time.perf_counter()
@@ -129,13 +131,11 @@ def cmd_lll(parser: _Parser, args) -> int:
     )
     sigma = return_laws.tail_limit(law, ms=_ladder(lmax)).sigma
     target = stable_laws.StableTarget.cauchy(scale=np.pi * sigma)
-    base = _window_dist(law)
+    base = stable_laws.LatticeLaw.from_position_law(law)
     rows = []
     errors = []
-    dns = {}
     for n in schedule:
         dn = stable_laws.self_convolve(base, n)
-        dns[n] = dn
         rep = stable_laws.lll_error(dn, target, n)
         errors.append(rep.sup_error)
         rows.append((n, _fmt(rep.sup_error), rep.argmax_point, _fmt(n * rep.prob_at_zero)))
@@ -147,7 +147,7 @@ def cmd_lll(parser: _Parser, args) -> int:
     if any(b >= a for a, b in zip(errors, errors[1:])):
         log.error("sup errors not strictly decreasing: %s", errors)
         return 2
-    final_zero_mass = schedule[-1] * float(dns[schedule[-1]].entries.get(0, 0.0))
+    final_zero_mass = schedule[-1] * rep.prob_at_zero
     if not ZERO_MASS_BAND[0] <= final_zero_mass <= ZERO_MASS_BAND[1]:
         log.error("final n*P(Z_n=0) = %.4f outside %s", final_zero_mass, ZERO_MASS_BAND)
         return 2
@@ -157,14 +157,6 @@ def cmd_lll(parser: _Parser, args) -> int:
 def _ladder(lmax: int) -> tuple[int, ...]:
     top = lmax // 5
     return (top // 4, top // 2, top)
-
-
-def _window_dist(law) -> SparseDist:
-    """Window-conditioned return-position law: renormalized so the
-    convolution inputs carry mass one."""
-    mass = law.window_mass()
-    entries = {l: p / mass for l, p in law.items() if p > 0.0}
-    return SparseDist(entries, 0.0)
 
 
 def cmd_classify(parser: _Parser, args) -> int:
@@ -209,6 +201,9 @@ def cmd_classify(parser: _Parser, args) -> int:
 
 
 def cmd_green(parser: _Parser, args) -> int:
+    for value, name in ((args.samples, "--samples"), (args.direct_samples, "--direct-samples")):
+        if value < 2:
+            parser.error(f"{name} must be >= 2 for a standard error")
     schedule = args.schedule
     n_top = schedule[-1]
     t0 = time.perf_counter()
@@ -326,10 +321,13 @@ def main(argv=None) -> int:
         args.out = Path(args.default_out)
         if args.format == "json" and args.out.suffix == ".csv":
             args.out = args.out.with_suffix(".json")
-    for attr in ("samples", "horizon", "n_max", "l_max", "direct_samples"):
+    for attr in ("samples", "horizon", "n_max", "l_max", "direct_samples", "direct_returns"):
         if getattr(args, attr, None) is not None and getattr(args, attr) < 1:
             parser.error(f"--{attr.replace('_', '-')} must be positive")
-    return args.func(parser, args)
+    try:
+        return args.func(parser, args)
+    except ValueError as exc:  # a library check refused the configuration
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

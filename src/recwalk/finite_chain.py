@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -37,28 +36,6 @@ class FiniteChain:
     @classmethod
     def from_lists(cls, rows) -> "FiniteChain":
         return cls(tuple(tuple(Fraction(p) for p in row) for row in rows))
-
-    @classmethod
-    def from_csv(cls, text: str) -> "FiniteChain":
-        """Parse the interchange format: first line the state count, then
-        the row-major entries as rational strings like "1/3"."""
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty chain file")
-        n = int(lines[0])
-        cells = [c.strip() for ln in lines[1:] for c in ln.split(",") if c.strip()]
-        if len(cells) != n * n:
-            raise ValueError(f"expected {n * n} entries, found {len(cells)}")
-        vals = [Fraction(c) for c in cells]
-        return cls(tuple(tuple(vals[i * n : (i + 1) * n]) for i in range(n)))
-
-    @classmethod
-    def from_csv_path(cls, path) -> "FiniteChain":
-        return cls.from_csv(Path(path).read_text())
-
-    def to_csv(self) -> str:
-        body = "\n".join(",".join(str(p) for p in row) for row in self.rows)
-        return f"{self.n}\n{body}\n"
 
 
 def green_partial_sums(chain: FiniteChain, z: int, y: int, nmax: int) -> list[Fraction]:

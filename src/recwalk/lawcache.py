@@ -8,6 +8,7 @@ the run that wrote it byte for byte.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,12 @@ def position_law_path(cache_dir, lmax: int, kmax: int) -> Path:
 
 
 def save_position_law(law: ReturnPositionLaw, cache_dir) -> Path:
+    """Write the law to its cache file and return the file's path.
+
+    The rows go to a temporary file in the same directory, which then
+    replaces the cache file in one step, so an interrupted write never
+    leaves a partial file behind for the next lookup to read.
+    """
     path = position_law_path(cache_dir, law.lmax, law.kmax)
     path.parent.mkdir(parents=True, exist_ok=True)
     param = (
@@ -39,7 +46,13 @@ def save_position_law(law: ReturnPositionLaw, cache_dir) -> Path:
     lines = [f"return-position,{param},{_fmt(law.error_bound)}"]
     for t, p in enumerate(law.values):
         lines.append(f"{2 * t},{_fmt(p)}")
-    path.write_text("\n".join(lines) + "\n")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
@@ -77,7 +90,7 @@ def load_position_law(path) -> ReturnPositionLaw:
 
 
 def load_or_compute_position_law(
-    cache_dir, lmax: int, kmax: int | None = None, k_tail: bool = True
+    cache_dir, lmax: int, kmax: int | None = None
 ) -> tuple[ReturnPositionLaw, bool]:
     """Return (law, cache_hit).
 
@@ -90,6 +103,6 @@ def load_or_compute_position_law(
     path = position_law_path(cache_dir, lmax, kmax)
     if path.exists():
         return load_position_law(path), True
-    law = return_position_law(lmax, kmax, k_tail=k_tail)
+    law = return_position_law(lmax, kmax)
     save_position_law(law, cache_dir)
     return load_position_law(path), False

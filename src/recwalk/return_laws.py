@@ -161,13 +161,6 @@ class ReturnPositionLaw:
         """Total stored mass over [-lmax, lmax]."""
         return float(2 * np.sum(self.values) - self.values[0])
 
-    def items(self):
-        """(l, probability) pairs over the full window, l ascending."""
-        for t in range(self.lmax // 2, 0, -1):
-            yield -2 * t, float(self.values[t])
-        for t in range(0, self.lmax // 2 + 1):
-            yield 2 * t, float(self.values[t])
-
 
 def return_position_law(
     lmax: int,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_INDEX_LIMIT = 1 << 56
 
 # Lanes separate logically independent draws made for the same sample index.
 WALK_LANE = 0
@@ -23,7 +24,13 @@ DEFAULT_SEED = 123456789
 def stream(seed: int, index: int = 0, lane: int = 0) -> np.random.Generator:
     """Independent generator for one (seed, lane, sample-index) triple.
 
-    Indices below 2**56 never collide across lanes.
+    The key packs the lane into the top 8 bits and the index into the low
+    56, so index must lie in [0, 2**56) and lane in [0, 256); anything else
+    would alias another (lane, index) pair and is rejected.
     """
-    key = ((lane << 56) ^ index) & _MASK64
-    return np.random.Generator(np.random.Philox(key=[seed & _MASK64, key]))
+    if not (0 <= index < _INDEX_LIMIT and 0 <= lane < 256):
+        raise ValueError(f"stream key out of range: index {index}, lane {lane}")
+    # a uint64 array, because numpy would pass a Python list holding a
+    # value >= 2**63 through float64 and round distinct keys together
+    key = np.array([seed & _MASK64, (lane << 56) | index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))

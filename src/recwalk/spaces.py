@@ -184,19 +184,6 @@ def uniform_diagonal() -> StepMeasure:
     return StepMeasure(tuple((g, w) for g in gens))
 
 
-_REGION_RANK = {Tail: 0, Inlet: 1, Lattice: 2}
-
-
-def sort_key(s: BranchedState) -> tuple[int, int, int]:
-    """Total order on states: (region, index or lexicographic pair).
-
-    Used to make iteration over state-keyed mappings deterministic.
-    """
-    if isinstance(s, Lattice):
-        return (2, s.i, s.j)
-    return (_REGION_RANK[type(s)], s.k, 0)
-
-
 def state_id(s: BranchedState) -> str:
     """Stable text id, e.g. 'tail(0)', 'inlet(-3)', 'lattice(0,2)'."""
     if isinstance(s, Tail):
@@ -204,31 +191,6 @@ def state_id(s: BranchedState) -> str:
     if isinstance(s, Inlet):
         return f"inlet({s.k})"
     return f"lattice({s.i},{s.j})"
-
-
-def parse_state(text: str) -> BranchedState:
-    """Inverse of state_id."""
-    kind, _, rest = text.partition("(")
-    body = rest.rstrip(")")
-    if kind == "tail":
-        return Tail(int(body))
-    if kind == "inlet":
-        return Inlet(int(body))
-    if kind == "lattice":
-        i, j = body.split(",")
-        return Lattice(int(i), int(j))
-    raise ValueError(f"unrecognized state id: {text!r}")
-
-
-def figure_frame(p: Lattice) -> tuple[int, int]:
-    """Map a lattice point to the frame that draws the translated half-axis
-    horizontally: (X, Y) = (j, i)."""
-    return (p.j, p.i)
-
-
-def from_figure_frame(x: int, y: int) -> Lattice:
-    """Inverse of figure_frame."""
-    return Lattice(y, x)
 
 
 def standard_points(offset: int = 3) -> dict[str, BranchedState]:

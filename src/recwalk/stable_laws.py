@@ -2,8 +2,8 @@
 
 Covers the two limit families exercised by the experiments: the Gaussian
 (exponent 2) and the symmetric exponent-1 law with density
-g(s) = scale / (pi (s^2 + scale^2)).  Provides exact self-convolution of
-sparse integer laws with truncation accounting, the local-limit error
+g(s) = scale / (pi (s^2 + scale^2)).  Provides dense float
+self-convolution of lattice laws with leak accounting, the local-limit error
 functional sup_k |B_n/h P(Z_n = an + kh) - g((an + kh)/B_n - A_n)|, a
 lattice lower-bound check on n P(Z_n = 0), and finite-grid checks of the
 classical domain-of-attraction tail conditions.
@@ -20,25 +20,28 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
-from .engine import SparseDist
+from .return_laws import ReturnPositionLaw
 
 log = logging.getLogger(__name__)
 
 
-def cauchy_density(s: float, scale: float = 1.0) -> float:
-    """Density scale / (pi (s^2 + scale^2)); the standard form at scale 1."""
+def cauchy_density(s, scale: float = 1.0):
+    """Density scale / (pi (s^2 + scale^2)); the standard form at scale 1.
+    Elementwise on arrays."""
     return scale / (math.pi * (s * s + scale * scale))
 
 
-def gaussian_density(s: float) -> float:
-    return math.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
+def gaussian_density(s):
+    """Standard normal density, elementwise on arrays."""
+    return np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
 class StableTarget:
     """A stable limit law together with the lattice and norming data needed
     by the local limit theorem: the sums live on {a n + k h : k integer}
-    and (Z_n / B_n - A_n) converges to the density g."""
+    and (Z_n / B_n - A_n) converges to the density g, which must accept
+    arrays."""
 
     alpha: float
     density: Callable[[float], float]
@@ -64,112 +67,83 @@ class StableTarget:
 
 
 # ---------------------------------------------------------------------------
-# Convolution of integer-supported sparse laws.
+# Convolution of float laws on an integer lattice.
 
 
-def _lattice_of(entries: dict) -> tuple[int, int]:
-    keys = sorted(entries)
-    lo = keys[0]
-    if len(keys) == 1:
-        return lo, 1
-    step = 0
-    for k in keys[1:]:
-        step = math.gcd(step, k - lo)
-    return lo, step
+@dataclass(frozen=True)
+class LatticeLaw:
+    """Float law on the lattice lo, lo + span, lo + 2 span, ...
+
+    entries[i] = P(lo + i span), zeros allowed; leaked is the mass missing
+    from the entries, so entries.sum() + leaked == 1 up to rounding.
+    """
+
+    lo: int
+    span: int
+    entries: np.ndarray
+    leaked: float = 0.0
+
+    @classmethod
+    def from_position_law(cls, law: ReturnPositionLaw) -> "LatticeLaw":
+        """The return-position law conditioned on its window [-lmax, lmax],
+        renormalized so the convolution inputs carry mass one."""
+        half = law.values.astype(np.float64) / law.window_mass()
+        return cls(-law.lmax, 2, np.concatenate((half[:0:-1], half)))
+
+    @property
+    def hi(self) -> int:
+        return self.lo + self.span * (len(self.entries) - 1)
+
+    def prob(self, k: int) -> float:
+        i, off = divmod(k - self.lo, self.span)
+        if off or not 0 <= i < len(self.entries):
+            return 0.0
+        return float(self.entries[i])
+
+    def is_symmetric(self) -> bool:
+        return self.lo == -self.hi and np.array_equal(self.entries, self.entries[::-1])
 
 
-def _to_dense(entries: dict) -> tuple[int, int, np.ndarray]:
-    lo, step = _lattice_of(entries)
-    hi = max(entries)
-    arr = np.zeros((hi - lo) // step + 1)
-    for k, p in entries.items():
-        arr[(k - lo) // step] = float(p)
-    return lo, step, arr
-
-
-def _is_symmetric(entries: dict) -> bool:
-    return all(entries.get(-k) == p for k, p in entries.items())
-
-
-_EXACT_LIMIT = 400_000
 _FFT_LIMIT = 4_000_000
 
 
-def convolve_dists(a: SparseDist, b: SparseDist, cutoff: float = 0.0) -> SparseDist:
+def convolve_dists(a: LatticeLaw, b: LatticeLaw) -> LatticeLaw:
     """Law of the sum of independent draws from a and b.
 
-    Exact rational when both inputs are rational and small enough;
-    otherwise dense float convolution (FFT above _FFT_LIMIT products,
-    verified against the direct kernel to 1e-12 in the test suite).
-    Entries below cutoff are dropped into the leaked account, as is any
-    mass already missing from the inputs.
+    Dense float convolution (FFT above _FFT_LIMIT products, verified
+    against the direct kernel to 1e-12 in the test suite).  The mass
+    missing from either input is carried into the leaked account.
     """
-    exact = (
-        a.is_exact()
-        and b.is_exact()
-        and len(a.entries) * len(b.entries) <= _EXACT_LIMIT
-        and cutoff == 0.0
-    )
-    if exact:
-        out: dict = {}
-        for x, p in a.entries.items():
-            for y, q in b.entries.items():
-                key = x + y
-                if key in out:
-                    out[key] += p * q
-                else:
-                    out[key] = p * q
-        return SparseDist(out, 0.0)
-
-    lo_a, step_a, arr_a = _to_dense(a.entries)
-    lo_b, step_b, arr_b = _to_dense(b.entries)
-    step = math.gcd(step_a, step_b)
-    if step_a != step:
-        arr = np.zeros((len(arr_a) - 1) * (step_a // step) + 1)
-        arr[:: step_a // step] = arr_a
-        arr_a = arr
-    if step_b != step:
-        arr = np.zeros((len(arr_b) - 1) * (step_b // step) + 1)
-        arr[:: step_b // step] = arr_b
-        arr_b = arr
-    if len(arr_a) * len(arr_b) > _FFT_LIMIT:
-        conv = fftconvolve(arr_a, arr_b)
+    if a.span != b.span:
+        raise ValueError(f"lattice spans differ: {a.span} and {b.span}")
+    if len(a.entries) * len(b.entries) > _FFT_LIMIT:
+        conv = fftconvolve(a.entries, b.entries)
         np.clip(conv, 0.0, None, out=conv)
     else:
-        conv = np.convolve(arr_a, arr_b)
-    if _is_symmetric(a.entries) and _is_symmetric(b.entries):
+        conv = np.convolve(a.entries, b.entries)
+    if a.is_symmetric() and b.is_symmetric():
         # float convolution can lose the exact l <-> -l symmetry at roundoff
         conv = 0.5 * (conv + conv[::-1])
-    lo = lo_a + lo_b
-    dropped = 0.0
-    if cutoff > 0:
-        mask = (conv > 0) & (conv < cutoff)
-        dropped = float(conv[mask].sum())
-        conv[mask] = 0.0
-    entries = {
-        lo + i * step: float(p) for i, p in enumerate(conv) if p > 0.0
-    }
     la, lb = a.leaked, b.leaked
-    leaked = la + lb - la * lb + dropped
     # absorb float rounding into the leak account so mass stays conserved
-    leaked = max(leaked, 1.0 - sum(entries.values()))
-    return SparseDist(entries, leaked)
+    leaked = max(la + lb - la * lb, 1.0 - float(conv.sum()))
+    return LatticeLaw(a.lo + b.lo, a.span, conv, leaked)
 
 
-def self_convolve(d: SparseDist, n: int, cutoff: float = 0.0) -> SparseDist:
+def self_convolve(d: LatticeLaw, n: int) -> LatticeLaw:
     """Law of the sum of n independent copies of d, by binary exponentiation
     (log2 n convolutions); the leaked account bounds everything dropped."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    acc: SparseDist | None = None
+    acc: LatticeLaw | None = None
     base = d
     k = n
     while k:
         if k & 1:
-            acc = base if acc is None else convolve_dists(acc, base, cutoff)
+            acc = base if acc is None else convolve_dists(acc, base)
         k >>= 1
         if k:
-            base = convolve_dists(base, base, cutoff)
+            base = convolve_dists(base, base)
     assert acc is not None
     return acc
 
@@ -189,29 +163,29 @@ class LLTError:
     truncation_warning: bool
 
 
-def lll_error(dn: SparseDist, target: StableTarget, n: int, floor: float = 1e-9) -> LLTError:
+def lll_error(dn: LatticeLaw, target: StableTarget, n: int, floor: float = 1e-9) -> LLTError:
     """Local-limit error of the law of an n-fold sum against its target.
 
     Evaluates |B_n/h P(Z_n = an + kh) - g((an + kh)/B_n - A_n)| on every
     lattice point where either term exceeds `floor` (points outside the
-    sampled support count with probability zero).  Warns when the leaked
+    stored support count with probability zero).  Warns when the leaked
     mass of dn could move the sup by more than 10%.
     """
     h, a = target.span, target.offset
     bn = target.norming(n)
     an = target.centering(n)
     base = a * n
-    keys = dn.entries.keys()
-    lo, hi = min(keys), max(keys)
-    if (lo - base) % h or (hi - base) % h:
+    support = dn.lo + dn.span * np.arange(len(dn.entries), dtype=np.int64)
+    if np.any((support - base) % h):
         raise ValueError("support does not lie on the stated lattice")
     # extend until the density itself drops below the floor
     s_floor = _density_range(target.density, floor, bn, an)
-    lo = min(lo, base + h * math.floor((s_floor[0] * bn) / h))
-    hi = max(hi, base + h * math.ceil((s_floor[1] * bn) / h))
+    lo = min(dn.lo, base + h * math.floor((s_floor[0] * bn) / h))
+    hi = max(dn.hi, base + h * math.ceil((s_floor[1] * bn) / h))
     pts = np.arange(lo, hi + 1, h, dtype=np.int64)
-    probs = np.array([float(dn.entries.get(int(k), 0.0)) for k in pts])
-    dens = np.array([target.density(s) for s in (pts / bn - an)])
+    probs = np.zeros(len(pts))
+    probs[(support - lo) // h] = dn.entries
+    dens = target.density(pts / bn - an)
     err = np.abs(bn / h * probs - dens)
     i = int(np.argmax(err))
     sup = float(err[i])
@@ -222,7 +196,7 @@ def lll_error(dn: SparseDist, target: StableTarget, n: int, floor: float = 1e-9)
             dn.leaked,
             sup,
         )
-    return LLTError(n, sup, int(pts[i]), float(dn.entries.get(0, 0.0)), warn)
+    return LLTError(n, sup, int(pts[i]), dn.prob(0), warn)
 
 
 def _density_range(g: Callable[[float], float], floor: float, bn: float, an: float) -> tuple[float, float]:
@@ -247,11 +221,11 @@ class LowerBoundReport:
 
 
 def lower_bound_check(
-    dns: Mapping[int, SparseDist], a_const: float, n_threshold: int | None = None
+    dns: Mapping[int, LatticeLaw], a_const: float, n_threshold: int | None = None
 ) -> LowerBoundReport:
     """Verify the lattice lower bound n P(Z_n = 0) >= a_const for all
     computed n past the threshold, and report the extrapolated limit."""
-    values = {n: n * float(d.entries.get(0, 0.0)) for n, d in sorted(dns.items())}
+    values = {n: n * d.prob(0) for n, d in sorted(dns.items())}
     if n_threshold is None:
         n_threshold = min(values)
     tested = {n: v for n, v in values.items() if n >= n_threshold}

@@ -24,7 +24,6 @@ from recwalk.branched_walk import (
     shift_sum_tail_exact,
     shifted_green_sum,
 )
-from recwalk.engine import SparseDist
 from recwalk.finite_chain import verify_equivalences
 from recwalk.return_laws import (
     first_return_law,
@@ -34,7 +33,13 @@ from recwalk.return_laws import (
 )
 from recwalk.rng import DEFAULT_SEED
 from recwalk.spaces import Inlet, Tail
-from recwalk.stable_laws import StableTarget, lll_error, lower_bound_check, self_convolve
+from recwalk.stable_laws import (
+    LatticeLaw,
+    StableTarget,
+    lll_error,
+    lower_bound_check,
+    self_convolve,
+)
 from test_finite_chain import random_chain
 from test_return_laws import enumerate_first_returns
 
@@ -57,9 +62,7 @@ def big_position_law():
 def convolutions(big_position_law):
     if "dns" not in _law_state:
         t0 = time.perf_counter()
-        law = big_position_law
-        mass = law.window_mass()
-        base = SparseDist({l: p / mass for l, p in law.items() if p > 0.0}, 0.0)
+        base = LatticeLaw.from_position_law(big_position_law)
         _law_state["dns"] = {n: self_convolve(base, n) for n in (8, 16, 32, 64)}
         _law_state["conv_seconds"] = time.perf_counter() - t0
         _law_state["conv_charged"] = False

@@ -29,6 +29,21 @@ class TestLawCache:
         assert hit2
         assert tail_functional(law, 30).value == tail_functional(again, 30).value
 
+    def test_failed_replace_leaves_clean_miss(self, tmp_path, monkeypatch):
+        import recwalk.lawcache as lawcache
+
+        def broken_replace(src, dst):
+            raise OSError("disk full")
+
+        law = return_position_law(100, 10_000)
+        monkeypatch.setattr(lawcache.os, "replace", broken_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_position_law(law, tmp_path)
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+        _, hit = load_or_compute_position_law(tmp_path, 100, 10_000)
+        assert not hit
+
     def test_corruption_detected(self, tmp_path):
         law = return_position_law(100, 10_000)
         path = save_position_law(law, tmp_path)
@@ -40,6 +55,24 @@ class TestLawCache:
 
 def run(args):
     return main([str(a) for a in args])
+
+
+@pytest.mark.parametrize("argv", [
+    ["lll", "--l-max", 4],
+    ["lll", "--l-max", 40, "--k-max", 2],  # refused inside the library
+    ["green", "--direct-returns", 0],
+    ["green", "--samples", 1],
+    ["green", "--direct-samples", 1],
+])
+def test_bad_input_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--cache-dir", tmp_path / "cache", "--out", out])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: recwalk")
+    assert "recwalk: error: " in err and "Traceback" not in err
+    assert not out.exists()
 
 
 class TestReturnLawCommand:

@@ -38,25 +38,12 @@ def random_chain(rng: np.random.Generator, nmax: int = 6) -> FiniteChain:
     return FiniteChain.from_lists(rows)
 
 
-class TestCsv:
-    def test_roundtrip(self):
-        text = DOUBLY_STOCHASTIC.to_csv()
-        assert FiniteChain.from_csv(text) == DOUBLY_STOCHASTIC
-
-    def test_parse_rational_strings(self):
-        chain = FiniteChain.from_csv("2\n1/3,2/3\n0,1\n")
-        assert chain.rows[0][0] == F(1, 3)
-
+class TestValidation:
     def test_rejects_bad_mass(self):
         with pytest.raises(ValueError):
-            FiniteChain.from_csv("2\n1/3,1/3\n0,1\n")
+            FiniteChain.from_lists([[F(1, 3), F(1, 3)], [0, 1]])
         with pytest.raises(ValueError):
-            FiniteChain.from_csv("2\n1/2,1/2\n0,1\n1,0\n")
-
-    def test_path_loader(self, tmp_path):
-        p = tmp_path / "chain.csv"
-        p.write_text(THREE_CYCLE.to_csv())
-        assert FiniteChain.from_csv_path(p) == THREE_CYCLE
+            FiniteChain.from_lists([[F(1, 2), F(1, 2)], [0, 1], [1, 0]])
 
 
 class TestGreenPartialSums:

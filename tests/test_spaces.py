@@ -12,13 +12,8 @@ from recwalk.spaces import (
     ball,
     branched_apply,
     diagonal_apply,
-    figure_frame,
-    from_figure_frame,
     line_apply,
-    parse_state,
-    sort_key,
     standard_points,
-    state_id,
     uniform_diagonal,
     uniform_five,
 )
@@ -164,22 +159,6 @@ class TestStepMeasure:
 
 
 class TestIdsAndOrdering:
-    def test_state_id_roundtrip(self):
-        for s in (Tail(0), Tail(-7), Inlet(0), Inlet(-3), Lattice(2, -4)):
-            assert parse_state(state_id(s)) == s
-
-    def test_sort_key_total_order(self):
-        states = list(ball(branched_apply, Inlet(-2), 6))
-        ordered = sorted(states, key=sort_key)
-        assert ordered == sorted(ordered, key=sort_key)
-        assert len({sort_key(s) for s in states}) == len(states)
-
-    def test_figure_frame_bijection(self):
-        for s in (Lattice(0, 0), Lattice(3, 1), Lattice(-2, 4)):
-            assert from_figure_frame(*figure_frame(s)) == s
-        # the translated half-axis is horizontal in the figure frame
-        assert figure_frame(Lattice(0, 4)) == (4, 0)
-
     def test_standard_points(self):
         pts = standard_points(offset=3)
         assert set(pts) == {

@@ -1,11 +1,10 @@
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from recwalk.engine import SparseDist
 from recwalk.stable_laws import (
+    LatticeLaw,
     StableTarget,
     cauchy_density,
     convolve_dists,
@@ -16,16 +15,9 @@ from recwalk.stable_laws import (
     self_convolve,
 )
 
-F = Fraction
 
-
-def window_dist(law) -> SparseDist:
-    mass = law.window_mass()
-    return SparseDist({l: p / mass for l, p in law.items() if p > 0.0}, 0.0)
-
-
-def pm_one() -> SparseDist:
-    return SparseDist({-1: F(1, 2), 1: F(1, 2)})
+def pm_one() -> LatticeLaw:
+    return LatticeLaw(-1, 2, np.array([0.5, 0.5]))
 
 
 class TestDensities:
@@ -46,42 +38,56 @@ class TestDensities:
 
 class TestSelfConvolve:
     def test_point_mass(self):
-        d = SparseDist({0: F(1)})
-        out = self_convolve(d, 17)
-        assert out.entries == {0: F(1)}
+        out = self_convolve(LatticeLaw(0, 1, np.array([1.0])), 17)
+        assert (out.lo, out.entries.tolist()) == (0, [1.0])
 
     def test_hand_convolution(self):
         out = self_convolve(pm_one(), 2)
-        assert out.entries == {-2: F(1, 4), 0: F(1, 2), 2: F(1, 4)}
+        assert (out.lo, out.span, out.entries.tolist()) == (-2, 2, [0.25, 0.5, 0.25])
+
+    def test_pm_one_fold_matches_binomial(self):
+        # independent oracle: P(S_n = 2k - n) = C(n, k) / 2^n
+        for n in (7, 64, 301):
+            out = self_convolve(pm_one(), n)
+            assert (out.lo, out.hi) == (-n, n)
+            exact = [math.comb(n, k) / 2**n for k in range(n + 1)]
+            assert np.max(np.abs(out.entries - exact)) < 1e-15
 
     def test_binary_exponentiation_matches_sequential_fold(self):
-        d = SparseDist({-1: F(1, 3), 0: F(1, 6), 2: F(1, 2)})
+        # dyadic weights keep every partial sum exact in float64
+        d = LatticeLaw(-1, 1, np.array([0.25, 0.25, 0.0, 0.5]))
         fold = d
         for _ in range(6):
             fold = convolve_dists(fold, d)
-        assert self_convolve(d, 7).entries == fold.entries
+        out = self_convolve(d, 7)
+        assert out.lo == fold.lo == -7
+        assert np.array_equal(out.entries, fold.entries)
 
-    def test_mass_accounting_with_cutoff(self):
-        d = pm_one()
-        out = self_convolve(d, 64, cutoff=1e-9)
-        assert out.leaked > 0
-        assert abs(float(out.total()) + out.leaked - 1.0) < 1e-10
+    def test_mass_accounting_with_leaked_input(self):
+        d = LatticeLaw(-1, 2, np.array([0.45, 0.45]), leaked=0.1)
+        out = self_convolve(d, 64)
+        assert abs(out.leaked - (1 - 0.9**64)) < 1e-12
+        assert abs(out.entries.sum() + out.leaked - 1.0) < 1e-10
+
+    def test_mismatched_spans_rejected(self):
+        with pytest.raises(ValueError, match="spans"):
+            convolve_dists(pm_one(), LatticeLaw(0, 1, np.array([0.5, 0.5])))
 
     def test_position_law_convolution_mass(self, pos_law_small):
-        out = self_convolve(window_dist(pos_law_small), 8)
-        assert abs(float(out.total()) + out.leaked - 1.0) < 1e-10
+        out = self_convolve(LatticeLaw.from_position_law(pos_law_small), 8)
+        assert abs(out.entries.sum() + out.leaked - 1.0) < 1e-10
 
     def test_symmetric_input_symmetric_output(self, pos_law_small):
-        out = self_convolve(window_dist(pos_law_small), 8)
+        out = self_convolve(LatticeLaw.from_position_law(pos_law_small), 8)
+        assert out.lo == -out.hi
         for l in (0, 2, 100, 1000, 2500):
-            assert out.entries.get(l, 0.0) == out.entries.get(-l, 0.0)
+            assert out.prob(l) == out.prob(-l)
 
     def test_fft_matches_direct(self):
         rng = np.random.Generator(np.random.Philox(key=7))
         vals = rng.random(1200)
         vals /= vals.sum()
-        entries = {2 * i - 1200: v for i, v in enumerate(vals)}
-        a = SparseDist(dict(entries), 0.0)
+        a = LatticeLaw(-1200, 2, vals)
         direct = np.convolve(vals, vals)
         import recwalk.stable_laws as sl
 
@@ -91,9 +97,8 @@ class TestSelfConvolve:
             fft_out = convolve_dists(a, a)
         finally:
             sl._FFT_LIMIT = old
-        lo = min(fft_out.entries)
-        got = np.array([fft_out.entries.get(lo + 2 * i, 0.0) for i in range(len(direct))])
-        assert np.max(np.abs(got - direct)) < 1e-12
+        assert fft_out.lo == -2400
+        assert np.max(np.abs(fft_out.entries - direct)) < 1e-12
 
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
@@ -115,7 +120,7 @@ class TestLLTError:
         # the window-conditioning bias (~ n * window tail mass) takes over,
         # so the full 8..64 doubling ladder runs on the 2000-wide law in
         # the acceptance suite
-        base = window_dist(pos_law_small)
+        base = LatticeLaw.from_position_law(pos_law_small)
         target = StableTarget.cauchy(scale=1.0)
         errs = []
         for n in (4, 8, 16):
@@ -126,29 +131,29 @@ class TestLLTError:
 
     def test_self_target_is_exact(self):
         # n = 1 against the law itself re-expressed as the target density
-        d = SparseDist({-2: 0.25, 0: 0.5, 2: 0.25})
+        d = LatticeLaw(-2, 2, np.array([0.25, 0.5, 0.25]))
 
         def g(s):  # B_1 = 1, h = 2: g(s) = (1/2) P(Z = s)
-            return {-2.0: 0.125, 0.0: 0.25, 2.0: 0.125}.get(s, 0.0)
+            return np.select([s == -2.0, s == 0.0, s == 2.0], [0.125, 0.25, 0.125], 0.0)
 
         target = StableTarget(1.0, g, span=2, offset=0, norming=lambda n: 1.0)
         rep = lll_error(d, target, 1)
         assert rep.sup_error == 0.0
 
     def test_off_lattice_support_rejected(self):
-        d = SparseDist({1: 0.5, 2: 0.5})
+        d = LatticeLaw(1, 1, np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             lll_error(d, StableTarget.cauchy(), 1)
 
     def test_truncation_warning(self):
-        d = SparseDist({0: 0.6, 2: 0.2, -2: 0.1}, leaked=0.1)
+        d = LatticeLaw(-2, 2, np.array([0.1, 0.6, 0.2]), leaked=0.1)
         rep = lll_error(d, StableTarget.cauchy(), 1)
         assert rep.truncation_warning
 
 
 class TestLowerBound:
     def test_position_family_band(self, pos_law_small):
-        base = window_dist(pos_law_small)
+        base = LatticeLaw.from_position_law(pos_law_small)
         dns = {n: self_convolve(base, n) for n in (16, 32, 64)}
         rep = lower_bound_check(dns, 0.5, 16)
         assert rep.passed
@@ -156,12 +161,12 @@ class TestLowerBound:
             assert 0.55 <= v <= 0.72, (n, v)
 
     def test_too_large_constant_fails(self, pos_law_small):
-        base = window_dist(pos_law_small)
+        base = LatticeLaw.from_position_law(pos_law_small)
         dns = {n: self_convolve(base, n) for n in (16, 32, 64)}
         assert not lower_bound_check(dns, 1.0, 16).passed
 
     def test_threshold_filters(self, pos_law_small):
-        base = window_dist(pos_law_small)
+        base = LatticeLaw.from_position_law(pos_law_small)
         dns = {n: self_convolve(base, n) for n in (4, 16)}
         rep = lower_bound_check(dns, 0.58, 16)
         assert rep.passed  # n = 4 sits below the threshold and is not tested
