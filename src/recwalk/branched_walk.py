@@ -14,6 +14,12 @@ a direct simulation of the five-generator walk, and an auxiliary one that
 replaces the half-axis translations by an independent per-return shift
 whose law (2m with probability 4/5^{m+1}) matches the burst of consecutive
 a-moves at a half-axis visit.  Their agreement is measured, not assumed.
+
+Both walks are simulated one event at a time, exactly in law, rather than
+one step at a time: a ray walk changes what is observed only when a fires,
+and the lattice walk only when the transverse coordinate returns to 0.
+The step-level engine (`engine.sample_path` with `spaces.branched_apply`)
+is the oracle that these event models are tested against.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 
 from .engine import wilson_interval
 from .return_laws import ReturnPositionLaw, sample_first_return, sample_position_at
-from .rng import DEFAULT_SEED, RETURN_LANE, SHIFT_LANE, WALK_LANE, stream
+from .rng import DEFAULT_SEED, DIRECT_LANE, RETURN_LANE, SHIFT_LANE, WALK_LANE, stream
 from .spaces import BranchedState, Inlet, Lattice, Tail, state_id, standard_points
 
 DEFAULT_DIRECT_HORIZON = 4_000_000
@@ -207,28 +213,44 @@ def _verdict(p_lattice: Fraction) -> str:
     return "Neither"
 
 
-def _simulate_entry(rng: np.random.Generator, start: BranchedState, horizon: int) -> bool:
-    """One walk from a ray start until lattice entry, certain escape, or
-    the horizon: True means the lattice was entered."""
-    on_tail = isinstance(start, Tail)
-    k = start.k
-    done = 0
-    while done < horizon:
-        block = rng.random(min(256, horizon - done))
-        for u in block:
-            if u < 0.2:  # a fires
-                if on_tail:
-                    k += 1
-                    if k >= 1:
-                        return False  # rightward drift is irreversible
-                elif k == 0:
-                    return True  # inlet junction jumps onto the lattice
-                else:
-                    k += 1
-            elif k == 0:
-                on_tail = not on_tail  # the four other moves swap junctions
-        done += len(block)
-    return False
+#: sample indices per classify stream: sample i reads row i % CLASSIFY_BLOCK
+#: of the waits drawn from stream(seed, i // CLASSIFY_BLOCK, WALK_LANE), so
+#: it depends on (seed, i) only, whatever nsamples is
+CLASSIFY_BLOCK = 1 << 14
+
+
+def enters_lattice(on_tail: bool, waits: np.ndarray, horizon: int) -> np.ndarray:
+    """Whether a ray walk has entered the lattice by step `horizon`, from
+    its waits (last axis): the number of steps up to and including each
+    firing of a.
+
+    A start k <= 0 needs 1 - k firings; the first -k bring it to its
+    junction without a swap, and each non-a step at a junction swaps
+    sides.  The last firing enters the lattice from the inlet junction and
+    escapes from the tail junction, so a tail start enters iff its last
+    wait is even (an odd number of swaps) and an inlet start iff it is
+    odd, and only if the waits sum to at most the horizon.  Only the total
+    and the last wait matter, so the leading waits may come merged.
+    """
+    swapped = waits[..., -1] % 2 == 0
+    return (waits.sum(axis=-1) <= horizon) & (swapped == on_tail)
+
+
+def _count_entries(s: Tail | Inlet, horizon: int, nsamples: int, seed: int) -> int:
+    """Lattice entries by the horizon among nsamples walks from a ray start
+    k <= 0, exactly in law: a fires after a Geometric(1/5) wait, and the
+    -k waits before the junction add up to -k + NegBin(-k, 1/5) steps."""
+    fires = -s.k
+    hits = 0
+    for block in range(-(-nsamples // CLASSIFY_BLOCK)):
+        rng = stream(seed, block, WALK_LANE)
+        lead = np.zeros(CLASSIFY_BLOCK, dtype=np.int64)
+        if fires:
+            lead += fires + rng.negative_binomial(fires, 0.2, CLASSIFY_BLOCK)
+        waits = np.column_stack((lead, rng.geometric(0.2, CLASSIFY_BLOCK)))
+        entered = enters_lattice(isinstance(s, Tail), waits, horizon)
+        hits += int(entered[: nsamples - block * CLASSIFY_BLOCK].sum())
+    return hits
 
 
 def classify_point(
@@ -256,9 +278,7 @@ def classify_point(
         mc, ci = 0.0, wilson_interval(0, nsamples)
         notes = "entry is structurally impossible right of the tail junction"
     else:
-        hits = 0
-        for i in range(nsamples):
-            hits += _simulate_entry(stream(seed, i, WALK_LANE), s, horizon)
+        hits = _count_entries(s, horizon, nsamples, seed)
         mc = hits / nsamples
         ci = wilson_interval(hits, nsamples)
     p = float(p_lat)
@@ -322,11 +342,15 @@ def shifted_green_sum(
     method="auxiliary": draw the return-time/position increments of the
     diagonal walk from their exact laws and an independent shift stream;
     the hit at return n is {position sum = -shift sum}.  method="direct":
-    simulate the five-generator walk from the lattice origin and record
-    whether the along-axis coordinate vanishes at each return of the
-    transverse coordinate.  A horizon (in walk steps) truncates both
-    methods the same way, making their comparison like for like; the
-    direct method requires one.
+    follow the five-generator walk from the lattice origin one return of
+    the transverse coordinate at a time, exactly in law, and record
+    whether the along-axis coordinate vanishes there.  Each method yields
+    per sample the hits and times of returns 1..n_returns; a horizon (in
+    walk steps) drops the returns past it the same way for both, making
+    their comparison like for like, and a sample whose last return falls
+    past it counts as exhausted.  The direct method requires a horizon.
+    The two methods draw from disjoint streams, so their estimates are
+    independent.
     """
     if n_returns < 1:
         raise ValueError("n_returns must be >= 1")
@@ -336,114 +360,74 @@ def shifted_green_sum(
     if any(c < 1 or c > n_returns for c in checkpoints):
         raise ValueError("checkpoints must lie in [1, n_returns]")
     if method == "auxiliary":
-        return _green_auxiliary(n_returns, nsamples, seed, horizon, checkpoints, h_seed)
-    if method == "direct":
-        if horizon is None:
-            horizon = DEFAULT_DIRECT_HORIZON
-        return _green_direct(n_returns, nsamples, seed, int(horizon), checkpoints)
-    raise ValueError(f"unknown method {method!r}")
+        shift_seed = seed if h_seed is None else h_seed
 
+        def returns(i):
+            return _auxiliary_returns(seed, shift_seed, i, n_returns)
 
-def _green_auxiliary(
-    n_returns: int,
-    nsamples: int,
-    seed: int,
-    horizon: float | None,
-    checkpoints: tuple[int, ...],
-    h_seed: int | None,
-) -> GreenSumEstimate:
+    elif method == "direct":
+        horizon = float(DEFAULT_DIRECT_HORIZON if horizon is None else horizon)
+
+        def returns(i):
+            return _direct_returns(stream(seed, i, DIRECT_LANE), n_returns, int(horizon))
+
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    cut = math.inf if horizon is None else horizon
     hits_by_n = np.zeros(n_returns + 1)
     hits_by_n[0] = nsamples
+    cp_index = np.array(checkpoints) - 1
     cp_vals = np.zeros((nsamples, len(checkpoints)))
     exhausted = 0
     for i in range(nsamples):
-        r = sample_first_return(stream(seed, i, RETURN_LANE), n_returns)
-        z = sample_position_at(stream(seed, i, WALK_LANE), r)
-        eta = 2.0 * (stream(h_seed if h_seed is not None else seed, i, SHIFT_LANE)
-                     .geometric(0.8, n_returns) - 1.0)
-        u = np.cumsum(z)
-        hsum = np.cumsum(eta)
-        ok = u == -hsum
-        if horizon is not None:
-            within = np.cumsum(r) <= horizon
-            ok &= within
-            if not within.all():
-                exhausted += 1
-        hits_by_n[1:] += ok
-        cum = np.cumsum(ok)
-        cp_vals[i] = 1.0 + cum[np.array(checkpoints) - 1]
+        hit, times = returns(i)
+        within = times <= cut
+        hit &= within
+        exhausted += not within[-1]
+        hits_by_n[1:] += hit
+        cp_vals[i] = 1.0 + np.cumsum(hit)[cp_index]
     partial = np.cumsum(hits_by_n) / nsamples
     stats = _checkpoint_stats(checkpoints, cp_vals, nsamples)
     return GreenSumEstimate(
-        "auxiliary", n_returns, nsamples, seed, horizon, partial, stats, exhausted
+        method, n_returns, nsamples, seed, horizon, partial, stats, exhausted
     )
 
 
-_DI_TABLE = np.array([0, 1, -1, 1, -1], dtype=np.int64)
-_DJ_TABLE = np.array([0, 1, -1, -1, 1], dtype=np.int64)
+def _auxiliary_returns(
+    seed: int, shift_seed: int, i: int, n_returns: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, time) at returns 1..n_returns of auxiliary sample i."""
+    r = sample_first_return(stream(seed, i, RETURN_LANE), n_returns)
+    z = sample_position_at(stream(seed, i, WALK_LANE), r)
+    eta = 2.0 * (stream(shift_seed, i, SHIFT_LANE).geometric(0.8, n_returns) - 1.0)
+    return np.cumsum(z) == -np.cumsum(eta), np.cumsum(r)
 
 
-def _green_direct(
-    n_returns: int,
-    nsamples: int,
-    seed: int,
-    horizon: int,
-    checkpoints: tuple[int, ...],
-) -> GreenSumEstimate:
-    hits_by_n = np.zeros(n_returns + 1)
-    hits_by_n[0] = nsamples
-    cp_arr = np.array(checkpoints)
-    cp_vals = np.zeros((nsamples, len(checkpoints)))
-    exhausted = 0
-    chunk = 1 << 17
-    for i in range(nsamples):
-        rng = stream(seed, i, WALK_LANE)
-        icur = 0
-        jcur = 0
-        returns_done = 0
-        hits_done = 0
-        t = 0
-        while t < horizon and returns_done < n_returns:
-            m = min(chunk, horizon - t)
-            codes = np.minimum((rng.random(m) * 5).astype(np.int64), 4)
-            ipath = icur + np.cumsum(_DI_TABLE[codes])
-            base_j = jcur + np.cumsum(_DJ_TABLE[codes])
-            # a fires a +2 kick along j when taken at i == 0 with j >= 0;
-            # the kick count feeds back into j, so resolve candidates in order
-            prev_i = np.empty(m, dtype=np.int64)
-            prev_i[0] = icur
-            prev_i[1:] = ipath[:-1]
-            cand = np.nonzero((codes == 0) & (prev_i == 0))[0]
-            bump = np.zeros(m, dtype=np.int64)
-            kicks_chunk = 0
-            for idx in cand:
-                j_before = (base_j[idx - 1] if idx > 0 else jcur) + 2 * kicks_chunk
-                if j_before >= 0:
-                    bump[idx] = 2
-                    kicks_chunk += 1
-            jpath = base_j + np.cumsum(bump) if kicks_chunk else base_j
-            rts = np.nonzero(ipath == 0)[0]
-            take = min(len(rts), n_returns - returns_done)
-            if take:
-                hit = jpath[rts[:take]] == 0
-                hits_by_n[returns_done + 1 : returns_done + take + 1] += hit
-                cum = hits_done + np.cumsum(hit)
-                sel = (cp_arr > returns_done) & (cp_arr <= returns_done + take)
-                if sel.any():
-                    cp_vals[i, sel] = 1.0 + cum[cp_arr[sel] - returns_done - 1]
-                hits_done = int(cum[-1])
-                returns_done += take
-            t += m
-            icur = int(ipath[-1])
-            jcur = int(jpath[-1])
-        if returns_done < n_returns:
-            exhausted += 1
-            cp_vals[i, cp_arr > returns_done] = 1.0 + hits_done
-    partial = np.cumsum(hits_by_n) / nsamples
-    stats = _checkpoint_stats(checkpoints, cp_vals, nsamples)
-    return GreenSumEstimate(
-        "direct", n_returns, nsamples, seed, float(horizon), partial, stats, exhausted
-    )
+def _direct_returns(
+    rng: np.random.Generator, n_returns: int, horizon: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(hit, time) at returns 1..n_returns of the transverse coordinate i
+    of the five-generator walk from the lattice origin, one return at a
+    time.
+
+    At a return, a fires next with probability 1/5: a pause of one step
+    that kicks j by +2 when j >= 0.  Otherwise i leaves 0 for R non-a steps,
+    R a first return time, over which j takes R independent +-1 steps and
+    the a-moves, idle off the half-axis, add NegBin(R - 1, 4/5) steps to
+    the clock.  R is heavy-tailed and nothing past the horizon is
+    observed, so it is clipped to horizon + 1.
+    """
+    pause = rng.random(n_returns) < 0.2
+    r = np.minimum(sample_first_return(rng, n_returns), horizon + 1)
+    dj = sample_position_at(rng, r)
+    idle = rng.negative_binomial(r - 1, 0.8)
+    times = np.cumsum(np.where(pause, 1.0, r + idle))
+    hit = np.zeros(n_returns, dtype=bool)
+    j = 0.0
+    for n, (p, d) in enumerate(zip(pause.tolist(), dj.tolist())):
+        j += (2.0 if j >= 0 else 0.0) if p else d
+        hit[n] = j == 0
+    return hit, times
 
 
 def _checkpoint_stats(

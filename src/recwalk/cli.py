@@ -92,18 +92,17 @@ def _even(parser: _Parser, value: int, name: str) -> int:
 
 def cmd_return_law(parser: _Parser, args) -> int:
     nmax = _even(parser, args.n_max, "--n-max")
+    m_hi = min(1000, nmax)
+    m_lo = max(100, m_hi // 10)
+    if (m_hi - m_lo) // 2 + 1 < 10:  # the fit needs 10 even return times
+        parser.error("--n-max must be >= 118 to fit the tail exponent")
     t0 = time.perf_counter()
     law = return_laws.first_return_law(nmax)
     rows = []
     for n in range(2, nmax + 1, 2):
         p = float(law.prob(n))
         rows.append((n, _fmt(p), _fmt(p * n**1.5)))
-    try:
-        m_hi = min(1000, nmax)
-        fit = return_laws.fit_tail_exponent(law, max(100, m_hi // 10), m_hi)
-    except ValueError as exc:
-        log.error("tail fit failed: %s", exc)
-        return 2
+    fit = return_laws.fit_tail_exponent(law, m_lo, m_hi)
     rows.append(("slope", _fmt(fit.slope), f"window={fit.window[0]}..{fit.window[1]}"))
     rows.append(("prefactor", _fmt(fit.prefactor), f"npoints={fit.npoints}"))
     _write_table(

@@ -1,7 +1,8 @@
 """Deterministic counter-based random streams.
 
 Every Monte Carlo routine draws from a Philox stream keyed by
-(seed, lane, sample index).  Sample i always sees the same stream no
+(seed, lane, index), the index being a sample index or the index of a
+fixed-size block of them.  Sample i always sees the same draws no
 matter how the work is scheduled, so serial and parallel runs — and
 reruns — produce bit-identical results.
 """
@@ -17,6 +18,7 @@ _INDEX_LIMIT = 1 << 56
 WALK_LANE = 0
 SHIFT_LANE = 1
 RETURN_LANE = 2
+DIRECT_LANE = 3  # the direct Green walk, apart from the auxiliary draws it is compared with
 
 DEFAULT_SEED = 123456789
 

@@ -4,19 +4,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from recwalk import branched_walk
 from recwalk.branched_walk import (
+    CLASSIFY_BLOCK,
     absorption_probabilities,
     classify_point,
     classify_standard_points,
     cross_method_gap,
+    enters_lattice,
     excursion_shift_law,
     first_term_exact,
     large_deviation_check,
     shift_sum_tail_exact,
     shifted_green_sum,
 )
-from recwalk.spaces import Inlet, Lattice, Tail
+from recwalk.engine import SparseDist, iterate_push_forward, observe_returns, sample_path
+from recwalk.rng import stream
+from recwalk.spaces import Generator, Inlet, Lattice, Tail, branched_apply, uniform_five
 
 F = Fraction
 
@@ -142,6 +149,55 @@ class TestClassification:
         b = classify_point(Tail(-2), horizon=500, nsamples=3000, seed=3)
         assert a.mc_estimate == b.mc_estimate
 
+    def test_sample_depends_on_its_index_only(self):
+        # one more sample adds at most one entry, across a block boundary too
+        counts = [
+            round(n * classify_point(Inlet(-1), horizon=500, nsamples=n, seed=3).mc_estimate)
+            for n in range(CLASSIFY_BLOCK - 1, CLASSIFY_BLOCK + 3)
+        ]
+        assert all(0 <= b - a <= 1 for a, b in zip(counts, counts[1:]))
+
+    @pytest.mark.parametrize("start, exact", [
+        (Tail(-3), F(3904724, 48828125)),
+        (Inlet(0), F(25262601, 48828125)),
+    ])
+    def test_finite_horizon_matches_push_forward(self, start, exact):
+        # the lattice is absorbing, so P(entered by h) = P(X_h in the lattice)
+        h, n = 12, 200_000
+        law = iterate_push_forward(SparseDist.point(start), uniform_five(), branched_apply, h)
+        p = sum((w for x, w in law.entries.items() if isinstance(x, Lattice)), F(0))
+        assert p == exact
+        rep = classify_point(start, horizon=h, nsamples=n, seed=21)
+        assert abs(rep.mc_estimate - float(p)) < 4 * math.sqrt(float(p * (1 - p)) / n)
+
+
+class TestEntryRule:
+    @given(
+        on_tail=st.booleans(),
+        k=st.integers(-6, 0),
+        word=st.lists(st.sampled_from(list(Generator)), max_size=40),
+        later=st.lists(st.integers(0, 5), min_size=7, max_size=7),
+    )
+    def test_rule_matches_folded_word(self, on_tail, k, word, later):
+        state = Tail(k) if on_tail else Inlet(k)
+        for g in word:
+            state = branched_apply(g, state)
+        # waits read off the word: the steps up to and including each a
+        waits, run = [], 0
+        for g in word:
+            run += 1
+            if g is Generator.A:
+                waits.append(run)
+                run = 0
+        # firings the word does not reach come after it, after `later` more steps
+        missing = max(0, 1 - k - len(waits))
+        waits += [1 + e + (run if m == 0 else 0) for m, e in enumerate(later[:missing])]
+        waits = np.array(waits[: 1 - k])
+        entered = isinstance(state, Lattice)
+        assert bool(enters_lattice(on_tail, waits, len(word))) == entered
+        merged = np.array([waits[:-1].sum(), waits[-1]])
+        assert bool(enters_lattice(on_tail, merged, len(word))) == entered
+
 
 # frozen characteristic-function oracle values for the auxiliary model
 AUX_T1 = 0.326147
@@ -216,6 +272,31 @@ class TestGreenSumDirect:
         assert est.exhausted > 0
         assert est.exhausted <= 100
 
+    def test_matches_step_level_oracle(self):
+        # the five-generator walk stepped state by state through the engine
+        h, n_returns, cps = 400, 20, (5, 20)
+        n_oracle = 2000
+        vals = np.zeros((n_oracle, len(cps)))
+        short = 0
+        for i in range(n_oracle):
+            traj = sample_path(branched_apply, uniform_five(), Lattice(0, 0), h, 22, i)
+            obs = observe_returns(traj, lambda s: s.i, lambda s: s.j, n_returns)
+            hits = np.zeros(n_returns)
+            hits[: obs.completed] = np.array(obs.positions) == 0
+            vals[i] = 1.0 + np.cumsum(hits)[np.array(cps) - 1]
+            short += obs.completed < n_returns
+        n_direct = 4000
+        est = shifted_green_sum(
+            n_returns, n_direct, seed=23, method="direct", horizon=h, checkpoints=cps
+        )
+        for col, cp in enumerate(cps):
+            mean, se = est.checkpoint_stats[cp]
+            want, want_se = vals[:, col].mean(), vals[:, col].std(ddof=1) / math.sqrt(n_oracle)
+            assert abs(mean - want) < 4 * math.hypot(se, want_se), (cp, mean, want)
+        p, q = short / n_oracle, est.exhausted / n_direct
+        assert 0 < p < 1
+        assert abs(p - q) < 4 * math.sqrt(p * (1 - p) / n_oracle + q * (1 - q) / n_direct)
+
     def test_reproducible(self):
         a = shifted_green_sum(20, 100, seed=19, method="direct", horizon=20_000)
         b = shifted_green_sum(20, 100, seed=19, method="direct", horizon=20_000)
@@ -233,6 +314,21 @@ class TestCrossMethod:
         gap, sigma = cross_method_gap(direct, aux, 100)
         assert sigma > 0
         assert gap < 1.0  # same order; the discrepancy is a modest fraction of G
+
+    def test_methods_draw_disjoint_streams(self, monkeypatch):
+        # cross_method_gap treats the two estimates as independent
+        keys = {}
+        for method in ("direct", "auxiliary"):
+            seen = keys[method] = set()
+
+            def recording(seed, index=0, lane=0, seen=seen):
+                seen.add((seed, index, lane))
+                return stream(seed, index, lane)
+
+            monkeypatch.setattr(branched_walk, "stream", recording)
+            shifted_green_sum(5, 20, seed=24, method=method, horizon=10_000)
+        assert keys["direct"] and keys["auxiliary"]
+        assert not keys["direct"] & keys["auxiliary"]
 
     def test_invalid_method(self):
         with pytest.raises(ValueError):

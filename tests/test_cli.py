@@ -58,6 +58,7 @@ def run(args):
 
 
 @pytest.mark.parametrize("argv", [
+    ["return-law", "--n-max", 100],
     ["lll", "--l-max", 4],
     ["lll", "--l-max", 40, "--k-max", 2],  # refused inside the library
     ["green", "--direct-returns", 0],
