@@ -253,6 +253,23 @@ def _count_entries(s: Tail | Inlet, horizon: int, nsamples: int, seed: int) -> i
     return hits
 
 
+def _entry_probability(s: Tail | Inlet, horizon: int) -> float:
+    """P(entry by step `horizon`) from a ray start k <= 0, the law that
+    _count_entries samples: the sum over the last wait w ~ Geometric(1/5)
+    of P(w) [w even from the tail, odd from the inlet] P(L <= horizon - w),
+    with L = -k + NegBin(-k, 1/5) the steps to the junction."""
+    fires = -s.k
+    # entry after step c needs at most `fires` firings of a in c steps, which
+    # has probability below e^-56 at c = 400 + 40 fires (Chernoff): cap there
+    horizon = min(horizon, 400 + 40 * fires)
+    w = np.arange(1, horizon + 1)
+    last = np.where(w % 2 == isinstance(s, Inlet), 0.2 * 0.8 ** (w - 1), 0.0)
+    nb = np.arange(horizon - 1)
+    pmf = np.cumprod(np.concatenate(([0.2**fires], 0.8 * (nb + fires) / (nb + 1))))
+    lead_cdf = np.concatenate((np.zeros(fires), np.cumsum(pmf)))  # P(L <= m), m >= 0
+    return float(np.dot(last, lead_cdf[horizon - w]))
+
+
 def classify_point(
     s: BranchedState,
     horizon: int = 10_000,
@@ -266,11 +283,13 @@ def classify_point(
     implies recurrent behaviour (the lattice carries divergent expected
     return counts, see shifted_green_sum), escape along the tail leaves
     every finite set.  The Monte Carlo run is a consistency check and is
-    flagged when it strays more than 4 sigma from the exact value.
+    flagged when it strays more than 4 sigma from the exact probability of
+    entry by the horizon.
     """
     p_lat, p_esc = absorption_probabilities(s)
     verdict = _verdict(p_lat)
     notes = ""
+    p = float(p_lat)
     if isinstance(s, Lattice):
         mc, ci = 1.0, (1.0, 1.0)
         notes = "start already on the lattice; entry is immediate"
@@ -281,7 +300,7 @@ def classify_point(
         hits = _count_entries(s, horizon, nsamples, seed)
         mc = hits / nsamples
         ci = wilson_interval(hits, nsamples)
-    p = float(p_lat)
+        p = _entry_probability(s, horizon)
     sigma = math.sqrt(p * (1 - p) / nsamples)
     flagged = abs(mc - p) > 4 * sigma if sigma > 0 else mc != p
     return ClassificationReport(

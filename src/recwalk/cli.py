@@ -120,7 +120,7 @@ def cmd_lll(parser: _Parser, args) -> int:
     lmax = _even(parser, args.l_max, "--l-max")
     if _ladder(lmax)[0] < 2:
         parser.error("--l-max must be >= 40 to fit the tail limit")
-    kmax = _even(parser, args.k_max if args.k_max else lmax * lmax, "--k-max")
+    kmax = _even(parser, lmax * lmax if args.k_max is None else args.k_max, "--k-max")
     schedule = args.schedule
     t0 = time.perf_counter()
     law, hit = lawcache.load_or_compute_position_law(args.cache_dir, lmax, kmax)

@@ -147,66 +147,24 @@ def visits_at_least(chain: FiniteChain, z: int, y: int, jmax: int) -> list[Fract
 
 
 def _visits_at_least_one(chain: FiniteChain, z: int, y: int, j: int) -> Fraction:
+    """P_z(G_y >= j) as a hitting probability on the chain of (x, c) with
+    c < j visits so far, state c * n + x, and one absorbing state for
+    c = j."""
     n = chain.n
     c0 = 1 if z == y else 0
     if c0 >= j:
         return Fraction(1)
-
-    # Augmented states (x, c) with c visits so far, c < j; absorption at c = j.
-    def key(x: int, c: int) -> int:
-        return c * n + x
-
-    size = j * n
-    # Reachability of the absorbing event from each augmented state.
-    adj: list[list[int]] = [[] for _ in range(size)]
-    absorbing_from = [False] * size
+    done = j * n
+    rows = []
     for c in range(j):
         for x in range(n):
+            row = [Fraction(0)] * (done + 1)
             for t, p in enumerate(chain.rows[x]):
-                if not p:
-                    continue
-                c2 = c + (1 if t == y else 0)
-                if c2 >= j:
-                    absorbing_from[key(x, c)] = True
-                else:
-                    adj[key(x, c)].append(key(t, c2))
-    reach = [False] * size
-    stack = [k for k in range(size) if absorbing_from[k]]
-    for k in stack:
-        reach[k] = True
-    # reverse reachability over adj
-    rev: list[list[int]] = [[] for _ in range(size)]
-    for k, outs in enumerate(adj):
-        for t in outs:
-            rev[t].append(k)
-    while stack:
-        t = stack.pop()
-        for k in rev[t]:
-            if not reach[k]:
-                reach[k] = True
-                stack.append(k)
-    start = key(z, c0)
-    if not reach[start]:
-        return Fraction(0)
-    states = [k for k in range(size) if reach[k]]
-    idx = {k: r for r, k in enumerate(states)}
-    a = [[Fraction(0)] * len(states) for _ in states]
-    b = [Fraction(0)] * len(states)
-    for r, k in enumerate(states):
-        c, x = divmod(k, n)
-        a[r][r] = Fraction(1)
-        for t, p in enumerate(chain.rows[x]):
-            if not p:
-                continue
-            c2 = c + (1 if t == y else 0)
-            if c2 >= j:
-                b[r] += p
-            else:
-                k2 = key(t, c2)
-                if k2 in idx:
-                    a[r][idx[k2]] -= p
-    f = _solve_exact(a, b)
-    return f[idx[start]]
+                c2 = c + (t == y)
+                row[done if c2 >= j else c2 * n + t] += p
+            rows.append(tuple(row))
+    rows.append((Fraction(0),) * done + (Fraction(1),))
+    return hit_probability(FiniteChain(tuple(rows)), c0 * n + z, done)
 
 
 def expected_visits(chain: FiniteChain, z: int, y: int):

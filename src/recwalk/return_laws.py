@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln, polygamma
 
 LONG = np.longdouble
 
@@ -55,7 +54,7 @@ def _u_float(m: float) -> float:
     series beyond, where it is accurate to machine precision."""
     m = float(m)
     if m < 1e4:
-        return float(np.exp(gammaln(2 * m + 1) - 2 * gammaln(m + 1) - 2 * m * math.log(2)))
+        return math.exp(math.lgamma(2 * m + 1) - 2 * math.lgamma(m + 1) - 2 * m * math.log(2))
     return (1.0 - 1.0 / (8 * m) + 1.0 / (128 * m * m) + 5.0 / (1024 * m**3)) / math.sqrt(
         math.pi * m
     )
@@ -301,8 +300,8 @@ def tail_functional(
     t0 = (m + 1) // 2
     in_window = float(np.sum(law.values[t0:]))
     sigma = fit_tail_scale(law)
-    # sum over even l > lmax of 2 sigma / l^2, via the trigamma function
-    completion = float(sigma * 0.5 * polygamma(1, law.lmax // 2 + 1))
+    # sum over even l > lmax of 2 sigma / l^2 = (sigma / 2) sum over t > lmax/2 of 1 / t^2
+    completion = sigma * 0.5 * _inverse_square_tail(law.lmax // 2)
     nterms = law.lmax // 2 - t0 + 1
     certified = m * nterms * law.error_bound
     value = m * (in_window + completion)
@@ -313,6 +312,21 @@ def tail_functional(
             "recompute the law with a larger kmax"
         )
     return TailFunctional(m, value, m * in_window, m * completion, certified, sigma)
+
+
+def _inverse_square_tail(t: int) -> float:
+    """Sum of 1 / s^2 over the integers s > t >= 0, the trigamma function at
+    t + 1: the recurrence up to x >= 20, then the asymptotic series, whose
+    first omitted term is below 1e-20 of the value there."""
+    x, head = float(t + 1), 0.0
+    while x < 20.0:
+        head += 1.0 / (x * x)
+        x += 1.0
+    # Bernoulli numbers B_2, ..., B_14; term k is B_2k / x^(2k+1)
+    series = 0.0
+    for b in (7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6):
+        series = series / (x * x) + b
+    return head + (1.0 + 0.5 / x + series / (x * x)) / x
 
 
 def fit_tail_scale(law: ReturnPositionLaw) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
 _INDEX_LIMIT = 1 << 56
 
 # Lanes separate logically independent draws made for the same sample index.
@@ -26,13 +25,14 @@ DEFAULT_SEED = 123456789
 def stream(seed: int, index: int = 0, lane: int = 0) -> np.random.Generator:
     """Independent generator for one (seed, lane, sample-index) triple.
 
-    The key packs the lane into the top 8 bits and the index into the low
-    56, so index must lie in [0, 2**56) and lane in [0, 256); anything else
-    would alias another (lane, index) pair and is rejected.
+    The key is the seed, which must lie in [0, 2**64), and a word packing
+    the lane into the top 8 bits and the index into the low 56, so index
+    must lie in [0, 2**56) and lane in [0, 256); anything else would alias
+    another key and is rejected.
     """
-    if not (0 <= index < _INDEX_LIMIT and 0 <= lane < 256):
-        raise ValueError(f"stream key out of range: index {index}, lane {lane}")
+    if not (0 <= seed < 1 << 64 and 0 <= index < _INDEX_LIMIT and 0 <= lane < 256):
+        raise ValueError(f"stream key out of range: seed {seed}, index {index}, lane {lane}")
     # a uint64 array, because numpy would pass a Python list holding a
     # value >= 2**63 through float64 and round distinct keys together
-    key = np.array([seed & _MASK64, (lane << 56) | index], dtype=np.uint64)
+    key = np.array([seed, (lane << 56) | index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.signal import fftconvolve
 
 from .return_laws import ReturnPositionLaw
 
@@ -59,11 +57,6 @@ class StableTarget:
     def gaussian(cls, span: int = 2, offset: int = 1) -> "StableTarget":
         """Exponent-2 target with B_n = sqrt(n), for +-1 step sums."""
         return cls(2.0, gaussian_density, span, offset, lambda n: math.sqrt(n))
-
-    def normalization_defect(self) -> float:
-        """|integral of g - 1|, by quadrature."""
-        val, _ = quad(self.density, -np.inf, np.inf, limit=400)
-        return abs(val - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +110,8 @@ def convolve_dists(a: LatticeLaw, b: LatticeLaw) -> LatticeLaw:
     if a.span != b.span:
         raise ValueError(f"lattice spans differ: {a.span} and {b.span}")
     if len(a.entries) * len(b.entries) > _FFT_LIMIT:
-        conv = fftconvolve(a.entries, b.entries)
+        n = len(a.entries) + len(b.entries) - 1
+        conv = np.fft.irfft(np.fft.rfft(a.entries, n) * np.fft.rfft(b.entries, n), n)
         np.clip(conv, 0.0, None, out=conv)
     else:
         conv = np.convolve(a.entries, b.entries)

@@ -22,7 +22,7 @@ from recwalk.branched_walk import (
     shifted_green_sum,
 )
 from recwalk.engine import SparseDist, iterate_push_forward, observe_returns, sample_path
-from recwalk.rng import stream
+from recwalk.rng import DIRECT_LANE, stream
 from recwalk.spaces import Generator, Inlet, Lattice, Tail, branched_apply, uniform_five
 
 F = Fraction
@@ -169,6 +169,22 @@ class TestClassification:
         assert p == exact
         rep = classify_point(start, horizon=h, nsamples=n, seed=21)
         assert abs(rep.mc_estimate - float(p)) < 4 * math.sqrt(float(p * (1 - p)) / n)
+        # flagged against entry by the horizon, far below the absorption probability
+        assert abs(branched_walk._entry_probability(start, h) - float(p)) < 1e-15
+        assert not rep.flagged
+
+    @pytest.mark.parametrize("start", [Tail(0), Tail(-2), Inlet(0), Inlet(-3)])
+    @pytest.mark.parametrize("h", [1, 4, 9])
+    def test_entry_probability_matches_push_forward(self, start, h):
+        law = iterate_push_forward(SparseDist.point(start), uniform_five(), branched_apply, h)
+        p = sum((w for x, w in law.entries.items() if isinstance(x, Lattice)), F(0))
+        assert abs(branched_walk._entry_probability(start, h) - float(p)) < 1e-15
+
+    @pytest.mark.parametrize("start", [Tail(0), Tail(-3), Inlet(0), Inlet(-3)])
+    @pytest.mark.parametrize("h", [300, 10**12])  # below and above the cap
+    def test_entry_probability_tends_to_absorption(self, start, h):
+        want = float(absorption_probabilities(start)[0])
+        assert abs(branched_walk._entry_probability(start, h) - want) < 1e-15
 
 
 class TestEntryRule:
@@ -296,6 +312,13 @@ class TestGreenSumDirect:
         p, q = short / n_oracle, est.exhausted / n_direct
         assert 0 < p < 1
         assert abs(p - q) < 4 * math.sqrt(p * (1 - p) / n_oracle + q * (1 - q) / n_direct)
+
+    def test_pause_probability(self):
+        # an excursion takes R >= 2 steps, so a unit time increment is a pause
+        n = 200_000
+        _, times = branched_walk._direct_returns(stream(24, 0, DIRECT_LANE), n, 10**6)
+        frac = np.mean(np.diff(times, prepend=0.0) == 1.0)
+        assert abs(frac - 0.2) < 4 * math.sqrt(0.2 * 0.8 / n)
 
     def test_reproducible(self):
         a = shifted_green_sum(20, 100, seed=19, method="direct", horizon=20_000)

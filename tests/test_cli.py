@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import recwalk
 
 from recwalk.cli import main
 from recwalk.lawcache import (
@@ -64,6 +70,8 @@ def run(args):
     ["green", "--direct-returns", 0],
     ["green", "--samples", 1],
     ["green", "--direct-samples", 1],
+    ["lll", "--k-max", 0],
+    ["classify", "--seed", -1],  # refused by the stream keys
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
@@ -161,6 +169,11 @@ class TestClassifyCommand:
         out = tmp_path / "cls.json"
         assert run(["classify", "--samples", 100, "--horizon", 800, "--out", out]) == 0
 
+    def test_short_horizon_exit_zero(self, tmp_path):
+        # the Monte Carlo estimates entry by the horizon and is checked against that
+        out = tmp_path / "c.json"
+        assert run(["classify", "--horizon", 12, "--samples", 1000, "--out", out]) == 0
+
     def test_reproducible(self, tmp_path):
         out = tmp_path / "a.json"
         run(["classify", "--samples", 500, "--horizon", 500, "--out", out])
@@ -184,3 +197,13 @@ class TestGreenCommand:
         rows = [ln.split(",") for ln in text.splitlines()[3:]]
         aux_vals = {int(r[1]): float(r[2]) for r in rows if r[0] == "auxiliary"}
         assert aux_vals[10] <= aux_vals[100] <= aux_vals[1000]
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test oracle only; importing the command line must not load it
+    code = "import sys, recwalk.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(recwalk.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, polygamma
 
 from recwalk.return_laws import (
+    _inverse_square_tail,
+    _u_float,
     first_return_law,
     first_return_prob_exact,
     fit_tail_exponent,
@@ -164,6 +167,25 @@ class TestTailFunctional:
         a = tail_functional(pos_law_small, 100).value
         b = tail_functional(pos_law_small, 200).value
         assert abs(b - a) / a < 0.05
+
+
+class TestScalarSpecialFunctions:
+    @pytest.mark.parametrize("t", [1, 5, 20, 1000, 10**5, 10**7])
+    def test_inverse_square_tail_is_trigamma(self, t):
+        want = float(polygamma(1, t + 1))
+        assert abs(_inverse_square_tail(t) - want) < 1e-13 * want
+
+    @pytest.mark.parametrize("m", [1, 1.5, 2, 3.25, 7, 10, 20])
+    def test_u_float_matches_gammaln(self, m):
+        want = math.exp(gammaln(2 * m + 1) - 2 * gammaln(m + 1) - 2 * m * math.log(2))
+        assert abs(_u_float(m) - want) < 1e-13 * want
+
+    @pytest.mark.parametrize("m", [50, 333, 1000, 5000, 9999])
+    def test_u_float_matches_exact_rational(self, m):
+        # the log-gamma difference rounds at about eps * lgamma(2m + 1) relative
+        # (3e-11 at m = 10^4), so larger m are held to that floor, not to 1e-13
+        want = float(Fraction(math.comb(2 * m, m), 4**m))
+        assert abs(_u_float(m) - want) < 4e-16 * math.lgamma(2 * m + 1) * want
 
 
 class TestSamplers:

@@ -16,3 +16,12 @@ class TestStreamKeys:
     def test_out_of_range_key_rejected(self, index, lane):
         with pytest.raises(ValueError, match="out of range"):
             stream(1, index, lane)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_out_of_range_seed_rejected(self, seed):
+        # a masked seed would alias: -1 with 2**64 - 1, 2**64 with 0
+        with pytest.raises(ValueError, match="out of range"):
+            stream(seed)
+
+    def test_seed_range_ends_accepted(self):
+        assert (stream(0).random(4) != stream(2**64 - 1).random(4)).all()
