@@ -125,8 +125,8 @@ def cmd_lll(parser: _Parser, args) -> int:
     t0 = time.perf_counter()
     law, hit = lawcache.load_or_compute_position_law(args.cache_dir, lmax, kmax)
     log.info(
-        "position law (lmax=%d, kmax=%d): cache %s in %.2fs",
-        lmax, kmax, "hit" if hit else "miss", time.perf_counter() - t0,
+        "position law (lmax=%d, kmax=%d): cache %s in %.2fs, error bound %.3g, tail mass %.3g",
+        lmax, kmax, "hit" if hit else "miss", time.perf_counter() - t0, law.error_bound, law.tail_mass,
     )
     sigma = return_laws.tail_limit(law, ms=_ladder(lmax)).sigma
     target = stable_laws.StableTarget.cauchy(scale=np.pi * sigma)

@@ -11,9 +11,9 @@ truncation bounds elsewhere:
   functional m * P(pos >= m), whose limit is the scale constant of the
   heavy tail.
 
-Rational arithmetic is used up to a configurable cutoff; beyond it the
-recurrences run in 80-bit extended precision with pairwise summation,
-because the tail functional subtracts nearly equal quantities.
+First-return probabilities are exact rationals up to a configurable cutoff
+and 80-bit floats beyond; the return-position law is evaluated in 80-bit
+floats through two telescoping identities (see return_position_law).
 """
 
 from __future__ import annotations
@@ -49,15 +49,22 @@ def _survival_series(mmax: int) -> np.ndarray:
 
 
 def _u_float(m: float) -> float:
-    """C(2m, m) / 4^m for real m >= 1: log-gamma below 1e4, where the
-    differencing is well conditioned, and the central-binomial asymptotic
-    series beyond, where it is accurate to machine precision."""
+    """C(2m, m) / 4^m = Gamma(m + 1/2) / (sqrt(pi) Gamma(m + 1)) for real m >= 1,
+    to a few ulps.  Below 1e4: u(m) = u(m + 1) (2m + 2) / (2m + 1) up to m >= 8,
+    then sqrt(x) Gamma(x + 1/4) / Gamma(x + 3/4) at x = m + 1/4 as a series in
+    1/x^2 (first omitted term < 1e-16).  From 1e4 on: the series in 1/m."""
     m = float(m)
-    if m < 1e4:
-        return math.exp(math.lgamma(2 * m + 1) - 2 * math.lgamma(m + 1) - 2 * m * math.log(2))
-    return (1.0 - 1.0 / (8 * m) + 1.0 / (128 * m * m) + 5.0 / (1024 * m**3)) / math.sqrt(
-        math.pi * m
-    )
+    if m >= 1e4:
+        series = 1.0 - 1.0 / (8 * m) + 1.0 / (128 * m * m) + 5.0 / (1024 * m**3)
+        return series / math.sqrt(math.pi * m)
+    num = den = 1.0
+    while m < 8.0:
+        num, den, m = num * (2 * m + 2), den * (2 * m + 1), m + 1.0
+    x, series = m + 0.25, 0.0
+    for c in (5099063967524835 / 2**55, -1874409467055 / 2**46, 7426362705 / 2**40,
+              -20898423 / 2**33, 180323 / 2**27, -671 / 2**19, 21 / 2**13, -1 / 2**6):
+        series = (series + c) / (x * x)
+    return num / den * (1.0 + series) / math.sqrt(math.pi * x)
 
 
 def survival(n) -> float:
@@ -166,16 +173,22 @@ def return_position_law(
     kmax: int | None = None,
     k_tail: bool = True,
 ) -> ReturnPositionLaw:
-    """Build the return-position law by summing P(S_k = l) P(return = k)
-    over even return times k.
+    """Build the return-position law: the sum of P(return = k) P(S_k = l)
+    over even return times k <= kmax, completed beyond kmax.
 
-    The free and tracked coordinates of the diagonal walk are independent
-    +-1 walks, so P(S_k = l) is the exact binomial point mass on the even
-    sublattice.  Return times beyond kmax are either dropped (k_tail=False,
-    certified leak = survival(kmax) pointwise) or completed with the
-    normal local approximation on a fine geometric grid (k_tail=True),
-    which is accurate to a few tenths of a percent of the completed part
-    for kmax >= lmax**2.
+    The free and tracked coordinates are independent +-1 walks.  With
+    M = kmax / 2 and F(m, t) = P(return = 2m) P(S_2m = 2t), two Gosper
+    certificates, -4 m^2 F(m, 0) and -4 (m - t) F(m, t), telescope the
+    truncated sum S(t) = sum over m <= M of F(m, t) onto the boundary column
+    F(M + 1, .): S(0) = 1 - 4 (M + 1)^2 F(M + 1, 0), and the recurrence
+    (2t + 3) S(t + 1) - (2t - 1) S(t) = 4 (1 - t) F(1, t) - 4 (M + 1 - t) F(M + 1, t),
+    solved down from S(M + 1) = 0, gives (4t^2 - 1) S(t) = 4 sum over
+    s = t..M of (2s + 1) (M + 1 - s) F(M + 1, s) for t >= 1: no entry is
+    negative, and S(t) = 0 exactly for t > M.  Return times beyond kmax are
+    either dropped (k_tail=False, certified leak = survival(kmax) pointwise)
+    or completed with the normal local approximation on a fine geometric
+    grid (k_tail=True), which is accurate to a few tenths of a percent of
+    the completed part for kmax >= lmax**2.
     """
     if lmax < 2 or lmax % 2 == 1:
         raise ValueError("lmax must be an even integer >= 2")
@@ -186,33 +199,19 @@ def return_position_law(
 
     nl = lmax // 2 + 1
     ls = np.arange(0, lmax + 1, 2, dtype=np.float64)
-    mmax = kmax // 2
-    u = _survival_series(mmax)  # longdouble
-
+    m1 = kmax // 2 + 1  # M + 1
+    # F(M + 1, s + 1) / F(M + 1, s) = (M + 1 - s) / (M + s + 2) <= exp(-(2s + 1) / (2M + 2)), so
+    # beyond s = lmax / 2 + 15 sqrt(M + 1) it is below e^-112 of its value at lmax / 2: dropped
+    s = np.arange(min(m1, nl + math.ceil(15 * math.sqrt(m1))), dtype=LONG)
+    u = LONG(survival(2 * m1))
+    steps = (m1 - s[:-1]) / (m1 + s[:-1] + 1)
+    column = u * u / (2 * m1 - 1) * np.cumprod(np.concatenate(([LONG(1)], steps)))
+    tails = np.cumsum((4 * (2 * s + 1) * (m1 - s) * column)[::-1])[::-1]
+    top = min(nl, m1)  # S(t) = 0 for t > M
     acc = np.zeros(nl, dtype=LONG)
-    covered = LONG(0)
-
-    # March the binomial column P(S_k = l) across l for the whole k range
-    # at once: P(S_k, l+2) = P(S_k, l) (k - l) / (k + l + 2), where the
-    # clamped numerator zeroes the masses beyond l > k.
-    ks = np.arange(2, kmax + 1, 2, dtype=np.float64)
-    f = u.astype(np.float64) / (ks - 1.0)  # P(return = k)
-    p = u.astype(np.float64)  # P(S_k = 0), overwritten in place per l
-    num = np.empty_like(ks)
-    den = np.empty_like(ks)
-    row_sum = p.copy()  # running in-window mass per k, counting l = 0 once
-    acc[0] += np.dot(f, p)
-    for t in range(1, nl):
-        l_prev = ls[t - 1]
-        o = min(len(ks) - 1, int(l_prev) // 2)  # p vanishes where k < l
-        np.subtract(ks[o:], l_prev, out=num[o:])
-        np.maximum(num[o:], 0.0, out=num[o:])
-        np.add(ks[o:], l_prev + 2.0, out=den[o:])
-        num[o:] /= den[o:]
-        p[o:] *= num[o:]
-        acc[t] += np.dot(f[o:], p[o:])
-        row_sum[o:] += 2.0 * p[o:]
-    covered += LONG(np.dot(f, row_sum))
+    acc[0] = 1 - 4 * LONG(m1) ** 2 * column[0]
+    acc[1:top] = tails[1:top] / (4 * s[1:top] ** 2 - 1)
+    covered = 2 * np.sum(acc) - acc[0]
 
     leak = survival(kmax)
     if k_tail:

@@ -2,9 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recwalk
 
@@ -27,6 +30,18 @@ class TestLawCache:
         assert back.lmax == law.lmax and back.kmax == law.kmax
         assert np.max(np.abs(back.values.astype(float) - law.values.astype(float))) < 1e-17
         assert back.error_bound == law.error_bound
+
+    @settings(max_examples=30, deadline=None)
+    @given(half_l=st.integers(1, 60), half_k=st.integers(1, 3000), k_tail=st.booleans())
+    def test_roundtrip_property(self, half_l, half_k, k_tail):
+        law = return_position_law(2 * half_l, 2 * half_k, k_tail)
+        with tempfile.TemporaryDirectory() as cache_dir:
+            back = load_position_law(save_position_law(law, cache_dir))
+        assert (back.lmax, back.kmax) == (law.lmax, law.kmax)
+        assert np.max(np.abs(back.values - law.values)) < 1e-17
+        assert back.error_bound == law.error_bound
+        assert back.tail_mass == law.tail_mass
+        assert back.k_tail_completed == law.k_tail_completed
 
     def test_derived_quantities_stable_across_reload(self, tmp_path):
         law, hit = load_or_compute_position_law(tmp_path, 100, 10_000)
@@ -121,6 +136,20 @@ class TestLllCommand:
         assert [r[0] for r in rows] == ["4", "8", "16"]
         errs = [float(r[1]) for r in rows]
         assert errs[0] > errs[1] > errs[2]
+
+    def test_log_reports_cache_and_trust(self, tmp_path, caplog):
+        args = [
+            "lll", "--l-max", 400, "--k-max", 160_000, "--schedule", "4,8",
+            "--cache-dir", tmp_path / "cache", "--out", tmp_path / "a.csv",
+        ]
+        law = return_position_law(400, 160_000)
+        for state in ("miss", "hit"):
+            caplog.clear()
+            with caplog.at_level("INFO", logger="recwalk"):
+                assert run(args) == 0
+            line = next(r.getMessage() for r in caplog.records if "position law" in r.getMessage())
+            assert f"(lmax=400, kmax=160000): cache {state} in " in line
+            assert f"error bound {law.error_bound:.3g}, tail mass {law.tail_mass:.3g}" in line
 
     def test_cache_hit_identical_output(self, tmp_path):
         out = tmp_path / "a.csv"

@@ -3,10 +3,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln, polygamma
 
 from recwalk.return_laws import (
+    LONG,
     _inverse_square_tail,
+    _k_tail_completion,
+    _survival_series,
     _u_float,
     first_return_law,
     first_return_prob_exact,
@@ -46,6 +51,39 @@ def closed_form(l: int) -> float:
     if l == 0:
         return 1 - 2 / math.pi
     return 2 / (math.pi * (l * l - 1))
+
+
+def marching_oracle(lmax: int, kmax: int, k_tail: bool) -> tuple[np.ndarray, float]:
+    """Brute-force double sum for the return-position law, (values, tail_mass):
+    march the binomial column P(S_k = l) across l for every even k <= kmax at
+    once and dot it with P(return = k), then add the same completion beyond
+    kmax as the library.  O(lmax kmax), independent of the telescoping."""
+    ls = np.arange(0, lmax + 1, 2, dtype=np.float64)
+    u = _survival_series(kmax // 2)
+    ks = np.arange(2, kmax + 1, 2, dtype=np.float64)
+    f = u.astype(np.float64) / (ks - 1.0)  # P(return = k)
+    p = u.astype(np.float64)  # P(S_k = 0), overwritten in place per l
+    row_sum = p.copy()  # in-window mass per k, counting l = 0 once
+    acc = np.zeros(len(ls), dtype=LONG)
+    acc[0] = np.dot(f, p)
+    for t in range(1, len(ls)):
+        # P(S_k = l + 2) = P(S_k = l) (k - l) / (k + l + 2), clamped to 0 for l >= k
+        p *= np.maximum(ks - ls[t - 1], 0.0) / (ks + ls[t - 1] + 2.0)
+        acc[t] = np.dot(f, p)
+        row_sum += 2.0 * p
+    covered = LONG(np.dot(f, row_sum))
+    if k_tail:
+        tail_in, tail_covered = _k_tail_completion(kmax, ls)
+        acc += tail_in
+        covered += LONG(tail_covered)
+    return acc, float(1 - covered)
+
+
+def boundary_term(m: int, t: int) -> Fraction:
+    """F(m, t) = P(return = 2m) P(S_2m = 2t), exactly."""
+    if abs(t) > m:
+        return Fraction(0)
+    return first_return_prob_exact(2 * m) * Fraction(math.comb(2 * m, m + t), 4**m)
 
 
 class TestFirstReturnLaw:
@@ -136,6 +174,65 @@ class TestReturnPositionLaw:
             return_position_law(100, 1001)
 
 
+class TestTelescoping:
+    """The two Gosper certificates behind return_position_law, in exact
+    rationals, and the float build against the brute-force double sum."""
+
+    @pytest.mark.parametrize("m", range(1, 25))
+    def test_certificates_exact(self, m):
+        F = boundary_term
+        assert -4 * (m + 1) ** 2 * F(m + 1, 0) + 4 * m**2 * F(m, 0) == F(m, 0)
+        for t in range(0, m + 3):
+            g_next = -4 * (m + 1 - t) * F(m + 1, t)
+            g = -4 * (m - t) * F(m, t)
+            assert g_next - g == (2 * t + 3) * F(m, t + 1) - (2 * t - 1) * F(m, t), t
+
+    @pytest.mark.parametrize("M", [0, 1, 2, 5, 12, 30])
+    def test_telescoped_sums_exact(self, M):
+        F = boundary_term
+        assert (F(1, 0), F(1, 1), F(1, 2)) == (Fraction(1, 4), Fraction(1, 8), 0)
+        S = [sum((F(m, t) for m in range(1, M + 1)), Fraction(0)) for t in range(M + 3)]
+        assert S[0] == 1 - 4 * (M + 1) ** 2 * F(M + 1, 0)
+        for t in range(M + 2):
+            assert (2 * t + 3) * S[t + 1] == (
+                (2 * t - 1) * S[t] - 4 * (M + 1 - t) * F(M + 1, t) + 4 * (1 - t) * F(1, t)
+            ), t
+        for t in range(1, M + 3):
+            tail = sum(((2 * s + 1) * (M + 1 - s) * F(M + 1, s) for s in range(t, M + 1)), Fraction(0))
+            assert (4 * t * t - 1) * S[t] == 4 * tail, t
+
+    def test_float_build_matches_exact_truncated_sum(self):
+        law = return_position_law(40, 30, k_tail=False)
+        for t in range(21):
+            want = float(sum((boundary_term(m, t) for m in range(1, 16)), Fraction(0)))
+            assert abs(law.prob(2 * t) - want) <= 1e-16 * want, t
+
+    @pytest.mark.parametrize("lmax,kmax,k_tail", [
+        (40, 30, True),
+        (100, 10**4, True),
+        (400, 2000, False),
+        (2000, 200, False),
+        (400, 160_000, True),
+    ])
+    def test_matches_marching_oracle(self, lmax, kmax, k_tail):
+        law = return_position_law(lmax, kmax, k_tail)
+        want, tail_mass = marching_oracle(lmax, kmax, k_tail)
+        diff = np.abs(law.values - want)
+        assert np.all(diff <= 1e-15)
+        big = want > 1e-12
+        assert np.all(diff[big] <= 1e-12 * want[big])
+        assert abs(law.tail_mass - tail_mass) < 1e-14
+
+    @settings(max_examples=60, deadline=None)
+    @given(half_l=st.integers(1, 80), half_k=st.integers(1, 600), k_tail=st.booleans())
+    def test_nonnegative_zero_beyond_kmax_and_mass_accounted(self, half_l, half_k, k_tail):
+        law = return_position_law(2 * half_l, 2 * half_k, k_tail)
+        assert np.all(law.values >= 0)
+        if not k_tail:
+            assert np.all(law.values[half_k + 1 :] == 0)
+        assert abs(law.window_mass() + law.tail_mass - 1.0) < 1e-13
+
+
 class TestTailFunctional:
     def test_values_near_their_limit(self, pos_law_small):
         # closed form: m * P(pos >= m) = m / (pi (m - 1)) for even m
@@ -180,12 +277,16 @@ class TestScalarSpecialFunctions:
         want = math.exp(gammaln(2 * m + 1) - 2 * gammaln(m + 1) - 2 * m * math.log(2))
         assert abs(_u_float(m) - want) < 1e-13 * want
 
-    @pytest.mark.parametrize("m", [50, 333, 1000, 5000, 9999])
+    @pytest.mark.parametrize("m", [1, 2, 7, 8, 19, 50, 333, 1000, 5000, 9999])
     def test_u_float_matches_exact_rational(self, m):
-        # the log-gamma difference rounds at about eps * lgamma(2m + 1) relative
-        # (3e-11 at m = 10^4), so larger m are held to that floor, not to 1e-13
         want = float(Fraction(math.comb(2 * m, m), 4**m))
-        assert abs(_u_float(m) - want) < 4e-16 * math.lgamma(2 * m + 1) * want
+        assert abs(_u_float(m) - want) < 1e-14 * want
+
+    def test_survival_matches_product_series(self):
+        # 80-bit running product of (2m - 1) / 2m, across the 1e4 switch point
+        u = _survival_series(20_000).astype(np.float64)
+        got = np.array([survival(2 * m) for m in range(1, 20_001)])
+        assert np.max(np.abs(got / u - 1)) < 1e-14
 
 
 class TestSamplers:

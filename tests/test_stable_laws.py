@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from recwalk.stable_laws import (
@@ -19,6 +21,15 @@ from recwalk.stable_laws import (
 
 def pm_one() -> LatticeLaw:
     return LatticeLaw(-1, 2, np.array([0.5, 0.5]))
+
+
+@st.composite
+def lattice_laws(draw, span: int) -> LatticeLaw:
+    """A small law on the given span whose entries plus leaked mass are one."""
+    weights = draw(st.lists(st.floats(0, 1), min_size=1, max_size=40).filter(lambda w: sum(w) > 0))
+    leaked = draw(st.floats(0, 0.5))
+    entries = np.array(weights) / sum(weights) * (1.0 - leaked)
+    return LatticeLaw(draw(st.integers(-30, 30)), span, entries, leaked)
 
 
 class TestDensities:
@@ -105,6 +116,33 @@ class TestSelfConvolve:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             self_convolve(pm_one(), 0)
+
+
+class TestMassAccountingProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), span=st.sampled_from([1, 2, 3]), fft=st.booleans())
+    def test_convolve_conserves_mass(self, data, span, fft):
+        import recwalk.stable_laws as sl
+
+        a, b = data.draw(lattice_laws(span)), data.draw(lattice_laws(span))
+        old = sl._FFT_LIMIT
+        sl._FFT_LIMIT = 1 if fft else old
+        try:
+            out = convolve_dists(a, b)
+        finally:
+            sl._FFT_LIMIT = old
+        assert (out.lo, out.span) == (a.lo + b.lo, span)
+        assert abs(out.entries.sum() + out.leaked - 1.0) < 1e-12
+        assert out.leaked >= a.leaked + b.leaked - a.leaked * b.leaked - 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), span=st.sampled_from([1, 2, 3]), n=st.integers(1, 40))
+    def test_self_convolve_conserves_mass(self, data, span, n):
+        d = data.draw(lattice_laws(span))
+        out = self_convolve(d, n)
+        assert out.lo == n * d.lo
+        assert abs(out.entries.sum() + out.leaked - 1.0) < 1e-12
+        assert out.leaked >= 1.0 - (1.0 - d.leaked) ** n - 1e-12
 
 
 class TestLLTError:
