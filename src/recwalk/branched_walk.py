@@ -32,7 +32,9 @@ import numpy as np
 
 from .engine import wilson_interval
 from .return_laws import ReturnPositionLaw, sample_first_return, sample_position_at
-from .rng import DEFAULT_SEED, DIRECT_LANE, RETURN_LANE, SHIFT_LANE, WALK_LANE, stream
+from .rng import (
+    DEFAULT_SEED, DIRECT_LANE, POSITION_LANE, RETURN_LANE, SHIFT_LANE, WALK_LANE, stream,
+)
 from .spaces import BranchedState, Inlet, Lattice, Tail, state_id, standard_points
 
 DEFAULT_DIRECT_HORIZON = 4_000_000
@@ -417,7 +419,7 @@ def _auxiliary_returns(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(hit, time) at returns 1..n_returns of auxiliary sample i."""
     r = sample_first_return(stream(seed, i, RETURN_LANE), n_returns)
-    z = sample_position_at(stream(seed, i, WALK_LANE), r)
+    z = sample_position_at(stream(seed, i, POSITION_LANE), r)
     eta = 2.0 * (stream(shift_seed, i, SHIFT_LANE).geometric(0.8, n_returns) - 1.0)
     return np.cumsum(z) == -np.cumsum(eta), np.cumsum(r)
 

@@ -18,6 +18,7 @@ floats through two telescoping identities (see return_position_law).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +49,12 @@ def _survival_series(mmax: int) -> np.ndarray:
     return np.cumprod((2 * m - 1) / (2 * m))
 
 
+#: coefficients of sqrt(pi x) Gamma(x + 1/4) / Gamma(x + 3/4) - 1 in 1/x^2, highest
+#: order first, as exact dyadic rationals
+_U_SERIES = (5099063967524835 / 2**55, -1874409467055 / 2**46, 7426362705 / 2**40,
+             -20898423 / 2**33, 180323 / 2**27, -671 / 2**19, 21 / 2**13, -1 / 2**6)
+
+
 def _u_float(m: float) -> float:
     """C(2m, m) / 4^m = Gamma(m + 1/2) / (sqrt(pi) Gamma(m + 1)) for real m >= 1,
     to a few ulps.  Below 1e4: u(m) = u(m + 1) (2m + 2) / (2m + 1) up to m >= 8,
@@ -61,8 +68,7 @@ def _u_float(m: float) -> float:
     while m < 8.0:
         num, den, m = num * (2 * m + 2), den * (2 * m + 1), m + 1.0
     x, series = m + 0.25, 0.0
-    for c in (5099063967524835 / 2**55, -1874409467055 / 2**46, 7426362705 / 2**40,
-              -20898423 / 2**33, 180323 / 2**27, -671 / 2**19, 21 / 2**13, -1 / 2**6):
+    for c in _U_SERIES:
         series = (series + c) / (x * x)
     return num / den * (1.0 + series) / math.sqrt(math.pi * x)
 
@@ -360,69 +366,73 @@ def tail_limit(law: ReturnPositionLaw, ms=(100, 200, 400)) -> TailLimit:
 # ---------------------------------------------------------------------------
 # Samplers used by the Monte Carlo green-sum estimators.
 
-_TABLE_M = 1 << 20
-_neg_table: np.ndarray | None = None
+#: u_m comes from a table up to this m and from _u_float's series beyond
+_TABLE_M = 1 << 16
 
 
-def _negated_survival_table() -> np.ndarray:
-    global _neg_table
-    if _neg_table is None:
-        _neg_table = -_survival_series(_TABLE_M).astype(np.float64)
-    return _neg_table
+@functools.cache
+def _survival_table() -> np.ndarray:
+    """u_m = C(2m, m) / 4^m for m = 0.._TABLE_M: the 80-bit running product
+    rounded to float64, 512 KB, built on first use."""
+    return np.concatenate(([1.0], _survival_series(_TABLE_M).astype(np.float64)))
 
 
-def _invert_survival_scalar(w: float) -> float:
-    """Smallest m with u_m <= w, for w below the table range.
-
-    Exact integer bisection while the grid is resolvable in float64;
-    beyond that the quantile is astronomically large and a relative
-    tolerance is both sufficient and necessary for termination.
-    """
-
-    lo = float(_TABLE_M)
-    hi = max(2 * lo, 2.0 / (math.pi * w * w))  # u_m ~ 1/sqrt(pi m)
-    while _u_float(hi) > w:
-        hi *= 2
-    while hi - lo > max(1.0, 1e-9 * hi):
-        mid = float(math.floor((lo + hi) / 2))
-        if _u_float(mid) <= w:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _u_array(m: np.ndarray) -> np.ndarray:
+    """_u_float's series at x = m + 1/4 on an array of m >= 8."""
+    x = m + 0.25
+    series = np.zeros_like(x)
+    for c in _U_SERIES:
+        series = (series + c) / (x * x)
+    return (1.0 + series) / np.sqrt(np.pi * x)
 
 
 def sample_first_return(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n first-return times by exact inversion of the survival function.
+    """Draw n first-return times by inversion of the survival function.
 
-    Values are even and returned as float64: beyond 2^53 the integer grid
-    is no longer exact, but such draws occur with probability < 1e-8 each
-    and only their magnitude matters downstream.
+    With w = 1 - U in (0, 1], the time is 2m for the least m >= 1 with
+    u_m <= w.  Since u_m = (1 - 1/(64 x^2) + O(x^-4)) / sqrt(pi x) at
+    x = m + 1/4, the guess c = floor(1 / (pi w^2) - 1/4), raised to 2, is
+    within one of m, so m = c - 1 + [u_(c-1) > w] + [u_c > w]: two lookups
+    in the table of u_m, or two series evaluations for the ~0.2% of draws
+    past it.  Values are even and float64: beyond 2^53 the integer grid is
+    no longer exact, but such draws occur with probability < 1e-8 each and
+    only their magnitude matters downstream.
     """
-    neg = _negated_survival_table()
-    w = 1.0 - rng.random(n)  # in (0, 1]
-    m = np.searchsorted(neg, -w, side="left") + 1
-    big = m > _TABLE_M
-    if np.any(big):
-        m = m.astype(np.float64)
-        for idx in np.nonzero(big)[0]:
-            m[idx] = _invert_survival_scalar(w[idx])
-    return 2.0 * m.astype(np.float64)
+    w = 1.0 - rng.random(n)
+    c = np.maximum(np.floor(1.0 / (np.pi * w * w) - 0.25), 2.0)
+    k = np.minimum(c, _TABLE_M).astype(np.intp)
+    table = _survival_table()
+    u_below, u_at = table[k - 1], table[k]
+    far = c > _TABLE_M
+    if np.any(far):
+        u_below[far] = _u_array(c[far] - 1.0)
+        u_at[far] = _u_array(c[far])
+    return 2.0 * (c - 1.0 + (u_below > w) + (u_at > w))
 
 
 _BINOM_LIMIT = float(1 << 62)
 
 
 def sample_position_at(rng: np.random.Generator, lengths: np.ndarray) -> np.ndarray:
-    """Position of an independent +-1 walk after the given (even) numbers of
-    steps: exact binomial draws, with a rounded-normal fallback for lengths
-    beyond the integer range."""
+    """Position of an independent +-1 walk after each of the given numbers
+    of steps, exact in law below 2^62 steps.
+
+    A walk of r <= 64 steps reads one raw 64-bit word: its top r bits are
+    r fair +-1 steps, so the position is 2 popcount - r.  Longer walks draw
+    a binomial, and from 2^62 steps on a normal rounded to the lattice of
+    even integers, beyond the integer range of the binomial.
+    """
     out = np.empty(len(lengths), dtype=np.float64)
-    small = lengths < _BINOM_LIMIT
-    if np.any(small):
-        ns = lengths[small].astype(np.int64)
-        out[small] = 2.0 * rng.binomial(ns, 0.5) - ns.astype(np.float64)
-    if np.any(~small):
-        ns = lengths[~small]
-        out[~small] = 2.0 * np.round(np.sqrt(ns) * rng.standard_normal(int((~small).sum())) / 2.0)
+    short = lengths <= 64
+    r = lengths[short]
+    words = rng.bit_generator.random_raw(len(r))
+    out[short] = 2.0 * np.bitwise_count(words >> (64 - r).astype(np.uint64)) - r
+    mid = ~short & (lengths < _BINOM_LIMIT)
+    if np.any(mid):
+        ns = lengths[mid].astype(np.int64)
+        out[mid] = 2.0 * rng.binomial(ns, 0.5) - ns.astype(np.float64)
+    big = lengths >= _BINOM_LIMIT
+    if np.any(big):
+        ns = lengths[big]
+        out[big] = 2.0 * np.round(np.sqrt(ns) * rng.standard_normal(len(ns)) / 2.0)
     return out

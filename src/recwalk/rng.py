@@ -18,6 +18,7 @@ WALK_LANE = 0
 SHIFT_LANE = 1
 RETURN_LANE = 2
 DIRECT_LANE = 3  # the direct Green walk, apart from the auxiliary draws it is compared with
+POSITION_LANE = 4  # the auxiliary Green walk's positions, apart from classify's WALK_LANE
 
 DEFAULT_SEED = 123456789
 

@@ -353,6 +353,25 @@ class TestCrossMethod:
         assert keys["direct"] and keys["auxiliary"]
         assert not keys["direct"] & keys["auxiliary"]
 
+    def test_classify_and_auxiliary_draw_disjoint_streams(self, monkeypatch):
+        # the auxiliary positions have their own lane, apart from classify's
+        keys = {}
+        runs = {
+            "classify": lambda: classify_point(Tail(0), horizon=100, nsamples=20, seed=24),
+            "auxiliary": lambda: shifted_green_sum(5, 20, seed=24, method="auxiliary"),
+        }
+        for name, run in runs.items():
+            seen = keys[name] = set()
+
+            def recording(seed, index=0, lane=0, seen=seen):
+                seen.add((seed, index, lane))
+                return stream(seed, index, lane)
+
+            monkeypatch.setattr(branched_walk, "stream", recording)
+            run()
+        assert keys["classify"] and keys["auxiliary"]
+        assert not keys["classify"] & keys["auxiliary"]
+
     def test_invalid_method(self):
         with pytest.raises(ValueError):
             shifted_green_sum(10, 10, method="teleport")

@@ -1,6 +1,8 @@
+import functools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,9 @@ from recwalk.return_laws import (
     LONG,
     _inverse_square_tail,
     _k_tail_completion,
+    _TABLE_M,
     _survival_series,
+    _survival_table,
     _u_float,
     first_return_law,
     first_return_prob_exact,
@@ -23,7 +27,7 @@ from recwalk.return_laws import (
     tail_functional,
     tail_limit,
 )
-from recwalk.rng import stream
+from recwalk.rng import RETURN_LANE, stream
 
 
 def enumerate_first_returns(nmax: int) -> dict[int, Fraction]:
@@ -77,6 +81,93 @@ def marching_oracle(lmax: int, kmax: int, k_tail: bool) -> tuple[np.ndarray, flo
         acc += tail_in
         covered += LONG(tail_covered)
     return acc, float(1 - covered)
+
+
+@functools.cache
+def _former_negated_table() -> np.ndarray:
+    return -_survival_series(1 << 20).astype(np.float64)
+
+
+def _former_bisection(w: float) -> float:
+    lo = float(1 << 20)
+    hi = max(2 * lo, 2.0 / (math.pi * w * w))  # u_m ~ 1/sqrt(pi m)
+    while _u_float(hi) > w:
+        hi *= 2
+    while hi - lo > max(1.0, 1e-9 * hi):
+        mid = float(math.floor((lo + hi) / 2))
+        if _u_float(mid) <= w:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def former_inversion(w: np.ndarray) -> np.ndarray:
+    """Oracle for sample_first_return: the least m >= 1 with u_m <= w, as
+    the sampler used to find it, by a searchsorted over the float64 table
+    of u_m up to m = 2^20 and a scalar bisection on _u_float past it.  The
+    bisection is exact while float64 resolves the integers around m and
+    stops at 1e-9 relative beyond; it never returns below the least m."""
+    neg = _former_negated_table()
+    m = (np.searchsorted(neg, -w, side="left") + 1).astype(np.float64)
+    for idx in np.nonzero(m > len(neg))[0]:
+        m[idx] = _former_bisection(w[idx])
+    return m
+
+
+class StubGenerator:
+    """Stands in for a Generator, handing the samplers fixed draws: the
+    uniforms for `random` and the 64-bit words for `bit_generator.random_raw`,
+    all of them in one call."""
+
+    def __init__(self, uniforms=(), words=()):
+        self.uniforms = np.asarray(uniforms, dtype=np.float64)
+        self.words = np.asarray(words, dtype=np.uint64)
+        self.bit_generator = self
+
+    def random(self, n):
+        assert n == len(self.uniforms)
+        return self.uniforms
+
+    def random_raw(self, n):
+        assert n == len(self.words)
+        return self.words
+
+
+def first_returns_at(w) -> np.ndarray:
+    """m drawn by sample_first_return where 1 - rng.random() gives w, which
+    must be a multiple of 2^-53 in (0, 1], as every such draw is."""
+    w = np.asarray(w, dtype=np.float64)
+    uniforms = 1.0 - w
+    assert np.array_equal(1.0 - uniforms, w)
+    return sample_first_return(StubGenerator(uniforms), len(w)) / 2
+
+
+def central_binomials(lo: int, hi: int) -> dict[int, int]:
+    """C(2m, m) for lo <= m <= hi: one comb, then C(2m + 2, m + 1) =
+    C(2m, m) 2 (2m + 1) / (m + 1)."""
+    out = {lo: math.comb(2 * lo, lo)}
+    for m in range(lo, hi):
+        out[m + 1] = out[m] * 2 * (2 * m + 1) // (m + 1)
+    return out
+
+
+def u_mp(m: int) -> mpmath.mpf:
+    """u_m = Gamma(m + 1/2) / (sqrt(pi) Gamma(m + 1)) in 80-digit arithmetic."""
+    with mpmath.workdps(80):
+        m = mpmath.mpf(m)
+        return mpmath.exp(mpmath.loggamma(m + 0.5) - mpmath.loggamma(m + 1)) / mpmath.sqrt(mpmath.pi)
+
+
+def least_m_mp(w: float) -> int:
+    """The least integer m >= 1 with u_m <= w, in 80-digit arithmetic."""
+    with mpmath.workdps(80):
+        m = max(1, int(mpmath.floor(1 / (mpmath.pi * mpmath.mpf(w) ** 2))))
+        while u_mp(m) > w:
+            m += 1
+        while m > 1 and u_mp(m - 1) <= w:
+            m -= 1
+        return m
 
 
 def boundary_term(m: int, t: int) -> Fraction:
@@ -321,12 +412,86 @@ class TestSamplers:
         b = sample_first_return(stream(5, 7, 2), 1000)
         assert np.array_equal(a, b)
 
-    def test_deep_tail_inversion(self):
-        # force the beyond-table branch via tiny survival targets
-        from recwalk.return_laws import _invert_survival_scalar
+    def test_matches_former_inversion(self):
+        # 1.2e6 draws from six seeds: the same m wherever the former
+        # bisection was exact, and its 1e-9 tolerance beyond
+        deep = 0
+        for seed in range(1, 7):
+            w = 1.0 - stream(seed, 0, RETURN_LANE).random(200_000)
+            m = sample_first_return(stream(seed, 0, RETURN_LANE), len(w)) / 2
+            want = former_inversion(w)
+            exact = want < 1e9
+            assert np.array_equal(m[exact], want[exact]), seed
+            assert np.all(np.abs(m[~exact] / want[~exact] - 1) <= 1e-9), seed
+            deep += int((~exact).sum())
+        assert deep > 0  # the relative branch was exercised
 
-        for w in (1e-4, 1e-6, 1e-10, 1e-14):
-            m = _invert_survival_scalar(w)
-            assert survival(2 * math.floor(m)) <= w * (1 + 1e-6)
-            # predecessor still above w: the inversion is (near) minimal
-            assert survival(2 * math.floor(m * (1 - 2e-9) - 1)) > w
+    def test_least_m_at_deep_tail_and_seam(self):
+        # u_m <= w < u_(m-1): in exact integers on both sides of the table
+        # seam, in 80-digit arithmetic deeper (the margins, 1e-13 relative or
+        # more, dwarf its error), and to an ulp where the least m is past 2^53
+        step = 2.0**-53
+        c = central_binomials(_TABLE_M - 4, _TABLE_M + 4)
+
+        def u_at_most(m, k):  # u_m <= k 2^-53
+            return c[m] << 53 <= k << (2 * m)
+
+        # the least k with u_m <= k 2^-53, for m around the seam, and k - 1
+        ks = [-(-(c[m] << 53) >> (2 * m)) for m in range(_TABLE_M - 2, _TABLE_M + 3)]
+        ks += [k - 1 for k in ks]
+        for k, m in zip(ks, first_returns_at([k * step for k in ks])):
+            m = int(m)
+            assert u_at_most(m, k) and not u_at_most(m - 1, k), k
+        deep = [1.0 - (1.0 - w) for w in (1e-4, 1e-6, 1e-10, 1e-14, step)]
+        for w, m in zip(deep, first_returns_at(deep)):
+            want = least_m_mp(w)
+            if want < 2**53:
+                assert m == want, w
+            else:
+                assert abs(m - want) <= math.ulp(m), w
+
+    def test_every_table_step(self):
+        # on the 2^-53 grid of draws, the least point at or above each table
+        # entry u_m gives m and the point below it m + 1, through the seam
+        u = _survival_table()[1:]
+        at = np.ceil(u * 2.0**53) / 2.0**53
+        ms = np.arange(1, _TABLE_M + 1, dtype=np.float64)
+        assert np.array_equal(first_returns_at(at), ms)
+        assert np.array_equal(first_returns_at(at - 2.0**-53), ms + 1)
+        assert first_returns_at([1.0]).tolist() == [1.0]  # the largest draw, U = 0
+
+
+class TestPositionSampler:
+    def test_top_bits_of_one_word(self):
+        # one raw word per walk of r <= 64 steps; its top r bits are the
+        # steps, a set bit a +1
+        words = [1 << 63, (1 << 64) - 2, 1, 1 << 62]
+        want = {1: [1, 1, -1, -1], 2: [0, 2, -2, 0], 63: [-61, 63, -63, -61], 64: [-62, 62, -62, -62]}
+        for r, positions in want.items():
+            got = sample_position_at(StubGenerator(words=words), np.full(len(words), float(r)))
+            assert got.tolist() == positions, r
+
+    def test_popcount_matches_int_bit_count(self):
+        words = [0, (1 << 64) - 1] + [int(x) for x in stream(41).bit_generator.random_raw(1000)]
+        got = sample_position_at(StubGenerator(words=words), np.full(len(words), 64.0))
+        assert got.tolist() == [2 * w.bit_count() - 64 for w in words]
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 33, 64, 66])
+    def test_atoms_are_binomial(self, r):
+        # r <= 64 reads bit counts, r = 66 draws a binomial
+        n = 100_000
+        z = sample_position_at(stream(42, r), np.full(n, float(r)))
+        k, counts = np.unique((z + r) / 2, return_counts=True)
+        assert set(k) <= set(range(r + 1))
+        freq = dict(zip(k.astype(int).tolist(), (counts / n).tolist()))
+        for j in range(r + 1):
+            p = math.comb(r, j) / 2**r
+            assert abs(freq.get(j, 0.0) - p) <= 4 * math.sqrt(p * (1 - p) / n), j
+
+    def test_rounded_normal_beyond_binomial_range(self):
+        n = 100_000
+        lengths = np.where(np.arange(n) % 2 == 0, 2.0**62, 2.0**80)
+        z = sample_position_at(stream(43), lengths)
+        assert np.all(z % 2 == 0)
+        var = np.mean(z * z / lengths)
+        assert abs(var - 1.0) <= 4 * math.sqrt(2.0 / n)
