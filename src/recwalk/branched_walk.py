@@ -92,7 +92,6 @@ class LdpFit:
 
     estimates: dict[int, float]
     c_hat: float | None
-    decay_rate_fit: float | None
     passed: bool
     resolution_warning: bool
     nsamples: int
@@ -127,19 +126,15 @@ def large_deviation_check(
     positive = {n: e for n, e in estimates.items() if e > 0}
     if positive:
         c_hat = min(-math.log(e) / n for n, e in positive.items())
-        xs = np.array(sorted(positive))
-        ys = np.array([math.log(positive[int(n)]) for n in xs])
-        decay = float(-np.polyfit(xs, ys, 1)[0]) if len(xs) >= 2 else None
         passed = c_hat > 0 and all(
             e <= math.exp(-c_hat * n) * (1 + 1e-9) for n, e in estimates.items()
         )
         warn = math.exp(-c_hat * min(nvals)) * nsamples < 10
     else:
         c_hat = None
-        decay = None
         passed = True  # all zero: only the bound direction is confirmed
         warn = True
-    return LdpFit(estimates, c_hat, decay, passed, warn, nsamples, seed)
+    return LdpFit(estimates, c_hat, passed, warn, nsamples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +183,6 @@ class ClassificationReport:
     nsamples: int
     seed: int
     flagged: bool
-    notes: str = ""
 
     def to_json_dict(self) -> dict:
         return {
@@ -290,14 +284,11 @@ def classify_point(
     """
     p_lat, p_esc = absorption_probabilities(s)
     verdict = _verdict(p_lat)
-    notes = ""
     p = float(p_lat)
-    if isinstance(s, Lattice):
+    if isinstance(s, Lattice):  # already on the lattice: entry is immediate
         mc, ci = 1.0, (1.0, 1.0)
-        notes = "start already on the lattice; entry is immediate"
-    elif isinstance(s, Tail) and s.k >= 1:
+    elif isinstance(s, Tail) and s.k >= 1:  # right of the junction: no entry
         mc, ci = 0.0, wilson_interval(0, nsamples)
-        notes = "entry is structurally impossible right of the tail junction"
     else:
         hits = _count_entries(s, horizon, nsamples, seed)
         mc = hits / nsamples
@@ -306,7 +297,7 @@ def classify_point(
     sigma = math.sqrt(p * (1 - p) / nsamples)
     flagged = abs(mc - p) > 4 * sigma if sigma > 0 else mc != p
     return ClassificationReport(
-        s, verdict, p_lat, p_esc, mc, ci, horizon, nsamples, seed, flagged, notes
+        s, verdict, p_lat, p_esc, mc, ci, horizon, nsamples, seed, flagged
     )
 
 
@@ -314,11 +305,10 @@ def classify_standard_points(
     horizon: int = 10_000,
     nsamples: int = 100_000,
     seed: int = DEFAULT_SEED,
-    offset: int = 3,
 ) -> list[ClassificationReport]:
     return [
         classify_point(p, horizon, nsamples, seed)
-        for p in standard_points(offset).values()
+        for p in standard_points().values()
     ]
 
 

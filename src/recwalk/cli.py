@@ -35,7 +35,8 @@ DEFAULT_CACHE_DIR = "recwalk-cache"
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        # one prefix for every usage error, a subcommand's argument errors too
+        sys.stderr.write(f"{self.prog.partition(' ')[0]}: error: {message}\n")
         raise SystemExit(1)
 
 
@@ -257,8 +258,8 @@ def _int_list(text: str) -> list[int]:
         vals = [int(t) for t in text.split(",") if t.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if not vals or any(v < 1 for v in vals) or vals != sorted(vals):
-        raise argparse.ArgumentTypeError("schedule must be increasing positive integers")
+    if not vals or vals[0] < 1 or any(b <= a for a, b in zip(vals, vals[1:])):
+        raise argparse.ArgumentTypeError("schedule must be strictly increasing positive integers")
     return vals
 
 

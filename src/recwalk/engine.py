@@ -1,9 +1,10 @@
 """Generic Markov-chain machinery over a countable state space.
 
 Exact one-step push-forward with explicit truncation accounting, seeded
-trajectory sampling, return-time observables, and Monte Carlo hitting
-probabilities with Wilson confidence intervals.  Everything that takes a
-seed is a pure function of its arguments.
+trajectory sampling and the empirical laws drawn from it (the step-level
+oracle for the event-driven walks), return-time observables, and the
+Wilson score interval.  Everything that takes a seed is a pure function
+of its arguments.
 """
 
 from __future__ import annotations
@@ -212,45 +213,6 @@ def wilson_interval(hits: int, n: int, z: float = 1.959963984540054) -> tuple[fl
     lo = 0.0 if hits == 0 else max(0.0, center - half)
     hi = 1.0 if hits == n else min(1.0, center + half)
     return (lo, hi)
-
-
-def return_prob_estimate(
-    apply: Action,
-    measure: StepMeasure,
-    start: object,
-    target: Callable[[object], bool],
-    horizon: int,
-    nsamples: int,
-    seed: int,
-    chunk: int = 256,
-) -> tuple[float, tuple[float, float]]:
-    """Monte Carlo estimate of P(some X_n with 1 <= n <= horizon lies in
-    target), with a 95% Wilson interval.
-
-    Each sample walks its own stream and stops as soon as it hits the
-    target, so the cost is driven by the hitting time, not the horizon.
-    """
-    if horizon < 1 or nsamples < 1:
-        raise ValueError("horizon and nsamples must be >= 1")
-    cdf = _float_cdf(measure)
-    order = measure.generators()
-    hits = 0
-    for i in range(nsamples):
-        rng = stream(seed, i, WALK_LANE)
-        s = start
-        steps_left = horizon
-        hit = False
-        while steps_left > 0 and not hit:
-            m = min(chunk, steps_left)
-            codes = np.searchsorted(cdf, rng.random(m), side="right")
-            for code in codes:
-                s = apply(order[code], s)
-                if target(s):
-                    hit = True
-                    break
-            steps_left -= m
-        hits += hit
-    return hits / nsamples, wilson_interval(hits, nsamples)
 
 
 def empirical_distribution(

@@ -86,7 +86,7 @@ def survival(n) -> float:
 class ReturnTimeLaw:
     """First-return-time law with even support up to nmax.
 
-    probs holds exact Fractions for n <= rational_cutoff and floats beyond;
+    probs holds exact Fractions for n <= RATIONAL_CUTOFF and floats beyond;
     tail_mass is P(return time > nmax).  Odd times have probability zero
     and are not stored.
     """
@@ -94,10 +94,9 @@ class ReturnTimeLaw:
     probs: dict[int, Fraction | float]
     tail_mass: float
     nmax: int
-    rational_cutoff: int
 
     def prob(self, n: int):
-        return self.probs.get(n, Fraction(0) if n <= self.rational_cutoff else 0.0)
+        return self.probs.get(n, Fraction(0) if n <= RATIONAL_CUTOFF else 0.0)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """(even times, probabilities) as float arrays, in increasing time."""
@@ -105,7 +104,7 @@ class ReturnTimeLaw:
         return ns, np.array([float(self.probs[int(n)]) for n in ns])
 
 
-def first_return_law(nmax: int, rational_cutoff: int = RATIONAL_CUTOFF) -> ReturnTimeLaw:
+def first_return_law(nmax: int) -> ReturnTimeLaw:
     """Exact law of the first return to 0 of the +-1 walk, up to time nmax."""
     if nmax < 2 or nmax % 2 == 1:
         raise ValueError("nmax must be an even integer >= 2")
@@ -114,11 +113,11 @@ def first_return_law(nmax: int, rational_cutoff: int = RATIONAL_CUTOFF) -> Retur
     probs: dict[int, Fraction | float] = {}
     for m in range(1, mmax + 1):
         n = 2 * m
-        if n <= rational_cutoff:
+        if n <= RATIONAL_CUTOFF:
             probs[n] = first_return_prob_exact(n)
         else:
             probs[n] = float(u[m - 1] / (2 * m - 1))
-    return ReturnTimeLaw(probs, float(u[mmax - 1]), nmax, rational_cutoff)
+    return ReturnTimeLaw(probs, float(u[mmax - 1]), nmax)
 
 
 @dataclass
@@ -250,17 +249,16 @@ def _k_tail_completion(kmax: int, ls: np.ndarray, ratio: float = 1.005) -> tuple
     geometric midpoint.  The grid stops once the remaining contribution is
     below 1e-18 pointwise.
     """
-    edges = [kmax]
+    edges, survs = [kmax], [survival(kmax)]
     k = float(kmax)
     while True:
         k *= ratio
-        ke = int(2 * round(k / 2))
-        if ke <= edges[-1]:
-            ke = edges[-1] + 2
+        ke = max(int(2 * round(k / 2)), edges[-1] + 2)
         edges.append(ke)
-        if survival(ke) * math.sqrt(2 / (math.pi * ke)) < 1e-18:
+        survs.append(survival(ke))
+        if survs[-1] * math.sqrt(2 / (math.pi * ke)) < 1e-18:
             break
-    surv = np.array([survival(e) for e in edges])
+    surv = np.array(survs)
     weights = surv[:-1] - surv[1:]
     mids = np.sqrt(np.array(edges[:-1], dtype=float) * np.array(edges[1:], dtype=float))
     dens = np.sqrt(2.0 / (np.pi * mids))[:, None] * np.exp(-(ls[None, :] ** 2) / (2.0 * mids[:, None]))

@@ -87,6 +87,8 @@ def run(args):
     ["green", "--direct-samples", 1],
     ["lll", "--k-max", 0],
     ["classify", "--seed", -1],  # refused by the stream keys
+    ["lll", "--schedule", "8,8"],
+    ["green", "--schedule", "100,100,1000"],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
@@ -229,8 +231,12 @@ class TestGreenCommand:
 
 
 def test_package_imports_without_scipy():
-    # scipy is a test oracle only; importing the command line must not load it
-    code = "import sys, recwalk.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    # scipy is a test oracle only, and the package re-exports nothing, so
+    # importing the command line loads neither scipy nor finite_chain
+    code = (
+        "import sys, recwalk.cli; print([m for m in sys.modules"
+        " if m.startswith('scipy') or m == 'recwalk.finite_chain'])"
+    )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(recwalk.__file__))}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

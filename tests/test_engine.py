@@ -10,7 +10,6 @@ from recwalk.engine import (
     iterate_push_forward,
     observe_returns,
     push_forward,
-    return_prob_estimate,
     sample_path,
     total_variation,
     wilson_interval,
@@ -28,25 +27,6 @@ from recwalk.spaces import (
 )
 
 A, B, BINV, C, CINV = Generator.A, Generator.B, Generator.BINV, Generator.C, Generator.CINV
-
-
-def exact_return_prob_to_origin(horizon: int) -> float:
-    """Taboo push-forward oracle: P(the branched walk from the lattice
-    origin revisits it within `horizon` steps), computed exactly and
-    independently of the sampling code under test."""
-    five = Fraction(1, 5)
-    dist = {(0, 0): Fraction(1)}
-    returned = Fraction(0)
-    for _ in range(horizon):
-        nxt = {}
-        for (i, j), p in dist.items():
-            w = p * five
-            a_target = (i, j + 2) if (i == 0 and j >= 0) else (i, j)
-            for t in (a_target, (i + 1, j + 1), (i - 1, j - 1), (i + 1, j - 1), (i - 1, j + 1)):
-                nxt[t] = nxt.get(t, Fraction(0)) + w
-        returned += nxt.pop((0, 0), Fraction(0))
-        dist = nxt
-    return float(returned)
 
 
 class TestPushForward:
@@ -163,42 +143,6 @@ class TestObserveReturns:
             hits += obs.return_times == [2]
         se = math.sqrt(0.25 / n)
         assert abs(hits / n - 0.5) < 3 * se
-
-
-class TestReturnProbEstimate:
-    def test_whole_space_target(self):
-        est, (lo, hi) = return_prob_estimate(
-            branched_apply, uniform_five(), Tail(0), lambda s: True, 5, 200, seed=1
-        )
-        assert est == 1.0
-        assert hi - lo < 0.05
-
-    def test_tail_neighbour_returns_four_fifths(self):
-        # first-step analysis: the only move that changes Tail(1) is the
-        # irreversible rightward drift, so return happens iff step 1 holds
-        est, (lo, hi) = return_prob_estimate(
-            branched_apply, uniform_five(), Tail(1), lambda s: s == Tail(1), 50, 4000, seed=3
-        )
-        assert lo <= 0.8 <= hi
-        assert abs(est - 0.8) < 4 * math.sqrt(0.8 * 0.2 / 4000)
-
-    def test_origin_return_matches_exact_oracle(self):
-        horizon = 40
-        exact = exact_return_prob_to_origin(horizon)
-        est, _ = return_prob_estimate(
-            branched_apply,
-            uniform_five(),
-            Lattice(0, 0),
-            lambda s: s == Lattice(0, 0),
-            horizon,
-            4000,
-            seed=17,
-        )
-        assert abs(est - exact) < 4 * math.sqrt(exact * (1 - exact) / 4000)
-
-    def test_reproducible(self):
-        args = (branched_apply, uniform_five(), Inlet(-1), lambda s: isinstance(s, Lattice), 100, 500)
-        assert return_prob_estimate(*args, seed=5) == return_prob_estimate(*args, seed=5)
 
 
 class TestExactMonteCarloAgreement:

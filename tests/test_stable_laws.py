@@ -11,7 +11,6 @@ from recwalk.stable_laws import (
     StableTarget,
     cauchy_density,
     convolve_dists,
-    doa_check,
     gaussian_density,
     lll_error,
     lower_bound_check,
@@ -176,7 +175,7 @@ class TestLLTError:
         def g(s):  # B_1 = 1, h = 2: g(s) = (1/2) P(Z = s)
             return np.select([s == -2.0, s == 0.0, s == 2.0], [0.125, 0.25, 0.125], 0.0)
 
-        target = StableTarget(1.0, g, span=2, offset=0, norming=lambda n: 1.0)
+        target = StableTarget(g, span=2, offset=0, norming=lambda n: 1.0)
         rep = lll_error(d, target, 1)
         assert rep.sup_error == 0.0
 
@@ -211,49 +210,3 @@ class TestLowerBound:
         rep = lower_bound_check(dns, 0.58, 16)
         assert rep.passed  # n = 4 sits below the threshold and is not tested
         assert 4 in rep.values
-
-
-def cauchy_tail_data(xs):
-    # closed form: P(X >= x) = 1/2 - arctan(x)/pi, symmetric
-    return {x: (0.5 - math.atan(x) / math.pi,) * 2 for x in xs}
-
-
-def gaussian_tail_data(xs):
-    from math import erfc, sqrt
-
-    return {x: (0.5 * erfc(x / sqrt(2)),) * 2 for x in xs}
-
-
-class TestDoACheck:
-    def test_exact_cauchy_passes(self):
-        xs = [2.0**k for k in range(3, 10)]
-        rep = doa_check(cauchy_tail_data(xs), alpha=1.0, scale_points=(2.0,))
-        assert rep.passed
-        assert abs(rep.ratio_left_right[-1] - 1.0) < 1e-12
-
-    def test_gaussian_fails_exponent_one(self):
-        xs = [1.0, 2.0, 4.0, 8.0]
-        rep = doa_check(gaussian_tail_data(xs), alpha=1.0, scale_points=(2.0,))
-        assert not rep.verdicts["right_scaling[2]"]
-        assert not rep.passed
-
-    def test_zero_tails_rejected(self):
-        data = gaussian_tail_data([1.0, 2.0, 4.0, 8.0])
-        data[64.0] = (0.0, 0.0)
-        with pytest.raises(ValueError):
-            doa_check(data, alpha=1.0)
-
-    def test_position_law_passes_exponent_one(self, pos_law_small):
-        from recwalk.return_laws import tail_functional
-
-        def upper(x):
-            return tail_functional(pos_law_small, x).value / x
-
-        xs = [12 * 2**k for k in range(5)]  # 12 .. 192
-        data = {x: (upper(x), upper(x)) for x in xs}
-        rep = doa_check(data, alpha=1.0, scale_points=(2.0,))
-        assert rep.passed
-
-    def test_insufficient_grid_rejected(self):
-        with pytest.raises(ValueError):
-            doa_check(cauchy_tail_data([1.0, 2.0, 4.0]), alpha=1.0)
