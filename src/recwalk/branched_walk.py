@@ -374,7 +374,7 @@ def shifted_green_sum(
         shift_seed = seed if h_seed is None else h_seed
 
         def returns(i):
-            return _auxiliary_returns(seed, shift_seed, i, n_returns)
+            return _auxiliary_returns(seed, shift_seed, i, n_returns, horizon is not None)
 
     elif method == "direct":
         horizon = float(DEFAULT_DIRECT_HORIZON if horizon is None else horizon)
@@ -384,19 +384,20 @@ def shifted_green_sum(
 
     else:
         raise ValueError(f"unknown method {method!r}")
-    cut = math.inf if horizon is None else horizon
-    hits_by_n = np.zeros(n_returns + 1)
-    hits_by_n[0] = nsamples
     cp_index = np.array(checkpoints) - 1
     cp_vals = np.zeros((nsamples, len(checkpoints)))
+    hit_index = []  # hits are a few per 10^4 returns: keep their indices
     exhausted = 0
     for i in range(nsamples):
         hit, times = returns(i)
-        within = times <= cut
-        hit &= within
-        exhausted += not within[-1]
-        hits_by_n[1:] += hit
-        cp_vals[i] = 1.0 + np.cumsum(hit)[cp_index]
+        idx = np.flatnonzero(hit)
+        if times is not None:
+            idx = idx[times[idx] <= horizon]
+            exhausted += int(times[-1] > horizon)
+        hit_index.append(idx)
+        cp_vals[i] = 1.0 + np.searchsorted(idx, cp_index, "right")
+    hits_by_n = np.bincount(np.concatenate(hit_index) + 1, minlength=n_returns + 1)
+    hits_by_n[0] = nsamples
     partial = np.cumsum(hits_by_n) / nsamples
     stats = _checkpoint_stats(checkpoints, cp_vals, nsamples)
     return GreenSumEstimate(
@@ -405,13 +406,15 @@ def shifted_green_sum(
 
 
 def _auxiliary_returns(
-    seed: int, shift_seed: int, i: int, n_returns: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(hit, time) at returns 1..n_returns of auxiliary sample i."""
+    seed: int, shift_seed: int, i: int, n_returns: int, timed: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(hit, time) at returns 1..n_returns of auxiliary sample i; the
+    times only when `timed`.  Positions and shifts are integers far below
+    2^53, so their float running sum is exact."""
     r = sample_first_return(stream(seed, i, RETURN_LANE), n_returns)
     z = sample_position_at(stream(seed, i, POSITION_LANE), r)
     eta = 2.0 * (stream(shift_seed, i, SHIFT_LANE).geometric(0.8, n_returns) - 1.0)
-    return np.cumsum(z) == -np.cumsum(eta), np.cumsum(r)
+    return np.cumsum(z + eta) == 0, np.cumsum(r) if timed else None
 
 
 def _direct_returns(

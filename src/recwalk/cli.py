@@ -123,6 +123,13 @@ def cmd_lll(parser: _Parser, args) -> int:
         parser.error("--l-max must be >= 40 to fit the tail limit")
     kmax = _even(parser, lmax * lmax if args.k_max is None else args.k_max, "--k-max")
     schedule = args.schedule
+    # the window [-lmax, lmax] has lmax + 1 points on the even lattice
+    points = stable_laws.transform_length(lmax + 1, schedule[-1])
+    if points > stable_laws.MAX_TRANSFORM:
+        parser.error(
+            f"--schedule: the {schedule[-1]}-fold law needs a transform of {points} points, "
+            f"above the limit of {stable_laws.MAX_TRANSFORM}"
+        )
     t0 = time.perf_counter()
     law, hit = lawcache.load_or_compute_position_law(args.cache_dir, lmax, kmax)
     log.info(

@@ -120,11 +120,39 @@ def convolve_dists(a: LatticeLaw, b: LatticeLaw) -> LatticeLaw:
     return LatticeLaw(a.lo + b.lo, a.span, conv, leaked)
 
 
+#: longest transform self_convolve may take: each array of it holds 128 MB,
+#: and it fits the 4096-fold law of a 4001-point window
+MAX_TRANSFORM = 1 << 24
+
+
+def transform_length(n_entries: int, n: int) -> int:
+    """Points of the transform behind the n-fold law of a law with
+    n_entries entries: the first power of two >= n (n_entries - 1) + 1."""
+    return 1 << (n * (n_entries - 1)).bit_length()
+
+
 def self_convolve(d: LatticeLaw, n: int) -> LatticeLaw:
-    """Law of the sum of n independent copies of d, by binary exponentiation
-    (log2 n convolutions); the leaked account bounds everything dropped."""
+    """Law of the sum of n independent copies of d.
+
+    Small laws go by binary exponentiation (log2 n calls of
+    convolve_dists).  When about the largest product of that chain, the
+    square of half the output, passes _FFT_LIMIT, one real transform of d
+    is raised to the n-th power instead; negatives are clipped and a
+    symmetric input is symmetrised once, as in convolve_dists.  Either
+    way the leaked account bounds everything dropped.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    size = n * (len(d.entries) - 1) + 1
+    half = (size + 1) // 2
+    if n > 1 and half * half > _FFT_LIMIT:
+        m = transform_length(len(d.entries), n)
+        conv = np.fft.irfft(np.fft.rfft(d.entries, m) ** n, m)[:size]
+        np.clip(conv, 0.0, None, out=conv)
+        if d.is_symmetric():
+            conv = 0.5 * (conv + conv[::-1])
+        leaked = max(1.0 - (1.0 - d.leaked) ** n, 1.0 - float(conv.sum()))
+        return LatticeLaw(n * d.lo, d.span, conv, leaked)
     acc: LatticeLaw | None = None
     base = d
     k = n
@@ -156,28 +184,43 @@ class LLTError:
 def lll_error(dn: LatticeLaw, target: StableTarget, n: int, floor: float = 1e-9) -> LLTError:
     """Local-limit error of the law of an n-fold sum against its target.
 
-    Evaluates |B_n/h P(Z_n = an + kh) - g((an + kh)/B_n)| on every
-    lattice point where either term exceeds `floor` (points outside the
-    stored support count with probability zero).  Warns when the leaked
-    mass of dn could move the sup by more than 10%.
+    The sup of |B_n/h P(Z_n = an + kh) - g((an + kh)/B_n)| over the
+    lattice points of the support and out to where g drops below `floor`,
+    with the first point on ties.  Off the support P = 0 and the error is
+    g itself, so there only the lattice points nearest s = 0 on each side
+    are evaluated: this assumes g strictly unimodal about 0 (increasing
+    below, decreasing above), as the centred stable targets are.  Warns
+    when the leaked mass of dn could move the sup by more than 10%.
     """
     h, a = target.span, target.offset
     bn = target.norming(n)
     base = a * n
-    support = dn.lo + dn.span * np.arange(len(dn.entries), dtype=np.int64)
-    if np.any((support - base) % h):
+    entries = dn.entries
+    if len(entries) > 1 and dn.span != h:
+        if dn.span % h:
+            raise ValueError("support does not lie on the stated lattice")
+        entries = np.zeros((len(entries) - 1) * (dn.span // h) + 1)
+        entries[:: dn.span // h] = dn.entries
+    if (dn.lo - base) % h:
         raise ValueError("support does not lie on the stated lattice")
+    lo, hi = dn.lo, dn.lo + h * (len(entries) - 1)
+    support = lo + h * np.arange(len(entries), dtype=np.int64)
+    err = np.abs(bn / h * entries - target.density(support / bn))
+    i = int(np.argmax(err))
+    best = [(float(err[i]), int(support[i]))]
     # extend until the density itself drops below the floor
     s_floor = _density_range(target.density, floor)
-    lo = min(dn.lo, base + h * math.floor((s_floor[0] * bn) / h))
-    hi = max(dn.hi, base + h * math.ceil((s_floor[1] * bn) / h))
-    pts = np.arange(lo, hi + 1, h, dtype=np.int64)
-    probs = np.zeros(len(pts))
-    probs[(support - lo) // h] = dn.entries
-    dens = target.density(pts / bn)
-    err = np.abs(bn / h * probs - dens)
-    i = int(np.argmax(err))
-    sup = float(err[i])
+    left = base + h * math.floor((s_floor[0] * bn) / h)
+    right = base + h * math.ceil((s_floor[1] * bn) / h)
+    for first, last in ((left, lo - h), (hi + h, right)):
+        if first <= last:
+            # the lattice points of [first, last] next to 0 from below and above
+            j = min(max((-first) // h, 0), (last - first) // h)
+            pts = np.unique([first + j * h, min(first + (j + 1) * h, last)])
+            dens = np.abs(target.density(pts / bn))
+            k = int(np.argmax(dens))
+            best.append((float(dens[k]), int(pts[k])))
+    sup, point = max(best, key=lambda b: (b[0], -b[1]))
     warn = dn.leaked * bn / h > 0.1 * sup
     if warn:
         log.warning(
@@ -185,7 +228,7 @@ def lll_error(dn: LatticeLaw, target: StableTarget, n: int, floor: float = 1e-9)
             dn.leaked,
             sup,
         )
-    return LLTError(n, sup, int(pts[i]), dn.prob(0), warn)
+    return LLTError(n, sup, point, dn.prob(0), warn)
 
 
 def _density_range(g: Callable[[float], float], floor: float) -> tuple[float, float]:

@@ -42,6 +42,7 @@ from recwalk.stable_laws import (
 )
 from test_finite_chain import random_chain
 from test_return_laws import enumerate_first_returns
+from test_stable_laws import dense_lll_error
 
 F = Fraction
 
@@ -159,6 +160,14 @@ def test_criterion_04_local_limit_errors(big_position_law, convolutions):
         elapsed,
         180.0,
     )
+
+
+def test_lll_error_matches_dense_oracle(big_position_law, convolutions):
+    # the CLI's laws and target: the support-only sup equals the dense one
+    sigma = tail_limit(big_position_law, ms=(100, 200, 400)).sigma
+    target = StableTarget.cauchy(scale=math.pi * sigma)
+    for n in (8, 16, 32, 64):
+        assert lll_error(convolutions[n], target, n) == dense_lll_error(convolutions[n], target, n)
 
 
 def test_criterion_05_zero_mass_lower_bound(convolutions):

@@ -101,6 +101,35 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+class TestLllScheduleBound:
+    """--schedule is refused before the law is built when its largest
+    n-fold law needs a transform above stable_laws.MAX_TRANSFORM points."""
+
+    @pytest.fixture(autouse=True)
+    def no_law(self, monkeypatch):
+        import recwalk.lawcache as lawcache
+
+        def build(*args):  # reached only by a schedule within the bound
+            raise LookupError("law requested")
+
+        monkeypatch.setattr(lawcache, "load_or_compute_position_law", build)
+
+    def test_too_long_schedule_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "lll.csv"
+        # 8389 * 2000 + 1 points pad to 2^25
+        with pytest.raises(SystemExit) as exc:
+            run(["lll", "--schedule", "8,8389", "--out", out, "--cache-dir", tmp_path])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "recwalk: error: --schedule: the 8389-fold law needs a transform of 33554432" in err
+        assert not out.exists() and list(tmp_path.iterdir()) == []
+
+    def test_longest_schedule_within_bound_reaches_the_law(self, tmp_path):
+        # 8192 * 2000 + 1 points pad to 2^24, the bound itself
+        with pytest.raises(LookupError, match="law requested"):
+            run(["lll", "--schedule", "8,8192", "--out", tmp_path / "lll.csv"])
+
+
 class TestReturnLawCommand:
     def test_default_passes_and_contains_first_row(self, tmp_path):
         out = tmp_path / "rl.csv"

@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -6,9 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import recwalk.stable_laws as sl
 from recwalk.stable_laws import (
     LatticeLaw,
+    LLTError,
     StableTarget,
+    _density_range,
     cauchy_density,
     convolve_dists,
     gaussian_density,
@@ -20,6 +24,38 @@ from recwalk.stable_laws import (
 
 def pm_one() -> LatticeLaw:
     return LatticeLaw(-1, 2, np.array([0.5, 0.5]))
+
+
+def dense_lll_error(dn: LatticeLaw, target: StableTarget, n: int, floor: float = 1e-9) -> LLTError:
+    """Oracle for lll_error: the error on every lattice point from the
+    support out to where the density drops below the floor, with
+    probability zero off the support, and the first point on ties."""
+    h, a = target.span, target.offset
+    bn = target.norming(n)
+    base = a * n
+    support = dn.lo + dn.span * np.arange(len(dn.entries), dtype=np.int64)
+    assert not np.any((support - base) % h)
+    s_floor = _density_range(target.density, floor)
+    lo = min(dn.lo, base + h * math.floor((s_floor[0] * bn) / h))
+    hi = max(dn.hi, base + h * math.ceil((s_floor[1] * bn) / h))
+    pts = np.arange(lo, hi + 1, h, dtype=np.int64)
+    probs = np.zeros(len(pts))
+    probs[(support - lo) // h] = dn.entries
+    err = np.abs(bn / h * probs - target.density(pts / bn))
+    i = int(np.argmax(err))
+    sup = float(err[i])
+    return LLTError(n, sup, int(pts[i]), dn.prob(0), dn.leaked * bn / h > 0.1 * sup)
+
+
+@contextmanager
+def transform_path():
+    """Send every self-convolution through the transform."""
+    old = sl._FFT_LIMIT
+    sl._FFT_LIMIT = 1
+    try:
+        yield
+    finally:
+        sl._FFT_LIMIT = old
 
 
 @st.composite
@@ -144,7 +180,93 @@ class TestMassAccountingProperty:
         assert out.leaked >= 1.0 - (1.0 - d.leaked) ** n - 1e-12
 
 
+def mirrored(d: LatticeLaw) -> LatticeLaw:
+    """A symmetric law about 0 with d's entries on its right half and d's
+    mass and leak."""
+    entries = np.concatenate((d.entries[:0:-1], d.entries))
+    entries *= (1.0 - d.leaked) / entries.sum()
+    return LatticeLaw(-d.span * (len(d.entries) - 1), d.span, entries, d.leaked)
+
+
+class TestTransformPath:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(), span=st.sampled_from([1, 2, 3]), n=st.integers(1, 64),
+        symmetric=st.booleans(),
+    )
+    def test_matches_binary_exponentiation(self, data, span, n, symmetric):
+        d = data.draw(lattice_laws(span))
+        if symmetric:
+            d = mirrored(d)
+        chain = self_convolve(d, n)  # direct kernel at these sizes
+        with transform_path():
+            out = self_convolve(d, n)
+        assert (out.lo, out.span, len(out.entries)) == (chain.lo, span, len(chain.entries))
+        assert np.max(np.abs(out.entries - chain.entries)) < 1e-12
+        assert abs(out.leaked - chain.leaked) < 1e-12
+        assert np.all(out.entries >= 0.0)
+        if symmetric:
+            assert out.is_symmetric()
+
+    def test_large_law_takes_one_transform(self, pos_law_small, monkeypatch):
+        base = LatticeLaw.from_position_law(pos_law_small)
+        monkeypatch.setattr(sl, "convolve_dists", None)  # must not be called
+        out = self_convolve(base, 64)
+        assert (out.lo, len(out.entries)) == (64 * base.lo, 64 * (len(base.entries) - 1) + 1)
+        assert out.is_symmetric()
+        assert abs(out.entries.sum() + out.leaked - 1.0) < 1e-12
+
+    def test_transform_length(self):
+        assert sl.transform_length(1, 7) == 1
+        assert sl.transform_length(2001, 8) == 1 << 14  # 16001 points
+        assert sl.transform_length(2001, 4096) == 1 << 23
+        assert sl.transform_length(5, 4) == 32  # 17 points
+
+
+@st.composite
+def lll_cases(draw):
+    """(law, target, n) on the target's lattice: Cauchy targets at several
+    scales or the Gaussian at offset 1, the law's span one or two lattice
+    steps, its mass anywhere from 1e-6 (narrower and lower than the target,
+    so the sup sits off the support) to 30."""
+    n = draw(st.integers(1, 64))
+    if draw(st.booleans()):
+        target = StableTarget.cauchy(scale=draw(st.sampled_from([0.05, 0.3, 1.0, 3.0])))
+    else:
+        target = StableTarget.gaussian()
+    weights = np.array(draw(st.lists(st.floats(0, 1), min_size=1, max_size=30)))
+    lo = target.offset * n + target.span * draw(st.integers(-40, 40))
+    span = target.span * draw(st.sampled_from([1, 2]))
+    law = LatticeLaw(lo, span, weights * 10 ** draw(st.floats(-6, 0)), draw(st.floats(0, 0.5)))
+    return law, target, n
+
+
 class TestLLTError:
+    @settings(max_examples=150, deadline=None)
+    @given(case=lll_cases())
+    def test_matches_dense_oracle(self, case):
+        law, target, n = case
+        assert lll_error(law, target, n) == dense_lll_error(law, target, n)
+
+    def test_off_support_sup_takes_first_point(self):
+        # P = 0 at -1 and 1, where the Gaussian density is largest: the sup
+        # is g(1) off the support, at the first of the two points
+        law = LatticeLaw(5, 2, np.array([1e-6, 1e-6]))
+        target = StableTarget.gaussian()
+        rep = lll_error(law, target, 1)
+        assert rep == dense_lll_error(law, target, 1)
+        assert (rep.argmax_point, rep.sup_error) == (-1, float(gaussian_density(np.array(1.0))))
+
+    def test_off_support_sup_next_to_support(self):
+        # the law matches B_n/h P = g on [-40, 10], so the sup is g at the
+        # outside point nearest the mode: 12, not the far end -42
+        pts = np.arange(-40, 11, 2)
+        law = LatticeLaw(-40, 2, 2 / 4 * cauchy_density(pts / 4, 3.0))
+        target = StableTarget.cauchy(scale=3.0)
+        rep = lll_error(law, target, 4)
+        assert rep == dense_lll_error(law, target, 4)
+        assert rep.argmax_point == 12
+
     def test_binomial_family_monotone(self):
         target = StableTarget.gaussian(span=2, offset=1)
         errs = []
