@@ -346,7 +346,6 @@ def shifted_green_sum(
     method: str = "auxiliary",
     horizon: float | None = None,
     checkpoints: tuple[int, ...] = (),
-    h_seed: int | None = None,
 ) -> GreenSumEstimate:
     """Estimate the partial sums G_N of the shifted-walk return indicator.
 
@@ -371,10 +370,8 @@ def shifted_green_sum(
     if any(c < 1 or c > n_returns for c in checkpoints):
         raise ValueError("checkpoints must lie in [1, n_returns]")
     if method == "auxiliary":
-        shift_seed = seed if h_seed is None else h_seed
-
         def returns(i):
-            return _auxiliary_returns(seed, shift_seed, i, n_returns, horizon is not None)
+            return _auxiliary_returns(seed, i, n_returns, horizon is not None)
 
     elif method == "direct":
         horizon = float(DEFAULT_DIRECT_HORIZON if horizon is None else horizon)
@@ -406,14 +403,14 @@ def shifted_green_sum(
 
 
 def _auxiliary_returns(
-    seed: int, shift_seed: int, i: int, n_returns: int, timed: bool
+    seed: int, i: int, n_returns: int, timed: bool
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(hit, time) at returns 1..n_returns of auxiliary sample i; the
     times only when `timed`.  Positions and shifts are integers far below
     2^53, so their float running sum is exact."""
     r = sample_first_return(stream(seed, i, RETURN_LANE), n_returns)
     z = sample_position_at(stream(seed, i, POSITION_LANE), r)
-    eta = 2.0 * (stream(shift_seed, i, SHIFT_LANE).geometric(0.8, n_returns) - 1.0)
+    eta = 2.0 * (stream(seed, i, SHIFT_LANE).geometric(0.8, n_returns) - 1.0)
     return np.cumsum(z + eta) == 0, np.cumsum(r) if timed else None
 
 

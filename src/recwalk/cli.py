@@ -30,6 +30,12 @@ OUTPUT_FORMAT_VERSION = "recwalk-output-1"
 SLOPE_BAND = (-1.55, -1.45)
 ZERO_MASS_BAND = (0.55, 0.72)
 DEFAULT_CACHE_DIR = "recwalk-cache"
+#: largest `return-law --n-max`; the law and its rows are held in memory,
+#: and n_max = 2*10^6 already takes seconds and hundreds of MB
+MAX_RETURN_TIME = 2_000_000
+#: largest `green --schedule` entry; each estimate holds arrays of this
+#: many returns, and 10^7 already takes hundreds of MB
+MAX_GREEN_RETURNS = 10_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +50,7 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17e}"
 
 
-_INTERNAL_ARGS = ("func", "default_out", "default_format")
+_INTERNAL_ARGS = ("func", "default_out")
 
 
 def _config_dict(args, command: str) -> dict:
@@ -61,25 +67,15 @@ def _config_dict(args, command: str) -> dict:
     return cfg
 
 
-def _write_table(path: Path, fmt: str, config: dict, columns: list[str], rows: list[tuple]) -> None:
-    if fmt == "json":
-        payload = {
-            "format": OUTPUT_FORMAT_VERSION,
-            "config": config,
-            "columns": columns,
-            "rows": [list(r) for r in rows],
-        }
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    else:
-        lines = [
-            f"# {OUTPUT_FORMAT_VERSION}",
-            "# config: " + json.dumps(config, sort_keys=True),
-            ",".join(columns),
-        ]
-        lines += [",".join(str(c) for c in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+def _write_table(path: Path, config: dict, columns: list[str], rows: list[tuple]) -> None:
+    lines = [
+        f"# {OUTPUT_FORMAT_VERSION}",
+        "# config: " + json.dumps(config, sort_keys=True),
+        ",".join(columns),
+    ]
+    lines += [",".join(str(c) for c in row) for row in rows]
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text("\n".join(lines) + "\n")
 
 
 def _even(parser: _Parser, value: int, name: str) -> int:
@@ -93,6 +89,8 @@ def _even(parser: _Parser, value: int, name: str) -> int:
 
 def cmd_return_law(parser: _Parser, args) -> int:
     nmax = _even(parser, args.n_max, "--n-max")
+    if nmax > MAX_RETURN_TIME:
+        parser.error(f"--n-max must be <= {MAX_RETURN_TIME}")
     m_hi = min(1000, nmax)
     m_lo = max(100, m_hi // 10)
     if (m_hi - m_lo) // 2 + 1 < 10:  # the fit needs 10 even return times
@@ -107,7 +105,7 @@ def cmd_return_law(parser: _Parser, args) -> int:
     rows.append(("slope", _fmt(fit.slope), f"window={fit.window[0]}..{fit.window[1]}"))
     rows.append(("prefactor", _fmt(fit.prefactor), f"npoints={fit.npoints}"))
     _write_table(
-        args.out, args.format, _config_dict(args, "return-law"),
+        args.out, _config_dict(args, "return-law"),
         ["n", "prob", "n32_prob"], rows,
     )
     log.info("return-law finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
@@ -147,7 +145,7 @@ def cmd_lll(parser: _Parser, args) -> int:
         errors.append(rep.sup_error)
         rows.append((n, _fmt(rep.sup_error), rep.argmax_point, _fmt(n * rep.prob_at_zero)))
     _write_table(
-        args.out, args.format, _config_dict(args, "lll"),
+        args.out, _config_dict(args, "lll"),
         ["n", "sup_error", "argmax_k", "n_times_p0"], rows,
     )
     log.info("lll finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
@@ -177,21 +175,7 @@ def cmd_classify(parser: _Parser, args) -> int:
         "reports": [r.to_json_dict() for r in reports],
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    if args.format == "csv":
-        rows = [
-            (
-                r.to_json_dict()["point"], r.verdict, r.p_lattice, r.p_escape,
-                _fmt(r.mc_estimate), _fmt(r.ci[0]), _fmt(r.ci[1]),
-            )
-            for r in reports
-        ]
-        _write_table(
-            args.out, "csv", _config_dict(args, "classify"),
-            ["point", "verdict", "p_recurrent", "p_escape", "mc", "ci_lo", "ci_hi"],
-            rows,
-        )
-    else:
-        args.out.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    args.out.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     log.info("classify finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
     for r in reports:
         width = r.ci[1] - r.ci[0]
@@ -213,6 +197,8 @@ def cmd_green(parser: _Parser, args) -> int:
             parser.error(f"{name} must be >= 2 for a standard error")
     schedule = args.schedule
     n_top = schedule[-1]
+    if n_top > MAX_GREEN_RETURNS:
+        parser.error(f"--schedule must end at or below {MAX_GREEN_RETURNS} returns")
     t0 = time.perf_counter()
     aux = branched_walk.shifted_green_sum(
         n_top, args.samples, seed=args.seed, method="auxiliary",
@@ -238,7 +224,7 @@ def cmd_green(parser: _Parser, args) -> int:
     gap, sigma = branched_walk.cross_method_gap(direct, aux_capped, n_direct)
     rows.append(("cross-method-gap", n_direct, _fmt(gap), _fmt(sigma), ""))
     _write_table(
-        args.out, args.format, _config_dict(args, "green"),
+        args.out, _config_dict(args, "green"),
         ["method", "n", "value", "stderr", "exhausted_frac"], rows,
     )
     log.info("green finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
@@ -278,7 +264,6 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--out", type=Path, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument(
             "--cache-dir", type=Path,
             default=Path(os.environ.get("RECWALK_CACHE_DIR", DEFAULT_CACHE_DIR)),
@@ -300,7 +285,7 @@ def build_parser() -> _Parser:
     common(p)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--horizon", type=int, default=10_000)
-    p.set_defaults(func=cmd_classify, default_out="recwalk_classify.json", default_format="json")
+    p.set_defaults(func=cmd_classify, default_out="recwalk_classify.json")
 
     p = sub.add_parser("green", help="shifted-walk green partial sums, both methods")
     common(p)
@@ -322,12 +307,8 @@ def main(argv=None) -> int:
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.format is None:
-        args.format = getattr(args, "default_format", "csv")
     if args.out is None:
         args.out = Path(args.default_out)
-        if args.format == "json" and args.out.suffix == ".csv":
-            args.out = args.out.with_suffix(".json")
     for attr in ("samples", "horizon", "n_max", "l_max", "direct_samples", "direct_returns"):
         if getattr(args, attr, None) is not None and getattr(args, attr) < 1:
             parser.error(f"--{attr.replace('_', '-')} must be positive")

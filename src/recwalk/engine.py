@@ -122,8 +122,6 @@ class Trajectory:
     steps: np.ndarray  # uint8 indices into generator_order
     generator_order: tuple[Generator, ...]
     apply: Action = field(repr=False)
-    seed: int = 0
-    stream_index: int = 0
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -162,7 +160,7 @@ def sample_path(
     rng = stream(seed, stream_index, WALK_LANE)
     u = rng.random(horizon)
     codes = np.searchsorted(_float_cdf(measure), u, side="right").astype(np.uint8)
-    return Trajectory(start, codes, measure.generators(), apply, seed, stream_index)
+    return Trajectory(start, codes, measure.generators(), apply)
 
 
 @dataclass
@@ -228,10 +226,7 @@ def empirical_distribution(
     counts: dict = {}
     for i in range(nsamples):
         traj = sample_path(apply, measure, start, n, seed, stream_index=i)
-        s = start
-        order = traj.generator_order
-        for code in traj.steps:
-            s = apply(order[code], s)
+        *_, s = traj.states()
         counts[s] = counts.get(s, 0) + 1
     return {s: c / nsamples for s, c in counts.items()}
 

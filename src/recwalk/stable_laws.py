@@ -93,24 +93,16 @@ class LatticeLaw:
         return self.lo == -self.hi and np.array_equal(self.entries, self.entries[::-1])
 
 
-_FFT_LIMIT = 4_000_000
-
-
 def convolve_dists(a: LatticeLaw, b: LatticeLaw) -> LatticeLaw:
     """Law of the sum of independent draws from a and b.
 
-    Dense float convolution (FFT above _FFT_LIMIT products, verified
-    against the direct kernel to 1e-12 in the test suite).  The mass
-    missing from either input is carried into the leaked account.
+    Direct float convolution, the oracle that self_convolve is tested
+    against.  The mass missing from either input is carried into the
+    leaked account.
     """
     if a.span != b.span:
         raise ValueError(f"lattice spans differ: {a.span} and {b.span}")
-    if len(a.entries) * len(b.entries) > _FFT_LIMIT:
-        n = len(a.entries) + len(b.entries) - 1
-        conv = np.fft.irfft(np.fft.rfft(a.entries, n) * np.fft.rfft(b.entries, n), n)
-        np.clip(conv, 0.0, None, out=conv)
-    else:
-        conv = np.convolve(a.entries, b.entries)
+    conv = np.convolve(a.entries, b.entries)
     if a.is_symmetric() and b.is_symmetric():
         # float convolution can lose the exact l <-> -l symmetry at roundoff
         conv = 0.5 * (conv + conv[::-1])
@@ -134,36 +126,21 @@ def transform_length(n_entries: int, n: int) -> int:
 def self_convolve(d: LatticeLaw, n: int) -> LatticeLaw:
     """Law of the sum of n independent copies of d.
 
-    Small laws go by binary exponentiation (log2 n calls of
-    convolve_dists).  When about the largest product of that chain, the
-    square of half the output, passes _FFT_LIMIT, one real transform of d
-    is raised to the n-th power instead; negatives are clipped and a
-    symmetric input is symmetrised once, as in convolve_dists.  Either
-    way the leaked account bounds everything dropped.
+    One real transform of d, at transform_length points, is raised to the
+    n-th power; negatives are clipped and a symmetric input is symmetrised
+    once, as in convolve_dists.  The leaked account bounds everything
+    dropped.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     size = n * (len(d.entries) - 1) + 1
-    half = (size + 1) // 2
-    if n > 1 and half * half > _FFT_LIMIT:
-        m = transform_length(len(d.entries), n)
-        conv = np.fft.irfft(np.fft.rfft(d.entries, m) ** n, m)[:size]
-        np.clip(conv, 0.0, None, out=conv)
-        if d.is_symmetric():
-            conv = 0.5 * (conv + conv[::-1])
-        leaked = max(1.0 - (1.0 - d.leaked) ** n, 1.0 - float(conv.sum()))
-        return LatticeLaw(n * d.lo, d.span, conv, leaked)
-    acc: LatticeLaw | None = None
-    base = d
-    k = n
-    while k:
-        if k & 1:
-            acc = base if acc is None else convolve_dists(acc, base)
-        k >>= 1
-        if k:
-            base = convolve_dists(base, base)
-    assert acc is not None
-    return acc
+    m = transform_length(len(d.entries), n)
+    conv = np.fft.irfft(np.fft.rfft(d.entries, m) ** n, m)[:size]
+    np.clip(conv, 0.0, None, out=conv)
+    if d.is_symmetric():
+        conv = 0.5 * (conv + conv[::-1])
+    leaked = max(1.0 - (1.0 - d.leaked) ** n, 1.0 - float(conv.sum()))
+    return LatticeLaw(n * d.lo, d.span, conv, leaked)
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +163,25 @@ def lll_error(dn: LatticeLaw, target: StableTarget, n: int, floor: float = 1e-9)
 
     The sup of |B_n/h P(Z_n = an + kh) - g((an + kh)/B_n)| over the
     lattice points of the support and out to where g drops below `floor`,
-    with the first point on ties.  Off the support P = 0 and the error is
-    g itself, so there only the lattice points nearest s = 0 on each side
-    are evaluated: this assumes g strictly unimodal about 0 (increasing
-    below, decreasing above), as the centred stable targets are.  Warns
-    when the leaked mass of dn could move the sup by more than 10%.
+    with the first point on ties.  A law with more than one entry must
+    have the target's span h: against lattice h, a law of span 2h would
+    be compared at points its sums never reach.  Off the support P = 0
+    and the error is g itself, so there only the lattice points nearest
+    s = 0 on each side are evaluated: this assumes g strictly unimodal
+    about 0 (increasing below, decreasing above), as the centred stable
+    targets are.  Warns when the leaked mass of dn could move the sup by
+    more than 10%.
     """
     h, a = target.span, target.offset
     bn = target.norming(n)
     base = a * n
-    entries = dn.entries
-    if len(entries) > 1 and dn.span != h:
-        if dn.span % h:
-            raise ValueError("support does not lie on the stated lattice")
-        entries = np.zeros((len(entries) - 1) * (dn.span // h) + 1)
-        entries[:: dn.span // h] = dn.entries
+    if len(dn.entries) > 1 and dn.span != h:
+        raise ValueError(f"law span {dn.span} differs from the lattice span {h}")
     if (dn.lo - base) % h:
         raise ValueError("support does not lie on the stated lattice")
-    lo, hi = dn.lo, dn.lo + h * (len(entries) - 1)
-    support = lo + h * np.arange(len(entries), dtype=np.int64)
-    err = np.abs(bn / h * entries - target.density(support / bn))
+    lo, hi = dn.lo, dn.hi
+    support = lo + h * np.arange(len(dn.entries), dtype=np.int64)
+    err = np.abs(bn / h * dn.entries - target.density(support / bn))
     i = int(np.argmax(err))
     best = [(float(err[i]), int(support[i]))]
     # extend until the density itself drops below the floor

@@ -22,7 +22,7 @@ from recwalk.branched_walk import (
     shifted_green_sum,
 )
 from recwalk.engine import SparseDist, iterate_push_forward, observe_returns, sample_path
-from recwalk.rng import DIRECT_LANE, stream
+from recwalk.rng import DIRECT_LANE, SHIFT_LANE, stream
 from recwalk.spaces import Generator, Inlet, Lattice, Tail, branched_apply, uniform_five
 
 F = Fraction
@@ -256,11 +256,16 @@ class TestGreenSumAuxiliary:
         assert abs(m100 - AUX_G100) < 4 * s100
         assert abs(m1000 - AUX_G1000) < 4 * s1000
 
-    def test_shift_stream_independence(self, pos_law_small):
+    def test_shift_stream_independence(self, pos_law_small, monkeypatch):
         # swapping the shift seed changes individual indicators but not the
         # estimate beyond noise
         a = shifted_green_sum(1, 20_000, seed=15, method="auxiliary")
-        b = shifted_green_sum(1, 20_000, seed=15, method="auxiliary", h_seed=99)
+
+        def shift_seed_99(seed, index, lane):
+            return stream(99 if lane == SHIFT_LANE else seed, index, lane)
+
+        monkeypatch.setattr(branched_walk, "stream", shift_seed_99)
+        b = shifted_green_sum(1, 20_000, seed=15, method="auxiliary")
         want = first_term_exact(pos_law_small, excursion_shift_law(40))
         se = math.sqrt(want * (1 - want) / 20_000)
         assert a.value(1) != b.value(1)  # indicators really changed

@@ -89,6 +89,8 @@ def run(args):
     ["classify", "--seed", -1],  # refused by the stream keys
     ["lll", "--schedule", "8,8"],
     ["green", "--schedule", "100,100,1000"],
+    ["return-law", "--n-max", 2_000_002],  # above cli.MAX_RETURN_TIME
+    ["green", "--schedule", "100,1000,10000001"],  # above cli.MAX_GREEN_RETURNS
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
@@ -128,6 +130,30 @@ class TestLllScheduleBound:
         # 8192 * 2000 + 1 points pad to 2^24, the bound itself
         with pytest.raises(LookupError, match="law requested"):
             run(["lll", "--schedule", "8,8192", "--out", tmp_path / "lll.csv"])
+
+
+class TestSizeBoundsReachTheWork:
+    """The largest --n-max and green --schedule that the size bounds allow
+    reach the computation (replaced here by a stub)."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise LookupError("work requested")
+
+    def test_return_law_bound(self, tmp_path, monkeypatch):
+        from recwalk import cli, return_laws
+
+        monkeypatch.setattr(return_laws, "first_return_law", self.refuse)
+        with pytest.raises(LookupError, match="work requested"):
+            run(["return-law", "--n-max", cli.MAX_RETURN_TIME, "--out", tmp_path / "r.csv"])
+
+    def test_green_bound(self, tmp_path, monkeypatch):
+        from recwalk import branched_walk, cli
+
+        monkeypatch.setattr(branched_walk, "shifted_green_sum", self.refuse)
+        schedule = f"100,1000,{cli.MAX_GREEN_RETURNS}"
+        with pytest.raises(LookupError, match="work requested"):
+            run(["green", "--schedule", schedule, "--out", tmp_path / "g.csv"])
 
 
 class TestReturnLawCommand:

@@ -111,7 +111,6 @@ class TestObserveReturns:
             steps=np.array([0, 1, 0, 1], dtype=np.uint8),
             generator_order=(B, BINV),
             apply=line_apply,
-            seed=0,
         )
         # states 0, 1, 0, 1, 0 -> scalar returns at times 2 and 4
         obs = observe_returns(t, scalar=lambda s: s, position=lambda s: s, max_returns=10)
