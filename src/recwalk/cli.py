@@ -36,6 +36,9 @@ MAX_RETURN_TIME = 2_000_000
 #: largest `green --schedule` entry; each estimate holds arrays of this
 #: many returns, and 10^7 already takes hundreds of MB
 MAX_GREEN_RETURNS = 10_000_000
+#: largest `green --samples` and `--direct-samples`; each sample costs about
+#: 170 us per method even at `--schedule 1,2,3`, so 10^6 already takes minutes
+MAX_GREEN_SAMPLES = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,6 +123,12 @@ def cmd_lll(parser: _Parser, args) -> int:
     if _ladder(lmax)[0] < 2:
         parser.error("--l-max must be >= 40 to fit the tail limit")
     kmax = _even(parser, lmax * lmax if args.k_max is None else args.k_max, "--k-max")
+    column = return_laws.column_length(lmax, kmax)
+    if column > return_laws.MAX_COLUMN:
+        parser.error(
+            f"--l-max/--k-max: the law's boundary column needs {column} entries, "
+            f"above the limit of {return_laws.MAX_COLUMN}"
+        )
     schedule = args.schedule
     # the window [-lmax, lmax] has lmax + 1 points on the even lattice
     points = stable_laws.transform_length(lmax + 1, schedule[-1])
@@ -195,6 +204,8 @@ def cmd_green(parser: _Parser, args) -> int:
     for value, name in ((args.samples, "--samples"), (args.direct_samples, "--direct-samples")):
         if value < 2:
             parser.error(f"{name} must be >= 2 for a standard error")
+        if value > MAX_GREEN_SAMPLES:
+            parser.error(f"{name} must be <= {MAX_GREEN_SAMPLES}")
     schedule = args.schedule
     n_top = schedule[-1]
     if n_top > MAX_GREEN_RETURNS:

@@ -91,6 +91,10 @@ def run(args):
     ["green", "--schedule", "100,100,1000"],
     ["return-law", "--n-max", 2_000_002],  # above cli.MAX_RETURN_TIME
     ["green", "--schedule", "100,1000,10000001"],  # above cli.MAX_GREEN_RETURNS
+    ["lll", "--k-max", 10**16],  # the boundary column above return_laws.MAX_COLUMN
+    ["lll", "--l-max", 400_000, "--schedule", "1,2"],  # the same, by the default --k-max = l_max^2
+    ["green", "--samples", 1_000_001],  # above cli.MAX_GREEN_SAMPLES
+    ["green", "--direct-samples", 1_000_001],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "out.csv"
@@ -133,8 +137,9 @@ class TestLllScheduleBound:
 
 
 class TestSizeBoundsReachTheWork:
-    """The largest --n-max and green --schedule that the size bounds allow
-    reach the computation (replaced here by a stub)."""
+    """The largest --n-max, green --schedule, green sample counts and lll
+    --k-max that the size bounds allow reach the computation (replaced here
+    by a stub)."""
 
     @staticmethod
     def refuse(*args, **kwargs):
@@ -154,6 +159,35 @@ class TestSizeBoundsReachTheWork:
         schedule = f"100,1000,{cli.MAX_GREEN_RETURNS}"
         with pytest.raises(LookupError, match="work requested"):
             run(["green", "--schedule", schedule, "--out", tmp_path / "g.csv"])
+
+    def test_green_samples_bound(self, tmp_path, monkeypatch):
+        from recwalk import branched_walk, cli
+
+        monkeypatch.setattr(branched_walk, "shifted_green_sum", self.refuse)
+        n = cli.MAX_GREEN_SAMPLES
+        with pytest.raises(LookupError, match="work requested"):
+            run(["green", "--samples", n, "--direct-samples", n, "--out", tmp_path / "g.csv"])
+
+    def test_lll_column_bound(self, tmp_path, capsys, monkeypatch):
+        from recwalk import lawcache, return_laws
+
+        monkeypatch.setattr(lawcache, "load_or_compute_position_law", self.refuse)
+        # the largest even --k-max whose column at --l-max 2000 fits, by bisection
+        lo, hi = 2, 2 * 10**16
+        while hi - lo > 2:
+            mid = (lo + hi) // 4 * 2
+            if return_laws.column_length(2000, mid) <= return_laws.MAX_COLUMN:
+                lo = mid
+            else:
+                hi = mid
+        argv = ["lll", "--k-max", lo, "--out", tmp_path / "lll.csv", "--cache-dir", tmp_path]
+        with pytest.raises(LookupError, match="work requested"):
+            run(argv)
+        argv[2] = lo + 2
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 1
+        assert f"above the limit of {return_laws.MAX_COLUMN}" in capsys.readouterr().err
 
 
 class TestReturnLawCommand:

@@ -1,6 +1,8 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, polygamma
 
+from recwalk import return_laws
 from recwalk.return_laws import (
     LONG,
     _inverse_square_tail,
@@ -57,11 +60,40 @@ def closed_form(l: int) -> float:
     return 2 / (math.pi * (l * l - 1))
 
 
+def completion_grid(kmax: int, ratio: float = 1.005) -> tuple[np.ndarray, np.ndarray]:
+    """(bucket weights, geometric midpoints) of _k_tail_completion's grid."""
+    edges, survs = [kmax], [survival(kmax)]
+    k = float(kmax)
+    while True:
+        k *= ratio
+        ke = max(int(2 * round(k / 2)), edges[-1] + 2)
+        edges.append(ke)
+        survs.append(survival(ke))
+        if survs[-1] * math.sqrt(2 / (math.pi * ke)) < 1e-18:
+            break
+    surv = np.array(survs)
+    weights = surv[:-1] - surv[1:]
+    mids = np.sqrt(np.array(edges[:-1], dtype=float) * np.array(edges[1:], dtype=float))
+    return weights, mids
+
+
+def dense_k_tail_completion(kmax: int, ls: np.ndarray) -> tuple[np.ndarray, float]:
+    """Oracle for _k_tail_completion: the same grid, with the whole grid x
+    window matrix of densities formed at once and each sum taken in one
+    product."""
+    weights, mids = completion_grid(kmax)
+    dens = np.sqrt(2.0 / (np.pi * mids))[:, None] * np.exp(-(ls[None, :] ** 2) / (2.0 * mids[:, None]))
+    contrib = weights @ dens
+    covered = float(np.dot(weights, 2.0 * dens.sum(axis=1) - dens[:, 0]))
+    return contrib.astype(LONG), covered
+
+
 def marching_oracle(lmax: int, kmax: int, k_tail: bool) -> tuple[np.ndarray, float]:
     """Brute-force double sum for the return-position law, (values, tail_mass):
     march the binomial column P(S_k = l) across l for every even k <= kmax at
-    once and dot it with P(return = k), then add the same completion beyond
-    kmax as the library.  O(lmax kmax), independent of the telescoping."""
+    once and dot it with P(return = k), then add the dense completion beyond
+    kmax.  O(lmax kmax), independent of the telescoping and of the blocked
+    completion."""
     ls = np.arange(0, lmax + 1, 2, dtype=np.float64)
     u = _survival_series(kmax // 2)
     ks = np.arange(2, kmax + 1, 2, dtype=np.float64)
@@ -77,7 +109,7 @@ def marching_oracle(lmax: int, kmax: int, k_tail: bool) -> tuple[np.ndarray, flo
         row_sum += 2.0 * p
     covered = LONG(np.dot(f, row_sum))
     if k_tail:
-        tail_in, tail_covered = _k_tail_completion(kmax, ls)
+        tail_in, tail_covered = dense_k_tail_completion(kmax, ls)
         acc += tail_in
         covered += LONG(tail_covered)
     return acc, float(1 - covered)
@@ -322,6 +354,71 @@ class TestTelescoping:
         if not k_tail:
             assert np.all(law.values[half_k + 1 :] == 0)
         assert abs(law.window_mass() + law.tail_mass - 1.0) < 1e-13
+
+
+class TestKTailCompletion:
+    """The completion of return times beyond kmax, summed in blocks of
+    grid buckets, against the dense oracle and the telescoped sum."""
+
+    @staticmethod
+    def assert_matches_dense(kmax, lmax):
+        ls = np.arange(0, lmax + 1, 2, dtype=np.float64)
+        contrib, covered = _k_tail_completion(kmax, ls)
+        want, want_covered = dense_k_tail_completion(kmax, ls)
+        np.testing.assert_allclose(contrib.astype(np.float64), want.astype(np.float64), rtol=1e-13, atol=0)
+        assert abs(covered - want_covered) <= 1e-13 * want_covered
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        half_k=st.integers(1, 10**9),
+        half_l=st.integers(1, 100),
+        budget=st.one_of(st.none(), st.integers(1, 4096)),
+    )
+    def test_blocked_matches_dense(self, half_k, half_l, budget):
+        # a small budget stands for windows longer than the budget: one
+        # bucket per block once it is below the window length
+        if budget is None:
+            self.assert_matches_dense(2 * half_k, 2 * half_l)
+        else:
+            with mock.patch.object(return_laws, "_BLOCK_ENTRIES", budget):
+                self.assert_matches_dense(2 * half_k, 2 * half_l)
+
+    def test_partial_last_block_at_the_lll_defaults(self):
+        rows = return_laws._BLOCK_ENTRIES // 1001
+        buckets = len(completion_grid(4_000_000)[1])
+        assert rows > 1 and buckets % rows != 0
+        self.assert_matches_dense(4_000_000, 2000)
+
+    def test_window_longer_than_the_budget(self):
+        # 35,001 window entries against 2^15: one bucket per block; the
+        # grid from 5e17 has a few dozen buckets, so the oracle stays small
+        assert 35_001 > return_laws._BLOCK_ENTRIES
+        self.assert_matches_dense(5 * 10**17, 70_000)
+
+    @pytest.mark.parametrize("lmax", [2000, 20_000])
+    def test_peak_memory_does_not_grow_with_the_window(self, lmax):
+        # a dense grid x window matrix would be 41 MB per copy at lmax = 2000
+        tracemalloc.start()
+        try:
+            return_position_law(lmax, 4_000_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+    @pytest.mark.parametrize("lmax,kmax,far", [
+        (200, 40_000, 4_000_000),
+        (100, 10_000, 10_000_000),
+        (400, 160_000, 16_000_000),
+    ])
+    def test_completed_part_matches_telescoped_sum(self, lmax, kmax, far):
+        # return times in (kmax, far]: the completion's share of them against
+        # the exact truncated sums, which the marching oracle checks
+        ls = np.arange(0, lmax + 1, 2, dtype=np.float64)
+        completed = _k_tail_completion(kmax, ls)[0] - _k_tail_completion(far, ls)[0]
+        exact = (return_position_law(lmax, far, k_tail=False).values
+                 - return_position_law(lmax, kmax, k_tail=False).values)
+        np.testing.assert_allclose(completed.astype(np.float64), exact.astype(np.float64), rtol=1e-4, atol=0)
 
 
 class TestTailFunctional:
