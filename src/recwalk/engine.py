@@ -200,10 +200,11 @@ def observe_returns(
     return ReturnObservables(times, positions, len(times))
 
 
-def wilson_interval(hits: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """Wilson score interval; stable for small counts, unlike the Wald form."""
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval; stable for small counts, unlike the Wald form."""
     if n <= 0:
         raise ValueError("n must be >= 1")
+    z = 1.959963984540054  # the two-sided 95% normal quantile
     phat = hits / n
     denom = 1.0 + z * z / n
     center = (phat + z * z / (2 * n)) / denom

@@ -1,9 +1,10 @@
 """CSV cache for computed laws.
 
 One law per file: a header line (kind, param, truncation) followed by
-(index, probability) rows, probabilities printed with 18 significant
-digits.  Files are keyed by the law parameters, so a cache hit reproduces
-the run that wrote it byte for byte.
+(index, probability) rows.  Every number is printed with the fewest
+digits that read back to the same 80-bit value, so a loaded law equals
+the law that was saved, bit for bit.  Files are keyed by the law
+parameters, so a cache hit reproduces the run that wrote it byte for byte.
 """
 
 from __future__ import annotations
@@ -15,15 +16,16 @@ import numpy as np
 
 from .return_laws import LONG, ReturnPositionLaw, return_position_law
 
-FORMAT_VERSION = "recwalk-law-1"
+#: version 1 printed 18 digits, too few to read back exactly, and is refused
+FORMAT_VERSION = "recwalk-law-2"
 
 
-class CacheCorruptionError(RuntimeError):
-    pass
+class CacheCorruptionError(ValueError):
+    """A cache file that cannot be read; the CLI reports it as a usage error."""
 
 
 def _fmt(x) -> str:
-    return np.format_float_scientific(LONG(x), precision=17, unique=False)
+    return np.format_float_scientific(LONG(x), unique=True)
 
 
 def position_law_path(cache_dir, lmax: int, kmax: int) -> Path:
@@ -89,20 +91,16 @@ def load_position_law(path) -> ReturnPositionLaw:
         ) from exc
 
 
-def load_or_compute_position_law(
-    cache_dir, lmax: int, kmax: int | None = None
-) -> tuple[ReturnPositionLaw, bool]:
+def load_or_compute_position_law(cache_dir, lmax: int, kmax: int) -> tuple[ReturnPositionLaw, bool]:
     """Return (law, cache_hit).
 
-    A freshly computed law is written to the cache and read back before
-    use, so downstream output depends only on the cache contents and is
+    A freshly computed law is written to the cache and returned as built:
+    the file reads back to the same law, so downstream output is
     byte-identical whether or not the cache was warm.
     """
-    if kmax is None:
-        kmax = lmax * lmax
     path = position_law_path(cache_dir, lmax, kmax)
     if path.exists():
         return load_position_law(path), True
     law = return_position_law(lmax, kmax)
     save_position_law(law, cache_dir)
-    return load_position_law(path), False
+    return law, False

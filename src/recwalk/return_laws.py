@@ -11,9 +11,10 @@ truncation bounds elsewhere:
   functional m * P(pos >= m), whose limit is the scale constant of the
   heavy tail.
 
-First-return probabilities are exact rationals up to a configurable cutoff
-and 80-bit floats beyond; the return-position law is evaluated in 80-bit
-floats through two telescoping identities (see return_position_law).
+First-return probabilities are exact rationals up to RATIONAL_CUTOFF and
+80-bit products rounded to float64 beyond; the return-position law is
+evaluated in 80-bit floats through two telescoping identities (see
+return_position_law).
 """
 
 from __future__ import annotations
@@ -57,20 +58,23 @@ _U_SERIES = (5099063967524835 / 2**55, -1874409467055 / 2**46, 7426362705 / 2**4
 
 def _u_float(m: float) -> float:
     """C(2m, m) / 4^m = Gamma(m + 1/2) / (sqrt(pi) Gamma(m + 1)) for real m >= 1,
-    to a few ulps.  Below 1e4: u(m) = u(m + 1) (2m + 2) / (2m + 1) up to m >= 8,
-    then sqrt(x) Gamma(x + 1/4) / Gamma(x + 3/4) at x = m + 1/4 as a series in
-    1/x^2 (first omitted term < 1e-16).  From 1e4 on: the series in 1/m."""
+    to a few ulps: u(m) = u(m + 1) (2m + 2) / (2m + 1) up to m >= 8, then
+    _u_series at x = m + 1/4."""
     m = float(m)
-    if m >= 1e4:
-        series = 1.0 - 1.0 / (8 * m) + 1.0 / (128 * m * m) + 5.0 / (1024 * m**3)
-        return series / math.sqrt(math.pi * m)
     num = den = 1.0
     while m < 8.0:
         num, den, m = num * (2 * m + 2), den * (2 * m + 1), m + 1.0
-    x, series = m + 0.25, 0.0
+    x = m + 0.25
+    return num / den * _u_series(x) / math.sqrt(math.pi * x)
+
+
+def _u_series(x):
+    """sqrt(pi x) Gamma(x + 1/4) / Gamma(x + 3/4) for x >= 8.25, a float or
+    an array, as 1 + a series in 1/x^2 whose first omitted term is < 1e-16."""
+    series = 0.0
     for c in _U_SERIES:
         series = (series + c) / (x * x)
-    return num / den * (1.0 + series) / math.sqrt(math.pi * x)
+    return 1.0 + series
 
 
 def survival(n) -> float:
@@ -86,38 +90,36 @@ def survival(n) -> float:
 class ReturnTimeLaw:
     """First-return-time law with even support up to nmax.
 
-    probs holds exact Fractions for n <= RATIONAL_CUTOFF and floats beyond;
-    tail_mass is P(return time > nmax).  Odd times have probability zero
-    and are not stored.
+    probs[m - 1] = P(return time = 2m) in float64, m = 1..nmax/2; prob(n)
+    is the exact Fraction for n <= RATIONAL_CUTOFF.  tail_mass is
+    P(return time > nmax).  Odd times have probability zero and are not
+    stored.
     """
 
-    probs: dict[int, Fraction | float]
+    probs: np.ndarray
     tail_mass: float
     nmax: int
 
     def prob(self, n: int):
-        return self.probs.get(n, Fraction(0) if n <= RATIONAL_CUTOFF else 0.0)
+        if n <= RATIONAL_CUTOFF:
+            return first_return_prob_exact(n) if n <= self.nmax else Fraction(0)
+        if n % 2 or n > self.nmax:
+            return 0.0
+        return float(self.probs[n // 2 - 1])
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(even times, probabilities) as float arrays, in increasing time."""
-        ns = np.arange(2, self.nmax + 1, 2)
-        return ns, np.array([float(self.probs[int(n)]) for n in ns])
+        """(even times, probabilities) as arrays, in increasing time."""
+        return np.arange(2, self.nmax + 1, 2), self.probs
 
 
 def first_return_law(nmax: int) -> ReturnTimeLaw:
-    """Exact law of the first return to 0 of the +-1 walk, up to time nmax."""
+    """Law of the first return to 0 of the +-1 walk, up to time nmax: the
+    80-bit survival product over 2m - 1, rounded once to float64."""
     if nmax < 2 or nmax % 2 == 1:
         raise ValueError("nmax must be an even integer >= 2")
-    mmax = nmax // 2
-    u = _survival_series(mmax)
-    probs: dict[int, Fraction | float] = {}
-    for m in range(1, mmax + 1):
-        n = 2 * m
-        if n <= RATIONAL_CUTOFF:
-            probs[n] = first_return_prob_exact(n)
-        else:
-            probs[n] = float(u[m - 1] / (2 * m - 1))
-    return ReturnTimeLaw(probs, float(u[mmax - 1]), nmax)
+    u = _survival_series(nmax // 2)
+    odd = 2 * np.arange(1, nmax // 2 + 1, dtype=LONG) - 1
+    return ReturnTimeLaw((u / odd).astype(np.float64), float(u[-1]), nmax)
 
 
 @dataclass
@@ -241,7 +243,7 @@ def return_position_law(
         acc += tail_in
         covered += LONG(tail_covered)
         # Certified: local-CLT relative error O(1/kmax) plus in-bucket
-        # variation below (ratio - 1); 0.05 covers both with wide margin.
+        # variation below _K_TAIL_RATIO - 1; 0.05 covers both with wide margin.
         error_bound = min(leak, 0.05 * leak * math.sqrt(2 / (math.pi * kmax)) + 1e-13)
     else:
         # Everything past kmax is dropped: pointwise at most
@@ -258,13 +260,17 @@ def return_position_law(
     )
 
 
+#: growth factor of the geometric grid of return times beyond kmax that
+#: _k_tail_completion sums over
+_K_TAIL_RATIO = 1.005
+
 #: entries of exp(-l^2 / 2k) that _k_tail_completion holds at once (256 KB):
 #: the grid is summed in blocks of max(1, _BLOCK_ENTRIES // len(ls)) buckets,
 #: a fixed order, so the result does not depend on the machine
 _BLOCK_ENTRIES = 1 << 15
 
 
-def _k_tail_completion(kmax: int, ls: np.ndarray, ratio: float = 1.005) -> tuple[np.ndarray, float]:
+def _k_tail_completion(kmax: int, ls: np.ndarray) -> tuple[np.ndarray, float]:
     """Contribution of return times beyond kmax, on a geometric grid.
 
     Bucket weights use the exact survival identity; within a bucket the
@@ -276,7 +282,7 @@ def _k_tail_completion(kmax: int, ls: np.ndarray, ratio: float = 1.005) -> tuple
     edges, survs = [kmax], [survival(kmax)]
     k = float(kmax)
     while True:
-        k *= ratio
+        k *= _K_TAIL_RATIO
         ke = max(int(2 * round(k / 2)), edges[-1] + 2)
         edges.append(ke)
         survs.append(survival(ke))
@@ -309,27 +315,25 @@ class TailFunctional:
     sigma_fit: float
 
 
-def tail_functional(
-    law: ReturnPositionLaw,
-    m: int,
-    max_certified_fraction: float = 0.10,
-    margin: int | None = None,
-) -> TailFunctional:
+#: largest share of the tail functional's value that its certified error may be
+MAX_CERTIFIED_FRACTION = 0.10
+
+
+def tail_functional(law: ReturnPositionLaw, m: int) -> TailFunctional:
     """Evaluate m * P(pos >= m) from a computed return-position law.
 
     The sum over [m, lmax] is exact up to the law's certified bound; the
     tail beyond lmax is completed with the fitted sigma / l^2 density and
-    reported separately.  Refuses m too close to the window edge or where
-    the certified truncation error exceeds the requested fraction of the
-    value.
+    reported separately.  Refuses m within lmax / 2 of the window edge or
+    where the certified truncation error exceeds MAX_CERTIFIED_FRACTION of
+    the value.
     """
-    if margin is None:
-        margin = law.lmax // 2
     if m < 2:
         raise ValueError("m must be >= 2")
-    if m > law.lmax - margin:
+    top = law.lmax - law.lmax // 2
+    if m > top:
         raise ValueError(f"m = {m} is within the safety margin of the window edge "
-                         f"(need m <= {law.lmax - margin})")
+                         f"(need m <= {top})")
     t0 = (m + 1) // 2
     in_window = float(np.sum(law.values[t0:]))
     sigma = fit_tail_scale(law)
@@ -338,10 +342,10 @@ def tail_functional(
     nterms = law.lmax // 2 - t0 + 1
     certified = m * nterms * law.error_bound
     value = m * (in_window + completion)
-    if certified > max_certified_fraction * value:
+    if certified > MAX_CERTIFIED_FRACTION * value:
         raise ValueError(
             f"certified truncation error {certified:.3g} exceeds "
-            f"{max_certified_fraction:.0%} of the value {value:.3g}; "
+            f"{MAX_CERTIFIED_FRACTION:.0%} of the value {value:.3g}; "
             "recompute the law with a larger kmax"
         )
     return TailFunctional(m, value, m * in_window, m * completion, certified, sigma)
@@ -394,7 +398,7 @@ def tail_limit(law: ReturnPositionLaw, ms=(100, 200, 400)) -> TailLimit:
 # ---------------------------------------------------------------------------
 # Samplers used by the Monte Carlo green-sum estimators.
 
-#: u_m comes from a table up to this m and from _u_float's series beyond
+#: u_m comes from a table up to this m and from _u_series beyond
 _TABLE_M = 1 << 16
 
 
@@ -403,15 +407,6 @@ def _survival_table() -> np.ndarray:
     """u_m = C(2m, m) / 4^m for m = 0.._TABLE_M: the 80-bit running product
     rounded to float64, 512 KB, built on first use."""
     return np.concatenate(([1.0], _survival_series(_TABLE_M).astype(np.float64)))
-
-
-def _u_array(m: np.ndarray) -> np.ndarray:
-    """_u_float's series at x = m + 1/4 on an array of m >= 8."""
-    x = m + 0.25
-    series = np.zeros_like(x)
-    for c in _U_SERIES:
-        series = (series + c) / (x * x)
-    return (1.0 + series) / np.sqrt(np.pi * x)
 
 
 def sample_first_return(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -433,8 +428,9 @@ def sample_first_return(rng: np.random.Generator, n: int) -> np.ndarray:
     u_below, u_at = table[k - 1], table[k]
     far = c > _TABLE_M
     if np.any(far):
-        u_below[far] = _u_array(c[far] - 1.0)
-        u_at[far] = _u_array(c[far])
+        for u, m in ((u_below, c[far] - 1.0), (u_at, c[far])):
+            x = m + 0.25
+            u[far] = _u_series(x) / np.sqrt(np.pi * x)
     return 2.0 * (c - 1.0 + (u_below > w) + (u_at > w))
 
 

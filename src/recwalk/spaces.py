@@ -193,22 +193,13 @@ def state_id(s: BranchedState) -> str:
     return f"lattice({s.i},{s.j})"
 
 
-def standard_points(offset: int = 3) -> dict[str, BranchedState]:
+def standard_points() -> dict[str, BranchedState]:
     """The six reference starting points, keyed by their state ids.
 
-    offset positions the two probe points on the rays left of the
-    junctions; it is a presentation choice and changes no verdict.
+    The two probe points sit 3 steps left of the junctions on their rays;
+    the distance is a presentation choice and changes no verdict.
     """
-    if offset < 1:
-        raise ValueError("offset must be >= 1")
-    points = (
-        LATTICE_ORIGIN,
-        Tail(1),
-        TAIL_JUNCTION,
-        INLET_JUNCTION,
-        Tail(-offset),
-        Inlet(-offset),
-    )
+    points = (LATTICE_ORIGIN, Tail(1), TAIL_JUNCTION, INLET_JUNCTION, Tail(-3), Inlet(-3))
     return {state_id(p): p for p in points}
 
 

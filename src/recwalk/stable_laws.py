@@ -45,9 +45,9 @@ class StableTarget:
     norming: Callable[[int], float]
 
     @classmethod
-    def cauchy(cls, scale: float = 1.0, span: int = 2, offset: int = 0) -> "StableTarget":
-        """Exponent-1 target with B_n = n, for even-lattice sums."""
-        return cls(lambda s: cauchy_density(s, scale), span, offset, lambda n: float(n))
+    def cauchy(cls, scale: float = 1.0) -> "StableTarget":
+        """Exponent-1 target with B_n = n, for sums on the even lattice 2Z."""
+        return cls(lambda s: cauchy_density(s, scale), 2, 0, lambda n: float(n))
 
     @classmethod
     def gaussian(cls, span: int = 2, offset: int = 1) -> "StableTarget":
@@ -158,16 +158,20 @@ class LLTError:
     truncation_warning: bool
 
 
-def lll_error(dn: LatticeLaw, target: StableTarget, n: int, floor: float = 1e-9) -> LLTError:
+#: lll_error evaluates the lattice out to where the target density drops below this
+DENSITY_FLOOR = 1e-9
+
+
+def lll_error(dn: LatticeLaw, target: StableTarget, n: int) -> LLTError:
     """Local-limit error of the law of an n-fold sum against its target.
 
     The sup of |B_n/h P(Z_n = an + kh) - g((an + kh)/B_n)| over the
-    lattice points of the support and out to where g drops below `floor`,
-    with the first point on ties.  A law with more than one entry must
-    have the target's span h: against lattice h, a law of span 2h would
-    be compared at points its sums never reach.  Off the support P = 0
-    and the error is g itself, so there only the lattice points nearest
-    s = 0 on each side are evaluated: this assumes g strictly unimodal
+    lattice points of the support and out to where g drops below
+    DENSITY_FLOOR, with the first point on ties.  A law with more than one
+    entry must have the target's span h: against lattice h, a law of span
+    2h would be compared at points its sums never reach.  Off the support
+    P = 0 and the error is g itself, so there only the lattice points
+    nearest s = 0 on each side are evaluated: this assumes g strictly unimodal
     about 0 (increasing below, decreasing above), as the centred stable
     targets are.  Warns when the leaked mass of dn could move the sup by
     more than 10%.
@@ -185,7 +189,7 @@ def lll_error(dn: LatticeLaw, target: StableTarget, n: int, floor: float = 1e-9)
     i = int(np.argmax(err))
     best = [(float(err[i]), int(support[i]))]
     # extend until the density itself drops below the floor
-    s_floor = _density_range(target.density, floor)
+    s_floor = _density_range(target.density, DENSITY_FLOOR)
     left = base + h * math.floor((s_floor[0] * bn) / h)
     right = base + h * math.ceil((s_floor[1] * bn) / h)
     for first, last in ((left, lo - h), (hi + h, right)):

@@ -28,8 +28,9 @@ class TestLawCache:
         save_position_law(law, tmp_path)
         back = load_position_law(position_law_path(tmp_path, 100, 10_000))
         assert back.lmax == law.lmax and back.kmax == law.kmax
-        assert np.max(np.abs(back.values.astype(float) - law.values.astype(float))) < 1e-17
+        assert np.array_equal(back.values, law.values)
         assert back.error_bound == law.error_bound
+        assert back.tail_mass == law.tail_mass
 
     @settings(max_examples=30, deadline=None)
     @given(half_l=st.integers(1, 60), half_k=st.integers(1, 3000), k_tail=st.booleans())
@@ -38,7 +39,7 @@ class TestLawCache:
         with tempfile.TemporaryDirectory() as cache_dir:
             back = load_position_law(save_position_law(law, cache_dir))
         assert (back.lmax, back.kmax) == (law.lmax, law.kmax)
-        assert np.max(np.abs(back.values - law.values)) < 1e-17
+        assert np.array_equal(back.values, law.values)
         assert back.error_bound == law.error_bound
         assert back.tail_mass == law.tail_mass
         assert back.k_tail_completed == law.k_tail_completed
@@ -48,6 +49,8 @@ class TestLawCache:
         assert not hit
         again, hit2 = load_or_compute_position_law(tmp_path, 100, 10_000)
         assert hit2
+        assert np.array_equal(law.values, again.values)
+        assert (law.error_bound, law.tail_mass) == (again.error_bound, again.tail_mass)
         assert tail_functional(law, 30).value == tail_functional(again, 30).value
 
     def test_failed_replace_leaves_clean_miss(self, tmp_path, monkeypatch):
@@ -254,7 +257,7 @@ class TestLllCommand:
         assert run(args) == 0  # cache hit this time
         assert out.read_bytes() == cold
 
-    def test_corrupt_cache_reported(self, tmp_path):
+    def test_corrupt_cache_reported(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         args = [
             "lll", "--l-max", 400, "--k-max", 160_000, "--schedule", "4,8",
@@ -262,9 +265,19 @@ class TestLllCommand:
         ]
         assert run(args) == 0
         path = cache / "return_position_L400_K160000.csv"
-        path.write_text(path.read_text()[:100])
-        with pytest.raises(CacheCorruptionError):
-            run(args)
+        text = path.read_text()
+        truncated = text[:100]
+        version_1 = text.replace("v=recwalk-law-2", "v=recwalk-law-1")  # the 18-digit format
+        for damaged in (truncated, version_1):
+            path.write_text(damaged)
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                run(args)
+            assert exc.value.code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage: recwalk")
+            assert f"recwalk: error: law cache {path} is corrupted" in err
+            assert "delete the file and rerun" in err and "Traceback" not in err
 
 
 class TestClassifyCommand:

@@ -234,6 +234,12 @@ class TestFirstReturnLaw:
         assert isinstance(return_law_2000.prob(66), float)
         assert abs(return_law_2000.prob(66) - float(first_return_prob_exact(66))) < 1e-18
 
+    def test_arrays_round_the_exact_law(self, return_law_2000):
+        ns, ps = return_law_2000.arrays()
+        exact = [float(first_return_prob_exact(n)) for n in range(2, 65, 2)]
+        assert ns[:32].tolist() == list(range(2, 65, 2))
+        assert ps[:32].tolist() == exact
+
     def test_rejects_bad_nmax(self):
         with pytest.raises(ValueError):
             first_return_law(3)
@@ -249,9 +255,8 @@ class TestTailExponentFit:
 
     def test_planted_exponent_recovered(self):
         law = first_return_law(2000)
-        planted = {n: n**-1.5 for n in range(2, 2001, 2)}
-        z = sum(planted.values())
-        law.probs = {n: p / z for n, p in planted.items()}
+        planted = np.arange(2, 2001, 2, dtype=float) ** -1.5
+        law.probs = planted / planted.sum()
         fit = fit_tail_exponent(law, 100, 1000)
         assert abs(fit.slope + 1.5) < 1e-6
 
@@ -470,8 +475,14 @@ class TestScalarSpecialFunctions:
         want = float(Fraction(math.comb(2 * m, m), 4**m))
         assert abs(_u_float(m) - want) < 1e-14 * want
 
+    @pytest.mark.parametrize("m", [10**4, 10**6, 10**9, 10**12, 10**17])
+    def test_u_float_matches_gamma_ratio(self, m):
+        with mpmath.workdps(40):
+            want = mpmath.gamma(m + mpmath.mpf(1) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(m + 1))
+            assert abs(_u_float(m) / want - 1) < 1e-15
+
     def test_survival_matches_product_series(self):
-        # 80-bit running product of (2m - 1) / 2m, across the 1e4 switch point
+        # 80-bit running product of (2m - 1) / 2m
         u = _survival_series(20_000).astype(np.float64)
         got = np.array([survival(2 * m) for m in range(1, 20_001)])
         assert np.max(np.abs(got / u - 1)) < 1e-14

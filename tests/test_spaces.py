@@ -160,8 +160,7 @@ class TestStepMeasure:
 
 class TestIdsAndOrdering:
     def test_standard_points(self):
-        pts = standard_points(offset=3)
+        pts = standard_points()
         assert set(pts) == {
             "lattice(0,0)", "tail(1)", "tail(0)", "inlet(0)", "tail(-3)", "inlet(-3)",
         }
-        assert standard_points(offset=5)["tail(-5)"] == Tail(-5)

@@ -24,13 +24,31 @@ TRACED = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
     ),
 ])
 def test_traced_run(tmp_path, argv, span):
+    names = {s["name"] for s in traced_spans(tmp_path, argv)}
+    assert {"cli.main", span} <= names
+
+
+def test_traced_cache_cold_then_warm(tmp_path):
+    """A miss builds and saves the law and reads nothing back; a hit loads it."""
+    argv = ["lll", "--l-max", "200", "--schedule", "4,8"]
+    cold = {s["name"]: s for s in traced_spans(tmp_path, argv)}
+    assert {"return_laws.return_position_law", "lawcache.save"} <= set(cold)
+    assert "lawcache.load" not in cold
+    assert cold["lawcache.load_or_compute"]["attrs"] == {"hit": False}
+    warm = {s["name"]: s for s in traced_spans(tmp_path, argv)}
+    assert warm["lawcache.load_or_compute"]["attrs"] == {"hit": True}
+    assert warm["lawcache.load"]["attrs"]["file_bytes"] > 0
+    assert "lawcache.save" not in warm
+
+
+def traced_spans(cwd, argv) -> list[dict]:
+    """The spans of one bench/traced.py run of argv, in cwd."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(recwalk.__file__))}
-    spans_path = tmp_path / "spans.json"
+    spans_path = cwd / "spans.json"
     proc = subprocess.run(
         [sys.executable, str(TRACED), str(spans_path), *argv,
          "--out", "out.csv", "--cache-dir", "cache"],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    names = {s["name"] for s in json.loads(spans_path.read_text())["spans"]}
-    assert {"cli.main", span} <= names
+    return json.loads(spans_path.read_text())["spans"]
