@@ -1,5 +1,12 @@
 """The walk on the branched space: recurrent, transient, and in-between.
 
+The branched space is assembled from a two-sided tail ray, a one-sided
+inlet ray and a copy of the diagonal lattice {(i, j) : i + j even}, glued
+at two junction points.  Five generators act on it: b and c (and their
+inverses) swap the junctions and move diagonally on the lattice, while a
+drifts rightward along both rays, jumps from the inlet end onto the
+lattice, and translates one lattice half-axis.
+
 Under the uniform five-generator step law the branched space splits into
 three behaviours.  Lattice starts return to themselves with probability
 one; ray points right of the tail junction drift away forever; every other
@@ -18,8 +25,8 @@ a-moves at a half-axis visit.  Their agreement is measured, not assumed.
 Both walks are simulated one event at a time, exactly in law, rather than
 one step at a time: a ray walk changes what is observed only when a fires,
 and the lattice walk only when the transverse coordinate returns to 0.
-The step-level engine (`engine.sample_path` with `spaces.branched_apply`)
-is the oracle that these event models are tested against.
+The step-level oracle that these event models are tested against, with
+the generator actions themselves, lives with the tests (`tests/oracles/`).
 """
 
 from __future__ import annotations
@@ -27,114 +34,81 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Union
 
 import numpy as np
 
-from .engine import wilson_interval
-from .return_laws import ReturnPositionLaw, sample_first_return, sample_position_at
+from .return_laws import sample_first_return, sample_position_at
 from .rng import (
     DEFAULT_SEED, DIRECT_LANE, POSITION_LANE, RETURN_LANE, SHIFT_LANE, WALK_LANE, stream,
 )
-from .spaces import BranchedState, Inlet, Lattice, Tail, state_id, standard_points
 
 DEFAULT_DIRECT_HORIZON = 4_000_000
 
 
 # ---------------------------------------------------------------------------
-# The per-visit shift law and its large-deviation behaviour.
+# Points of the branched space.
 
 
-@dataclass
-class ExcursionShiftLaw:
-    """Law of the rightward shift accumulated during one stay at the
-    half-axis: 2m with probability 4 / 5^(m+1), truncated at 2*mmax."""
+@dataclass(frozen=True, slots=True)
+class Tail:
+    """Point of the two-sided ray; k = 0 is the tail-side junction."""
 
-    probs: dict[int, Fraction]
-    tail_mass: Fraction
-    mmax: int
-
-    def mean(self) -> Fraction:
-        """Mean of the stored part; the full law has mean exactly 1/2."""
-        return sum((Fraction(x) * p for x, p in self.probs.items()), Fraction(0))
-
-    def total_mass(self) -> Fraction:
-        return sum(self.probs.values(), Fraction(0))
+    k: int
 
 
-def excursion_shift_law(mmax: int) -> ExcursionShiftLaw:
-    """Exact geometric burst law: each extra +2 shift costs a factor 1/5."""
-    if mmax < 0:
-        raise ValueError("mmax must be >= 0")
-    probs = {2 * m: Fraction(4, 5 ** (m + 1)) for m in range(mmax + 1)}
-    return ExcursionShiftLaw(probs, Fraction(1, 5 ** (mmax + 1)), mmax)
+@dataclass(frozen=True, slots=True)
+class Inlet:
+    """Point of the one-sided ray; k <= 0, with k = 0 the inlet-side junction."""
+
+    k: int
+
+    def __post_init__(self) -> None:
+        if self.k > 0:
+            raise ValueError(f"inlet index must be <= 0, got {self.k}")
 
 
-def shift_sum_tail_exact(n: int) -> Fraction:
-    """P(sum of n independent shifts > n), exactly.
+@dataclass(frozen=True, slots=True)
+class Lattice:
+    """Lattice point with even coordinate sum.
 
-    Half the shift sum is negative binomial: m failures before the n-th
-    success at success probability 4/5, so the tail is one minus a finite
-    rational sum.
+    The translated half-axis is {i = 0, j >= 0}: i is the transverse
+    coordinate whose returns to 0 are tracked, j the coordinate observed
+    (and shifted by a) at those returns.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    head = Fraction(0)
-    p_m = Fraction(4, 5) ** n  # P(sum/2 = 0)
-    for m in range(n // 2 + 1):
-        head += p_m
-        p_m = p_m * (m + n) * Fraction(1, 5) / (m + 1)
-    return 1 - head
+
+    i: int
+    j: int
+
+    def __post_init__(self) -> None:
+        if (self.i + self.j) % 2 != 0:
+            raise ValueError(f"lattice point ({self.i}, {self.j}) has odd coordinate sum")
 
 
-@dataclass
-class LdpFit:
-    """Empirical exponential-decay check for P(shift sum over n > n)."""
+BranchedState = Union[Tail, Inlet, Lattice]
 
-    estimates: dict[int, float]
-    c_hat: float | None
-    passed: bool
-    resolution_warning: bool
-    nsamples: int
-    seed: int
+LATTICE_ORIGIN = Lattice(0, 0)
+TAIL_JUNCTION = Tail(0)
+INLET_JUNCTION = Inlet(0)
 
 
-def large_deviation_check(
-    nvals=(5, 10, 20), nsamples: int = 1_000_000, seed: int = DEFAULT_SEED
-) -> LdpFit:
-    """Sample the shift sums and fit the exponential tail bound.
+def state_id(s: BranchedState) -> str:
+    """Stable text id, e.g. 'tail(0)', 'inlet(-3)', 'lattice(0,2)'."""
+    if isinstance(s, Tail):
+        return f"tail({s.k})"
+    if isinstance(s, Inlet):
+        return f"inlet({s.k})"
+    return f"lattice({s.i},{s.j})"
 
-    The fitted rate is the largest c with every estimate below e^{-c n};
-    the check passes when that rate is positive, or when every estimate is
-    zero at the available resolution (in which case only the bound
-    direction is confirmed and a warning is set).
+
+def standard_points() -> dict[str, BranchedState]:
+    """The six reference starting points, keyed by their state ids.
+
+    The two probe points sit 3 steps left of the junctions on their rays;
+    the distance is a presentation choice and changes no verdict.
     """
-    nvals = tuple(sorted(nvals))
-    estimates: dict[int, float] = {}
-    chunk = 1 << 16
-    for n in nvals:
-        hits = 0
-        done = 0
-        ci = 0
-        while done < nsamples:
-            m = min(chunk, nsamples - done)
-            rng = stream(seed, (n << 32) | ci, SHIFT_LANE)
-            h = 2 * (rng.geometric(0.8, size=(m, n)).sum(axis=1) - n)
-            hits += int((h > n).sum())
-            done += m
-            ci += 1
-        estimates[n] = hits / nsamples
-    positive = {n: e for n, e in estimates.items() if e > 0}
-    if positive:
-        c_hat = min(-math.log(e) / n for n, e in positive.items())
-        passed = c_hat > 0 and all(
-            e <= math.exp(-c_hat * n) * (1 + 1e-9) for n, e in estimates.items()
-        )
-        warn = math.exp(-c_hat * min(nvals)) * nsamples < 10
-    else:
-        c_hat = None
-        passed = True  # all zero: only the bound direction is confirmed
-        warn = True
-    return LdpFit(estimates, c_hat, passed, warn, nsamples, seed)
+    points = (LATTICE_ORIGIN, Tail(1), TAIL_JUNCTION, INLET_JUNCTION, Tail(-3), Inlet(-3))
+    return {state_id(p): p for p in points}
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +181,20 @@ def _verdict(p_lattice: Fraction) -> str:
     if p_lattice == 0:
         return "Transient"
     return "Neither"
+
+
+def wilson_interval(hits: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval; stable for small counts, unlike the Wald form."""
+    if n <= 0:
+        raise ValueError("n must be >= 1")
+    z = 1.959963984540054  # the two-sided 95% normal quantile
+    phat = hits / n
+    denom = 1.0 + z * z / n
+    center = (phat + z * z / (2 * n)) / denom
+    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+    lo = 0.0 if hits == 0 else max(0.0, center - half)
+    hi = 1.0 if hits == n else min(1.0, center + half)
+    return (lo, hi)
 
 
 #: sample indices per classify stream: sample i reads row i % CLASSIFY_BLOCK
@@ -327,10 +315,7 @@ class GreenSumEstimate:
     """
 
     method: str
-    n_returns: int
     nsamples: int
-    seed: int
-    horizon: float | None
     partial_sums: np.ndarray
     checkpoint_stats: dict[int, tuple[float, float]]
     exhausted: int
@@ -397,9 +382,7 @@ def shifted_green_sum(
     hits_by_n[0] = nsamples
     partial = np.cumsum(hits_by_n) / nsamples
     stats = _checkpoint_stats(checkpoints, cp_vals, nsamples)
-    return GreenSumEstimate(
-        method, n_returns, nsamples, seed, horizon, partial, stats, exhausted
-    )
+    return GreenSumEstimate(method, nsamples, partial, stats, exhausted)
 
 
 def _auxiliary_returns(
@@ -449,15 +432,6 @@ def _checkpoint_stats(
         vals = cp_vals[:, col]
         out[cp] = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(nsamples)))
     return out
-
-
-def first_term_exact(pos_law: ReturnPositionLaw, shift_law: ExcursionShiftLaw) -> float:
-    """P(position = -shift at the first return), from the exact laws:
-    sum over m of P(pos = -2m) P(shift = 2m)."""
-    total = 0.0
-    for m in range(shift_law.mmax + 1):
-        total += pos_law.prob(2 * m) * float(shift_law.probs[2 * m])
-    return total
 
 
 def cross_method_gap(

@@ -56,28 +56,28 @@ _INTERNAL_ARGS = ("func", "default_out")
 
 
 def _config_dict(args, command: str) -> dict:
+    """The arguments of the run, for the output's config; the paths among
+    them are written as text by `json.dumps(..., default=str)`."""
     cfg = {
         k: v
         for k, v in sorted(vars(args).items())
         if k not in _INTERNAL_ARGS and v is not None
     }
     cfg["command"] = command
-    if "out" in cfg:
-        cfg["out"] = str(cfg["out"])
-    if "cache_dir" in cfg:
-        cfg["cache_dir"] = str(cfg["cache_dir"])
     return cfg
 
 
-def _write_table(path: Path, config: dict, columns: list[str], rows: list[tuple]) -> None:
-    lines = [
+def _write_table(path: Path, config: dict, columns: list[str], lines: list[str]) -> None:
+    """Write the header and the already formatted CSV lines in one join."""
+    text = "\n".join([
         f"# {OUTPUT_FORMAT_VERSION}",
-        "# config: " + json.dumps(config, sort_keys=True),
+        "# config: " + json.dumps(config, sort_keys=True, default=str),
         ",".join(columns),
-    ]
-    lines += [",".join(str(c) for c in row) for row in rows]
+        *lines,
+        "",
+    ])
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text(text)
 
 
 def _even(parser: _Parser, value: int, name: str) -> int:
@@ -101,10 +101,10 @@ def cmd_return_law(parser: _Parser, args) -> int:
     law = return_laws.first_return_law(nmax)
     ns, ps = law.arrays()
     # n**1.5 by Python's pow: numpy's SIMD power differs in the last bit
-    rows = [(n, _fmt(p), _fmt(p * n**1.5)) for n, p in zip(ns.tolist(), ps.tolist())]
+    rows = [f"{n},{_fmt(p)},{_fmt(p * n**1.5)}" for n, p in zip(ns.tolist(), ps.tolist())]
     fit = return_laws.fit_tail_exponent(law, m_lo, m_hi)
-    rows.append(("slope", _fmt(fit.slope), f"window={fit.window[0]}..{fit.window[1]}"))
-    rows.append(("prefactor", _fmt(fit.prefactor), f"npoints={fit.npoints}"))
+    rows.append(f"slope,{_fmt(fit.slope)},window={fit.window[0]}..{fit.window[1]}")
+    rows.append(f"prefactor,{_fmt(fit.prefactor)},npoints={fit.npoints}")
     _write_table(
         args.out, _config_dict(args, "return-law"),
         ["n", "prob", "n32_prob"], rows,
@@ -150,7 +150,7 @@ def cmd_lll(parser: _Parser, args) -> int:
         dn = stable_laws.self_convolve(base, n)
         rep = stable_laws.lll_error(dn, target, n)
         errors.append(rep.sup_error)
-        rows.append((n, _fmt(rep.sup_error), rep.argmax_point, _fmt(n * rep.prob_at_zero)))
+        rows.append(f"{n},{_fmt(rep.sup_error)},{rep.argmax_point},{_fmt(n * rep.prob_at_zero)}")
     _write_table(
         args.out, _config_dict(args, "lll"),
         ["n", "sup_error", "argmax_k", "n_times_p0"], rows,
@@ -182,7 +182,7 @@ def cmd_classify(parser: _Parser, args) -> int:
         "reports": [r.to_json_dict() for r in reports],
     }
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    args.out.write_text(json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n")
     log.info("classify finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
     for r in reports:
         width = r.ci[1] - r.ci[0]
@@ -226,12 +226,12 @@ def cmd_green(parser: _Parser, args) -> int:
     for method, est in (("auxiliary", aux), ("direct", direct), ("auxiliary-capped", aux_capped)):
         for cp, (mean, se) in sorted(est.checkpoint_stats.items()):
             rows.append(
-                (method, cp, _fmt(mean), _fmt(se), _fmt(est.exhausted / est.nsamples))
+                f"{method},{cp},{_fmt(mean)},{_fmt(se)},{_fmt(est.exhausted / est.nsamples)}"
             )
     for a, b in zip(schedule, schedule[1:]):
-        rows.append(("growth-ratio", f"{a}->{b}", _fmt(aux.value(b) / aux.value(a)), "", ""))
+        rows.append(f"growth-ratio,{a}->{b},{_fmt(aux.value(b) / aux.value(a))},,")
     gap, sigma = branched_walk.cross_method_gap(direct, aux_capped, n_direct)
-    rows.append(("cross-method-gap", n_direct, _fmt(gap), _fmt(sigma), ""))
+    rows.append(f"cross-method-gap,{n_direct},{_fmt(gap)},{_fmt(sigma)},")
     _write_table(
         args.out, _config_dict(args, "green"),
         ["method", "n", "value", "stderr", "exhausted_frac"], rows,

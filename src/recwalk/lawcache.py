@@ -1,6 +1,6 @@
 """CSV cache for computed laws.
 
-One law per file: a header line (kind, param, truncation) followed by
+One law per file: a header line (kind, parameters) followed by
 (index, probability) rows.  Every number is printed with the fewest
 digits that read back to the same 80-bit value, so a loaded law equals
 the law that was saved, bit for bit.  Files are keyed by the law
@@ -16,8 +16,9 @@ import numpy as np
 
 from .return_laws import LONG, ReturnPositionLaw, return_position_law
 
-#: version 1 printed 18 digits, too few to read back exactly, and is refused
-FORMAT_VERSION = "recwalk-law-2"
+#: version 1 printed 18 digits, too few to read back exactly, and version 2
+#: repeated the error bound as a third header field; both are refused
+FORMAT_VERSION = "recwalk-law-3"
 
 
 class CacheCorruptionError(ValueError):
@@ -45,7 +46,7 @@ def save_position_law(law: ReturnPositionLaw, cache_dir) -> Path:
         f"lmax={law.lmax};kmax={law.kmax};ktail={int(law.k_tail_completed)};"
         f"err={_fmt(law.error_bound)};tail={_fmt(law.tail_mass)};v={FORMAT_VERSION}"
     )
-    lines = [f"return-position,{param},{_fmt(law.error_bound)}"]
+    lines = [f"return-position,{param}"]
     for t, p in enumerate(law.values):
         lines.append(f"{2 * t},{_fmt(p)}")
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -62,7 +63,7 @@ def load_position_law(path) -> ReturnPositionLaw:
     path = Path(path)
     try:
         lines = path.read_text().strip().splitlines()
-        kind, param, _trunc = lines[0].split(",")
+        kind, param = lines[0].split(",")
         if kind != "return-position":
             raise ValueError(f"unexpected law kind {kind!r}")
         fields = dict(kv.split("=", 1) for kv in param.split(";"))

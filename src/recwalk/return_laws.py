@@ -305,14 +305,13 @@ def _k_tail_completion(kmax: int, ls: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass
 class TailFunctional:
-    """m * P(pos >= m) split into the in-window sum and the completed tail."""
+    """m * P(pos >= m), with the part that the completed tail beyond the
+    window contributes and the certified truncation error."""
 
     m: int
     value: float
-    in_window: float
     completion: float
     certified_error: float
-    sigma_fit: float
 
 
 #: largest share of the tail functional's value that its certified error may be
@@ -348,7 +347,7 @@ def tail_functional(law: ReturnPositionLaw, m: int) -> TailFunctional:
             f"{MAX_CERTIFIED_FRACTION:.0%} of the value {value:.3g}; "
             "recompute the law with a larger kmax"
         )
-    return TailFunctional(m, value, m * in_window, m * completion, certified, sigma)
+    return TailFunctional(m, value, m * completion, certified)
 
 
 def _inverse_square_tail(t: int) -> float:

@@ -1,11 +1,9 @@
 """Stable-law numerics on integer lattices.
 
-Covers the two limit families exercised by the experiments: the Gaussian
-(exponent 2) and the symmetric exponent-1 law with density
-g(s) = scale / (pi (s^2 + scale^2)).  Provides dense float
-self-convolution of lattice laws with leak accounting, the local-limit error
-functional sup_k |B_n/h P(Z_n = an + kh) - g((an + kh)/B_n)|, and a
-lattice lower-bound check on n P(Z_n = 0).
+The limit law of the experiments is the symmetric exponent-1 law with
+density g(s) = scale / (pi (s^2 + scale^2)).  Provides dense float
+self-convolution of lattice laws with leak accounting and the local-limit
+error functional sup_k |B_n/h P(Z_n = an + kh) - g((an + kh)/B_n)|.
 """
 
 from __future__ import annotations
@@ -13,7 +11,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -26,11 +24,6 @@ def cauchy_density(s, scale: float = 1.0):
     """Density scale / (pi (s^2 + scale^2)); the standard form at scale 1.
     Elementwise on arrays."""
     return scale / (math.pi * (s * s + scale * scale))
-
-
-def gaussian_density(s):
-    """Standard normal density, elementwise on arrays."""
-    return np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
 
 
 @dataclass(frozen=True)
@@ -48,11 +41,6 @@ class StableTarget:
     def cauchy(cls, scale: float = 1.0) -> "StableTarget":
         """Exponent-1 target with B_n = n, for sums on the even lattice 2Z."""
         return cls(lambda s: cauchy_density(s, scale), 2, 0, lambda n: float(n))
-
-    @classmethod
-    def gaussian(cls, span: int = 2, offset: int = 1) -> "StableTarget":
-        """Exponent-2 target with B_n = sqrt(n), for +-1 step sums."""
-        return cls(gaussian_density, span, offset, lambda n: math.sqrt(n))
 
 
 # ---------------------------------------------------------------------------
@@ -219,28 +207,3 @@ def _density_range(g: Callable[[float], float], floor: float) -> tuple[float, fl
         if s > 1e12:
             break
     return (-s, s)
-
-
-@dataclass
-class LowerBoundReport:
-    """Check of n P(Z_n = 0) >= a_const across a family of n."""
-
-    values: dict[int, float]
-    a_const: float
-    n_threshold: int
-    passed: bool
-
-
-def lower_bound_check(
-    dns: Mapping[int, LatticeLaw], a_const: float, n_threshold: int | None = None
-) -> LowerBoundReport:
-    """Verify the lattice lower bound n P(Z_n = 0) >= a_const for all
-    computed n past the threshold."""
-    values = {n: n * d.prob(0) for n, d in sorted(dns.items())}
-    if n_threshold is None:
-        n_threshold = min(values)
-    tested = {n: v for n, v in values.items() if n >= n_threshold}
-    if not tested:
-        raise ValueError("no computed n at or beyond the threshold")
-    passed = all(v >= a_const for v in tested.values())
-    return LowerBoundReport(values, a_const, n_threshold, passed)

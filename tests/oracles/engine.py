@@ -2,21 +2,20 @@
 
 Exact one-step push-forward with explicit truncation accounting, seeded
 trajectory sampling and the empirical laws drawn from it (the step-level
-oracle for the event-driven walks), return-time observables, and the
-Wilson score interval.  Everything that takes a seed is a pure function
-of its arguments.
+oracle for the event-driven walks), and return-time observables.
+Everything that takes a seed is a pure function of its arguments.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .rng import WALK_LANE, stream
+from recwalk.rng import WALK_LANE, stream
+
 from .spaces import Generator, StepMeasure
 
 Action = Callable[[Generator, object], object]
@@ -198,20 +197,6 @@ def observe_returns(
             if len(times) >= max_returns:
                 break
     return ReturnObservables(times, positions, len(times))
-
-
-def wilson_interval(hits: int, n: int) -> tuple[float, float]:
-    """95% Wilson score interval; stable for small counts, unlike the Wald form."""
-    if n <= 0:
-        raise ValueError("n must be >= 1")
-    z = 1.959963984540054  # the two-sided 95% normal quantile
-    phat = hits / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    lo = 0.0 if hits == 0 else max(0.0, center - half)
-    hi = 1.0 if hits == n else min(1.0, center + half)
-    return (lo, hi)
 
 
 def empirical_distribution(

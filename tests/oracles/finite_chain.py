@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class FiniteChain:
@@ -36,6 +38,21 @@ class FiniteChain:
     @classmethod
     def from_lists(cls, rows) -> "FiniteChain":
         return cls(tuple(tuple(Fraction(p) for p in row) for row in rows))
+
+
+def random_chain(rng: np.random.Generator, nmax: int = 6) -> FiniteChain:
+    """Random rational row-stochastic matrix, zeros included so reducible
+    and absorbing structures appear."""
+    n = int(rng.integers(2, nmax + 1))
+    rows = []
+    for _ in range(n):
+        while True:
+            raw = rng.integers(0, 5, size=n)
+            if raw.sum() > 0:
+                break
+        total = int(raw.sum())
+        rows.append([Fraction(int(x), total) for x in raw])
+    return FiniteChain.from_lists(rows)
 
 
 def green_partial_sums(chain: FiniteChain, z: int, y: int, nmax: int) -> list[Fraction]:

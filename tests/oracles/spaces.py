@@ -1,18 +1,18 @@
-"""State spaces and generator actions for three related random walks.
+"""Generator actions on the three spaces of the walks, and step measures.
 
 Three spaces share the generator alphabet {a, b, b^-1, c, c^-1}:
 
 * the integer line, where b and c step right and their inverses left;
 * the diagonal lattice {(s, t) : s + t even}, translated along its two
   diagonals by b, b^-1, c, c^-1;
-* a branched space assembled from a two-sided tail ray, a one-sided inlet
-  ray and a copy of the diagonal lattice, glued at two junction points.
-  b and c swap the junctions, while a drifts rightward along both rays,
-  jumps from the inlet end onto the lattice, and translates one lattice
-  half-axis.
+* the branched space of `recwalk.branched_walk`, assembled from a
+  two-sided tail ray, a one-sided inlet ray and a copy of the diagonal
+  lattice, glued at two junction points.  b and c swap the junctions,
+  while a drifts rightward along both rays, jumps from the inlet end onto
+  the lattice, and translates one lattice half-axis.
 
-The branched space is the interesting one: the long-run return behaviour
-of the walk depends on where it starts.
+Together with `oracles.engine` these give the step-level walk that the
+event-driven walks of `recwalk.branched_walk` are tested against.
 """
 
 from __future__ import annotations
@@ -20,7 +20,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable
+
+from recwalk.branched_walk import (
+    INLET_JUNCTION,
+    LATTICE_ORIGIN,
+    TAIL_JUNCTION,
+    BranchedState,
+    Inlet,
+    Lattice,
+    Tail,
+)
 
 
 class Generator(Enum):
@@ -50,48 +60,6 @@ _INVERSE = {
 # i is the coordinate transverse to the translated half-axis, j runs along it.
 _DI = {Generator.B: 1, Generator.BINV: -1, Generator.C: 1, Generator.CINV: -1}
 _DJ = {Generator.B: 1, Generator.BINV: -1, Generator.C: -1, Generator.CINV: 1}
-
-
-@dataclass(frozen=True, slots=True)
-class Tail:
-    """Point of the two-sided ray; k = 0 is the tail-side junction."""
-
-    k: int
-
-
-@dataclass(frozen=True, slots=True)
-class Inlet:
-    """Point of the one-sided ray; k <= 0, with k = 0 the inlet-side junction."""
-
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.k > 0:
-            raise ValueError(f"inlet index must be <= 0, got {self.k}")
-
-
-@dataclass(frozen=True, slots=True)
-class Lattice:
-    """Lattice point with even coordinate sum.
-
-    The translated half-axis is {i = 0, j >= 0}: i is the transverse
-    coordinate whose returns to 0 are tracked, j the coordinate observed
-    (and shifted by a) at those returns.
-    """
-
-    i: int
-    j: int
-
-    def __post_init__(self) -> None:
-        if (self.i + self.j) % 2 != 0:
-            raise ValueError(f"lattice point ({self.i}, {self.j}) has odd coordinate sum")
-
-
-BranchedState = Union[Tail, Inlet, Lattice]
-
-LATTICE_ORIGIN = Lattice(0, 0)
-TAIL_JUNCTION = Tail(0)
-INLET_JUNCTION = Inlet(0)
 
 
 def branched_apply(g: Generator, s: BranchedState) -> BranchedState:
@@ -182,25 +150,6 @@ def uniform_diagonal() -> StepMeasure:
     w = Fraction(1, 4)
     gens = (Generator.B, Generator.BINV, Generator.C, Generator.CINV)
     return StepMeasure(tuple((g, w) for g in gens))
-
-
-def state_id(s: BranchedState) -> str:
-    """Stable text id, e.g. 'tail(0)', 'inlet(-3)', 'lattice(0,2)'."""
-    if isinstance(s, Tail):
-        return f"tail({s.k})"
-    if isinstance(s, Inlet):
-        return f"inlet({s.k})"
-    return f"lattice({s.i},{s.j})"
-
-
-def standard_points() -> dict[str, BranchedState]:
-    """The six reference starting points, keyed by their state ids.
-
-    The two probe points sit 3 steps left of the junctions on their rays;
-    the distance is a presentation choice and changes no verdict.
-    """
-    points = (LATTICE_ORIGIN, Tail(1), TAIL_JUNCTION, INLET_JUNCTION, Tail(-3), Inlet(-3))
-    return {state_id(p): p for p in points}
 
 
 def ball(

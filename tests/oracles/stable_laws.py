@@ -1,0 +1,68 @@
+"""Stable-law oracles: the Gaussian target, the lattice lower bound on
+n P(Z_n = 0), and the dense local-limit error that `lll_error` must equal."""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Mapping
+
+import numpy as np
+
+from recwalk.stable_laws import LatticeLaw, LLTError, StableTarget, _density_range
+
+
+def gaussian_density(s):
+    """Standard normal density, elementwise on arrays."""
+    return np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
+
+
+def gaussian_target(span: int = 2, offset: int = 1) -> StableTarget:
+    """Exponent-2 target with B_n = sqrt(n), for +-1 step sums."""
+    return StableTarget(gaussian_density, span, offset, lambda n: math.sqrt(n))
+
+
+def dense_lll_error(dn: LatticeLaw, target: StableTarget, n: int, floor: float = 1e-9) -> LLTError:
+    """Oracle for lll_error: the error on every lattice point from the
+    support out to where the density drops below the floor, with
+    probability zero off the support, and the first point on ties."""
+    h, a = target.span, target.offset
+    bn = target.norming(n)
+    base = a * n
+    support = dn.lo + dn.span * np.arange(len(dn.entries), dtype=np.int64)
+    assert not np.any((support - base) % h)
+    s_floor = _density_range(target.density, floor)
+    lo = min(dn.lo, base + h * math.floor((s_floor[0] * bn) / h))
+    hi = max(dn.hi, base + h * math.ceil((s_floor[1] * bn) / h))
+    pts = np.arange(lo, hi + 1, h, dtype=np.int64)
+    probs = np.zeros(len(pts))
+    probs[(support - lo) // h] = dn.entries
+    err = np.abs(bn / h * probs - target.density(pts / bn))
+    i = int(np.argmax(err))
+    sup = float(err[i])
+    return LLTError(n, sup, int(pts[i]), dn.prob(0), dn.leaked * bn / h > 0.1 * sup)
+
+
+@dataclass
+class LowerBoundReport:
+    """Check of n P(Z_n = 0) >= a_const across a family of n."""
+
+    values: dict[int, float]
+    a_const: float
+    n_threshold: int
+    passed: bool
+
+
+def lower_bound_check(
+    dns: Mapping[int, LatticeLaw], a_const: float, n_threshold: int | None = None
+) -> LowerBoundReport:
+    """Verify the lattice lower bound n P(Z_n = 0) >= a_const for all
+    computed n past the threshold."""
+    values = {n: n * d.prob(0) for n, d in sorted(dns.items())}
+    if n_threshold is None:
+        n_threshold = min(values)
+    tested = {n: v for n, v in values.items() if n >= n_threshold}
+    if not tested:
+        raise ValueError("no computed n at or beyond the threshold")
+    passed = all(v >= a_const for v in tested.values())
+    return LowerBoundReport(values, a_const, n_threshold, passed)

@@ -14,17 +14,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles.finite_chain import random_chain, verify_equivalences
+from oracles.return_laws import enumerate_first_returns
+from oracles.shift_law import excursion_shift_law, large_deviation_check, shift_sum_tail_exact
+from oracles.stable_laws import dense_lll_error, lower_bound_check
 from recwalk.cli import main
 from recwalk.branched_walk import (
+    Inlet,
+    Tail,
     absorption_probabilities,
     classify_standard_points,
     cross_method_gap,
-    excursion_shift_law,
-    large_deviation_check,
-    shift_sum_tail_exact,
     shifted_green_sum,
 )
-from recwalk.finite_chain import verify_equivalences
 from recwalk.return_laws import (
     first_return_law,
     fit_tail_exponent,
@@ -32,17 +34,12 @@ from recwalk.return_laws import (
     tail_limit,
 )
 from recwalk.rng import DEFAULT_SEED
-from recwalk.spaces import Inlet, Tail
 from recwalk.stable_laws import (
     LatticeLaw,
     StableTarget,
     lll_error,
-    lower_bound_check,
     self_convolve,
 )
-from test_finite_chain import random_chain
-from test_return_laws import enumerate_first_returns
-from test_stable_laws import dense_lll_error
 
 F = Fraction
 

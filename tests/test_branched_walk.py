@@ -7,23 +7,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles.engine import SparseDist, iterate_push_forward, observe_returns, sample_path
+from oracles.shift_law import (
+    excursion_shift_law,
+    first_term_exact,
+    large_deviation_check,
+    shift_sum_tail_exact,
+)
+from oracles.spaces import Generator, branched_apply, uniform_five
 from recwalk import branched_walk
 from recwalk.branched_walk import (
     CLASSIFY_BLOCK,
+    Inlet,
+    Lattice,
+    Tail,
     absorption_probabilities,
     classify_point,
     classify_standard_points,
     cross_method_gap,
     enters_lattice,
-    excursion_shift_law,
-    first_term_exact,
-    large_deviation_check,
-    shift_sum_tail_exact,
     shifted_green_sum,
 )
-from recwalk.engine import SparseDist, iterate_push_forward, observe_returns, sample_path
 from recwalk.rng import DIRECT_LANE, SHIFT_LANE, stream
-from recwalk.spaces import Generator, Inlet, Lattice, Tail, branched_apply, uniform_five
 
 F = Fraction
 

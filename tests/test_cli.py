@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -72,9 +73,19 @@ class TestLawCache:
         law = return_position_law(100, 10_000)
         path = save_position_law(law, tmp_path)
         lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:20]) + "\n")
-        with pytest.raises(CacheCorruptionError, match="delete"):
-            load_position_law(path)
+        for damaged in (lines[:20], version_2(lines)):
+            path.write_text("\n".join(damaged) + "\n")
+            with pytest.raises(CacheCorruptionError, match="delete"):
+                load_position_law(path)
+
+
+def version_2(lines: list[str]) -> list[str]:
+    """A cache file's lines in the version 2 layout, which repeated the
+    error bound as a third header field."""
+    kind, param = lines[0].split(",")[:2]
+    param = re.sub(r"v=recwalk-law-\d+", "v=recwalk-law-2", param)
+    err = dict(kv.split("=", 1) for kv in param.split(";"))["err"]
+    return [f"{kind},{param},{err}"] + lines[1:]
 
 
 def run(args):
@@ -267,8 +278,8 @@ class TestLllCommand:
         path = cache / "return_position_L400_K160000.csv"
         text = path.read_text()
         truncated = text[:100]
-        version_1 = text.replace("v=recwalk-law-2", "v=recwalk-law-1")  # the 18-digit format
-        for damaged in (truncated, version_1):
+        version_1 = re.sub(r"v=recwalk-law-\d+", "v=recwalk-law-1", text)  # the 18-digit format
+        for damaged in (truncated, version_1, "\n".join(version_2(text.splitlines())) + "\n"):
             path.write_text(damaged)
             capsys.readouterr()
             with pytest.raises(SystemExit) as exc:
@@ -333,14 +344,19 @@ class TestGreenCommand:
 
 
 def test_package_imports_without_scipy():
-    # scipy is a test oracle only, and the package re-exports nothing, so
-    # importing the command line loads neither scipy nor finite_chain
+    # the package is what the commands run: importing the command line loads
+    # every recwalk module, and neither scipy nor the test oracles, which are
+    # importable here so that a stray import would show
     code = (
-        "import sys, recwalk.cli; print([m for m in sys.modules"
-        " if m.startswith('scipy') or m == 'recwalk.finite_chain'])"
+        "import pkgutil, sys, recwalk.cli\n"
+        "print(sorted(m.name for m in pkgutil.iter_modules(recwalk.__path__)"
+        " if f'recwalk.{m.name}' not in sys.modules))\n"
+        "print([m for m in sys.modules"
+        " if m.startswith('scipy') or m.partition('.')[0] == 'oracles'])"
     )
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(recwalk.__file__))}
+    path = [os.path.dirname(os.path.dirname(recwalk.__file__)), os.path.dirname(__file__)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from recwalk.engine import (
+from oracles.engine import (
     SparseDist,
     empirical_distribution,
     iterate_push_forward,
@@ -12,19 +12,16 @@ from recwalk.engine import (
     push_forward,
     sample_path,
     total_variation,
-    wilson_interval,
 )
-from recwalk.spaces import (
+from oracles.spaces import (
     Generator,
-    Inlet,
-    Lattice,
-    Tail,
     branched_apply,
     diagonal_apply,
     line_apply,
     uniform_diagonal,
     uniform_five,
 )
+from recwalk.branched_walk import Inlet, Lattice, Tail, wilson_interval
 
 A, B, BINV, C, CINV = Generator.A, Generator.B, Generator.BINV, Generator.C, Generator.CINV
 
@@ -104,7 +101,7 @@ class TestSamplePath:
 
 class TestObserveReturns:
     def test_alternating_trajectory(self):
-        from recwalk.engine import Trajectory
+        from oracles.engine import Trajectory
 
         t = Trajectory(
             start=0,

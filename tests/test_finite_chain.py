@@ -3,12 +3,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from recwalk.finite_chain import (
+from oracles.finite_chain import (
     FiniteChain,
     expected_visits,
     first_return_probability,
     green_partial_sums,
     hit_probability,
+    random_chain,
     verify_equivalences,
     visits_at_least,
 )
@@ -21,21 +22,6 @@ HALF_ABSORBING = FiniteChain.from_lists([[F(1, 2), F(1, 2)], [0, 1]])
 DOUBLY_STOCHASTIC = FiniteChain.from_lists(
     [[F(1, 2), F(1, 4), F(1, 4)], [F(1, 4), F(1, 2), F(1, 4)], [F(1, 4), F(1, 4), F(1, 2)]]
 )
-
-
-def random_chain(rng: np.random.Generator, nmax: int = 6) -> FiniteChain:
-    """Random rational row-stochastic matrix, zeros included so reducible
-    and absorbing structures appear."""
-    n = int(rng.integers(2, nmax + 1))
-    rows = []
-    for _ in range(n):
-        while True:
-            raw = rng.integers(0, 5, size=n)
-            if raw.sum() > 0:
-                break
-        total = int(raw.sum())
-        rows.append([F(int(x), total) for x in raw])
-    return FiniteChain.from_lists(rows)
 
 
 class TestValidation:

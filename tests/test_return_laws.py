@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, polygamma
 
+from oracles.return_laws import enumerate_first_returns
 from recwalk import return_laws
 from recwalk.return_laws import (
     LONG,
@@ -31,22 +32,6 @@ from recwalk.return_laws import (
     tail_limit,
 )
 from recwalk.rng import RETURN_LANE, stream
-
-
-def enumerate_first_returns(nmax: int) -> dict[int, Fraction]:
-    """Brute-force oracle: walk every sign path of length nmax and record
-    the first time its prefix sums return to zero."""
-    n = nmax
-    bits = np.arange(1 << n, dtype=np.uint32)
-    steps = np.where((bits[:, None] >> np.arange(n)) & 1, 1, -1)
-    prefix = np.cumsum(steps, axis=1)
-    first_zero = np.full(len(bits), -1)
-    for t in range(n - 1, -1, -1):
-        first_zero = np.where(prefix[:, t] == 0, t + 1, first_zero)
-    counts = {}
-    for t in range(2, n + 1, 2):
-        counts[t] = Fraction(int((first_zero == t).sum()), 1 << n)
-    return counts
 
 
 # closed forms for the return-position law, derived via the elementary

@@ -3,20 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from recwalk.spaces import (
+from oracles.spaces import (
     Generator,
-    Inlet,
-    Lattice,
     StepMeasure,
-    Tail,
     ball,
     branched_apply,
     diagonal_apply,
     line_apply,
-    standard_points,
     uniform_diagonal,
     uniform_five,
 )
+from recwalk.branched_walk import Inlet, Lattice, Tail, standard_points
 
 A, B, BINV, C, CINV = Generator.A, Generator.B, Generator.BINV, Generator.C, Generator.CINV
 

@@ -7,43 +7,24 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import recwalk.stable_laws as sl
+from oracles.stable_laws import (
+    dense_lll_error,
+    gaussian_density,
+    gaussian_target,
+    lower_bound_check,
+)
 from recwalk.stable_laws import (
     LatticeLaw,
-    LLTError,
     StableTarget,
-    _density_range,
     cauchy_density,
     convolve_dists,
-    gaussian_density,
     lll_error,
-    lower_bound_check,
     self_convolve,
 )
 
 
 def pm_one() -> LatticeLaw:
     return LatticeLaw(-1, 2, np.array([0.5, 0.5]))
-
-
-def dense_lll_error(dn: LatticeLaw, target: StableTarget, n: int, floor: float = 1e-9) -> LLTError:
-    """Oracle for lll_error: the error on every lattice point from the
-    support out to where the density drops below the floor, with
-    probability zero off the support, and the first point on ties."""
-    h, a = target.span, target.offset
-    bn = target.norming(n)
-    base = a * n
-    support = dn.lo + dn.span * np.arange(len(dn.entries), dtype=np.int64)
-    assert not np.any((support - base) % h)
-    s_floor = _density_range(target.density, floor)
-    lo = min(dn.lo, base + h * math.floor((s_floor[0] * bn) / h))
-    hi = max(dn.hi, base + h * math.ceil((s_floor[1] * bn) / h))
-    pts = np.arange(lo, hi + 1, h, dtype=np.int64)
-    probs = np.zeros(len(pts))
-    probs[(support - lo) // h] = dn.entries
-    err = np.abs(bn / h * probs - target.density(pts / bn))
-    i = int(np.argmax(err))
-    sup = float(err[i])
-    return LLTError(n, sup, int(pts[i]), dn.prob(0), dn.leaked * bn / h > 0.1 * sup)
 
 
 def sequential_fold(d: LatticeLaw, n: int) -> LatticeLaw:
@@ -71,7 +52,7 @@ class TestDensities:
             assert cauchy_density(s) == cauchy_density(-s)
 
     def test_normalization(self):
-        targets = (StableTarget.cauchy(), StableTarget.cauchy(scale=1.7), StableTarget.gaussian())
+        targets = (StableTarget.cauchy(), StableTarget.cauchy(scale=1.7), gaussian_target())
         for target in targets:
             val, _ = quad(target.density, -np.inf, np.inf, limit=400)
             assert abs(val - 1.0) < 1e-9
@@ -194,7 +175,7 @@ def lll_cases(draw):
     if draw(st.booleans()):
         target = StableTarget.cauchy(scale=draw(st.sampled_from([0.05, 0.3, 1.0, 3.0])))
     else:
-        target = StableTarget.gaussian()
+        target = gaussian_target()
     weights = np.array(draw(st.lists(st.floats(0, 1), min_size=1, max_size=30)))
     lo = target.offset * n + target.span * draw(st.integers(-40, 40))
     law = LatticeLaw(lo, target.span, weights * 10 ** draw(st.floats(-6, 0)), draw(st.floats(0, 0.5)))
@@ -212,7 +193,7 @@ class TestLLTError:
         # P = 0 at -1 and 1, where the Gaussian density is largest: the sup
         # is g(1) off the support, at the first of the two points
         law = LatticeLaw(5, 2, np.array([1e-6, 1e-6]))
-        target = StableTarget.gaussian()
+        target = gaussian_target()
         rep = lll_error(law, target, 1)
         assert rep == dense_lll_error(law, target, 1)
         assert (rep.argmax_point, rep.sup_error) == (-1, float(gaussian_density(np.array(1.0))))
@@ -228,7 +209,7 @@ class TestLLTError:
         assert rep.argmax_point == 12
 
     def test_binomial_family_monotone(self):
-        target = StableTarget.gaussian(span=2, offset=1)
+        target = gaussian_target(span=2, offset=1)
         errs = []
         for n in (25, 100, 400):
             dn = self_convolve(pm_one(), n)
