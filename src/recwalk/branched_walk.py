@@ -390,11 +390,14 @@ def _auxiliary_returns(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(hit, time) at returns 1..n_returns of auxiliary sample i; the
     times only when `timed`.  Positions and shifts are integers far below
-    2^53, so their float running sum is exact."""
+    2^53, so their float running sum is exact, in any order."""
     r = sample_first_return(stream(seed, i, RETURN_LANE), n_returns)
     z = sample_position_at(stream(seed, i, POSITION_LANE), r)
-    eta = 2.0 * (stream(seed, i, SHIFT_LANE).geometric(0.8, n_returns) - 1.0)
-    return np.cumsum(z + eta) == 0, np.cumsum(r) if timed else None
+    eta = stream(seed, i, SHIFT_LANE).geometric(0.8, n_returns)
+    eta -= 1
+    eta *= 2
+    z += eta
+    return np.cumsum(z, out=z) == 0, np.cumsum(r) if timed else None
 
 
 def _direct_returns(

@@ -12,6 +12,7 @@ contradiction.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import sys
@@ -29,14 +30,15 @@ OUTPUT_FORMAT_VERSION = "recwalk-output-1"
 SLOPE_BAND = (-1.55, -1.45)
 ZERO_MASS_BAND = (0.55, 0.72)
 DEFAULT_CACHE_DIR = "recwalk-cache"
-#: largest `return-law --n-max`; the law and its rows are held in memory,
-#: and n_max = 2*10^6 already takes seconds and hundreds of MB
+#: largest `return-law --n-max`; the law is held in memory and its rows
+#: are written in chunks, and n_max = 2*10^6 already takes seconds
 MAX_RETURN_TIME = 2_000_000
 #: largest `green --schedule` entry; each estimate holds arrays of this
 #: many returns, and 10^7 already takes hundreds of MB
 MAX_GREEN_RETURNS = 10_000_000
 #: largest `green --samples` and `--direct-samples`; each sample costs about
-#: 170 us per method even at `--schedule 1,2,3`, so 10^6 already takes minutes
+#: 0.1 ms per method even at `--schedule 1,2,3` (60-100 us auxiliary, 100-115 us
+#: direct on a 2-core x86 VM), so 10^6 already takes minutes
 MAX_GREEN_SAMPLES = 1_000_000
 
 
@@ -67,17 +69,23 @@ def _config_dict(args, command: str) -> dict:
     return cfg
 
 
-def _write_table(path: Path, config: dict, columns: list[str], lines: list[str]) -> None:
-    """Write the header and the already formatted CSV lines in one join."""
-    text = "\n".join([
-        f"# {OUTPUT_FORMAT_VERSION}",
-        "# config: " + json.dumps(config, sort_keys=True, default=str),
-        ",".join(columns),
-        *lines,
-        "",
-    ])
+#: rows that _write_table joins and writes at once
+_WRITE_CHUNK = 1 << 14
+
+
+def _write_table(path: Path, config: dict, columns: list[str], rows) -> None:
+    """Write the header, then the already formatted CSV rows, an iterable,
+    joined and written _WRITE_CHUNK at a time, so that a long table is
+    never held whole."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    rows = iter(rows)
+    with open(path, "w") as f:
+        f.write(f"# {OUTPUT_FORMAT_VERSION}\n")
+        f.write("# config: " + json.dumps(config, sort_keys=True, default=str) + "\n")
+        f.write(",".join(columns) + "\n")
+        while chunk := list(itertools.islice(rows, _WRITE_CHUNK)):
+            chunk.append("")
+            f.write("\n".join(chunk))
 
 
 def _even(parser: _Parser, value: int, name: str) -> int:
@@ -99,21 +107,30 @@ def cmd_return_law(parser: _Parser, args) -> int:
         parser.error("--n-max must be >= 118 to fit the tail exponent")
     t0 = time.perf_counter()
     law = return_laws.first_return_law(nmax)
-    ns, ps = law.arrays()
-    # n**1.5 by Python's pow: numpy's SIMD power differs in the last bit
-    rows = [f"{n},{_fmt(p)},{_fmt(p * n**1.5)}" for n, p in zip(ns.tolist(), ps.tolist())]
     fit = return_laws.fit_tail_exponent(law, m_lo, m_hi)
-    rows.append(f"slope,{_fmt(fit.slope)},window={fit.window[0]}..{fit.window[1]}")
-    rows.append(f"prefactor,{_fmt(fit.prefactor)},npoints={fit.npoints}")
+    fit_rows = [
+        f"slope,{_fmt(fit.slope)},window={fit.window[0]}..{fit.window[1]}",
+        f"prefactor,{_fmt(fit.prefactor)},npoints={fit.npoints}",
+    ]
     _write_table(
         args.out, _config_dict(args, "return-law"),
-        ["n", "prob", "n32_prob"], rows,
+        ["n", "prob", "n32_prob"], itertools.chain(_law_rows(law), fit_rows),
     )
     log.info("return-law finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
     if not SLOPE_BAND[0] <= fit.slope <= SLOPE_BAND[1]:
         log.error("fitted slope %.4f outside %s", fit.slope, SLOPE_BAND)
         return 2
     return 0
+
+
+def _law_rows(law: return_laws.ReturnTimeLaw):
+    """The rows n, P(return = n), n^(3/2) P(return = n), made _WRITE_CHUNK
+    at a time."""
+    ns, ps = law.arrays()
+    for lo in range(0, len(ns), _WRITE_CHUNK):
+        chunk = zip(ns[lo : lo + _WRITE_CHUNK].tolist(), ps[lo : lo + _WRITE_CHUNK].tolist())
+        # n**1.5 by Python's pow: numpy's SIMD power differs in the last bit
+        yield from (f"{n},{_fmt(p)},{_fmt(p * n**1.5)}" for n, p in chunk)
 
 
 def cmd_lll(parser: _Parser, args) -> int:
@@ -147,8 +164,8 @@ def cmd_lll(parser: _Parser, args) -> int:
     rows = []
     errors = []
     for n in schedule:
-        dn = stable_laws.self_convolve(base, n)
-        rep = stable_laws.lll_error(dn, target, n)
+        # the n-fold law is dropped before the next one is built
+        rep = stable_laws.lll_error(stable_laws.self_convolve(base, n), target, n)
         errors.append(rep.sup_error)
         rows.append(f"{n},{_fmt(rep.sup_error)},{rep.argmax_point},{_fmt(n * rep.prob_at_zero)}")
     _write_table(

@@ -44,10 +44,24 @@ def first_return_prob_exact(n: int) -> Fraction:
     return Fraction(math.comb(2 * m, m), (2 * m - 1) * 4**m)
 
 
-def _survival_series(mmax: int) -> np.ndarray:
-    """u[m-1] = P(no return by time 2m) = C(2m, m) / 4^m for m = 1..mmax."""
-    m = np.arange(1, mmax + 1, dtype=LONG)
-    return np.cumprod((2 * m - 1) / (2 * m))
+#: entries of the running product that _survival_blocks holds at once (64 KB)
+_SURVIVAL_BLOCK = 1 << 12
+
+
+def _survival_blocks(mmax: int):
+    """u[m-1] = P(no return by time 2m) = C(2m, m) / 4^m for m = 1..mmax,
+    as the 80-bit running product of (2m - 1) / 2m, yielded as (m, u) in
+    consecutive blocks of _SURVIVAL_BLOCK.  Each block's product starts
+    from the previous block's last entry, so the entries are those of one
+    running product over all m."""
+    carry = LONG(1)
+    for lo in range(1, mmax + 1, _SURVIVAL_BLOCK):
+        m = np.arange(lo, min(lo + _SURVIVAL_BLOCK, mmax + 1), dtype=LONG)
+        u = (2 * m - 1) / (2 * m)
+        u[0] *= carry
+        np.cumprod(u, out=u)
+        carry = u[-1]
+        yield m, u
 
 
 #: coefficients of sqrt(pi x) Gamma(x + 1/4) / Gamma(x + 3/4) - 1 in 1/x^2, highest
@@ -117,9 +131,10 @@ def first_return_law(nmax: int) -> ReturnTimeLaw:
     80-bit survival product over 2m - 1, rounded once to float64."""
     if nmax < 2 or nmax % 2 == 1:
         raise ValueError("nmax must be an even integer >= 2")
-    u = _survival_series(nmax // 2)
-    odd = 2 * np.arange(1, nmax // 2 + 1, dtype=LONG) - 1
-    return ReturnTimeLaw((u / odd).astype(np.float64), float(u[-1]), nmax)
+    probs = np.empty(nmax // 2)
+    for m, u in _survival_blocks(nmax // 2):
+        probs[int(m[0]) - 1 : int(m[-1])] = u / (2 * m - 1)
+    return ReturnTimeLaw(probs, float(u[-1]), nmax)
 
 
 @dataclass
@@ -404,8 +419,12 @@ _TABLE_M = 1 << 16
 @functools.cache
 def _survival_table() -> np.ndarray:
     """u_m = C(2m, m) / 4^m for m = 0.._TABLE_M: the 80-bit running product
-    rounded to float64, 512 KB, built on first use."""
-    return np.concatenate(([1.0], _survival_series(_TABLE_M).astype(np.float64)))
+    rounded to float64, 512 KB, built on first use one block at a time."""
+    table = np.empty(_TABLE_M + 1)
+    table[0] = 1.0
+    for m, u in _survival_blocks(_TABLE_M):
+        table[int(m[0]) : int(m[-1]) + 1] = u
+    return table
 
 
 def sample_first_return(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -418,19 +437,35 @@ def sample_first_return(rng: np.random.Generator, n: int) -> np.ndarray:
     in the table of u_m, or two series evaluations for the ~0.2% of draws
     past it.  Values are even and float64: beyond 2^53 the integer grid is
     no longer exact, but such draws occur with probability < 1e-8 each and
-    only their magnitude matters downstream.
+    only their magnitude matters downstream.  The arrays are worked on in
+    place, each operation in the order of the formulas above.
     """
-    w = 1.0 - rng.random(n)
-    c = np.maximum(np.floor(1.0 / (np.pi * w * w) - 0.25), 2.0)
+    w = rng.random(n)
+    np.subtract(1.0, w, out=w)
+    c = np.multiply(np.pi, w)
+    c *= w
+    np.divide(1.0, c, out=c)
+    c -= 0.25
+    np.floor(c, out=c)
+    np.maximum(c, 2.0, out=c)
     k = np.minimum(c, _TABLE_M).astype(np.intp)
     table = _survival_table()
-    u_below, u_at = table[k - 1], table[k]
-    far = c > _TABLE_M
-    if np.any(far):
-        for u, m in ((u_below, c[far] - 1.0), (u_at, c[far])):
-            x = m + 0.25
-            u[far] = _u_series(x) / np.sqrt(np.pi * x)
-    return 2.0 * (c - 1.0 + (u_below > w) + (u_at > w))
+    u_at = table.take(k)
+    k -= 1
+    u_below = table.take(k)
+    far = np.flatnonzero(c > _TABLE_M)
+    if far.size:
+        m = c.take(far)
+        x = np.concatenate((m - 1.0, m))  # both neighbours in one series call
+        x += 0.25
+        u = _u_series(x) / np.sqrt(np.pi * x)
+        u_below[far] = u[: far.size]
+        u_at[far] = u[far.size :]
+    c -= 1.0
+    c += u_below > w
+    c += u_at > w
+    c *= 2.0
+    return c
 
 
 _BINOM_LIMIT = float(1 << 62)
@@ -443,19 +478,28 @@ def sample_position_at(rng: np.random.Generator, lengths: np.ndarray) -> np.ndar
     A walk of r <= 64 steps reads one raw 64-bit word: its top r bits are
     r fair +-1 steps, so the position is 2 popcount - r.  Longer walks draw
     a binomial, and from 2^62 steps on a normal rounded to the lattice of
-    even integers, beyond the integer range of the binomial.
+    even integers, beyond the integer range of the binomial.  The words go
+    into a zero-filled array, so one bit count covers every walk, and the
+    longer walks overwrite their entries afterwards.
     """
-    out = np.empty(len(lengths), dtype=np.float64)
-    short = lengths <= 64
-    r = lengths[short]
-    words = rng.bit_generator.random_raw(len(r))
-    out[short] = 2.0 * np.bitwise_count(words >> (64 - r).astype(np.uint64)) - r
-    mid = ~short & (lengths < _BINOM_LIMIT)
-    if np.any(mid):
-        ns = lengths[mid].astype(np.int64)
-        out[mid] = 2.0 * rng.binomial(ns, 0.5) - ns.astype(np.float64)
-    big = lengths >= _BINOM_LIMIT
-    if np.any(big):
-        ns = lengths[big]
-        out[big] = 2.0 * np.round(np.sqrt(ns) * rng.standard_normal(len(ns)) / 2.0)
+    short = np.flatnonzero(lengths <= 64)
+    shift = lengths.take(short)
+    np.subtract(64.0, shift, out=shift)
+    words = rng.bit_generator.random_raw(short.size)
+    words >>= shift.astype(np.uint64)
+    bits = np.zeros(len(lengths), dtype=np.uint64)
+    bits[short] = words
+    out = np.multiply(np.bitwise_count(bits), 2.0)
+    out -= lengths
+    long = np.flatnonzero(lengths > 64)
+    if long.size:
+        ns = lengths.take(long)
+        mid = ns < _BINOM_LIMIT
+        if mid.any():
+            k = ns[mid].astype(np.int64)
+            out[long[mid]] = 2.0 * rng.binomial(k, 0.5) - k.astype(np.float64)
+        big = ~mid
+        if big.any():
+            k = ns[big]
+            out[long[big]] = 2.0 * np.round(np.sqrt(k) * rng.standard_normal(len(k)) / 2.0)
     return out

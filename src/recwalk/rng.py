@@ -9,6 +9,8 @@ reruns — produce bit-identical results.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _INDEX_LIMIT = 1 << 56
@@ -36,4 +38,31 @@ def stream(seed: int, index: int = 0, lane: int = 0) -> np.random.Generator:
     # a uint64 array, because numpy would pass a Python list holding a
     # value >= 2**63 through float64 and round distinct keys together
     key = np.array([seed, (lane << 56) | index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(_philox_key()(key)))
+
+
+@functools.cache
+def _philox_key() -> type:
+    """A seed sequence that hands Philox its 128-bit key as it is.
+
+    Philox reads its key from `generate_state(2, np.uint64)`, the same two
+    words that `Philox(key=...)` would set, with a zero counter either way.
+    Passing `key=` instead makes Philox build an unused `SeedSequence()`
+    first, which reads OS entropy on every stream.  The class is made on
+    the first stream, so that importing recwalk leaves `numpy.random`
+    unloaded.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        __slots__ = ("key",)
+
+        def __init__(self, key: np.ndarray):
+            self.key = key
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 2 or dtype is not np.uint64:
+                raise ValueError("a Philox key is two 64-bit words")
+            return self.key
+
+    return PhiloxKey

@@ -123,10 +123,18 @@ def self_convolve(d: LatticeLaw, n: int) -> LatticeLaw:
         raise ValueError("n must be >= 1")
     size = n * (len(d.entries) - 1) + 1
     m = transform_length(len(d.entries), n)
-    conv = np.fft.irfft(np.fft.rfft(d.entries, m) ** n, m)[:size]
+    spectrum = np.fft.rfft(d.entries, m)
+    spectrum **= n
+    conv = np.fft.irfft(spectrum, m)[:size]
+    del spectrum
     np.clip(conv, 0.0, None, out=conv)
     if d.is_symmetric():
-        conv = 0.5 * (conv + conv[::-1])
+        # the mean of mirrored entries, written into both halves
+        half = size // 2
+        front, back = conv[:half], conv[::-1][:half]
+        mean = front + back
+        mean *= 0.5
+        front[...] = back[...] = mean
     leaked = max(1.0 - (1.0 - d.leaked) ** n, 1.0 - float(conv.sum()))
     return LatticeLaw(n * d.lo, d.span, conv, leaked)
 
@@ -172,10 +180,7 @@ def lll_error(dn: LatticeLaw, target: StableTarget, n: int) -> LLTError:
     if (dn.lo - base) % h:
         raise ValueError("support does not lie on the stated lattice")
     lo, hi = dn.lo, dn.hi
-    support = lo + h * np.arange(len(dn.entries), dtype=np.int64)
-    err = np.abs(bn / h * dn.entries - target.density(support / bn))
-    i = int(np.argmax(err))
-    best = [(float(err[i]), int(support[i]))]
+    best = [_support_sup(dn.entries, lo, h, bn, target.density)]
     # extend until the density itself drops below the floor
     s_floor = _density_range(target.density, DENSITY_FLOOR)
     left = base + h * math.floor((s_floor[0] * bn) / h)
@@ -197,6 +202,25 @@ def lll_error(dn: LatticeLaw, target: StableTarget, n: int) -> LLTError:
             sup,
         )
     return LLTError(n, sup, point, dn.prob(0), warn)
+
+
+#: support points that lll_error evaluates at once (256 KB per array)
+_SUPPORT_BLOCK = 1 << 15
+
+
+def _support_sup(entries: np.ndarray, lo: int, h: int, bn: float, density) -> tuple[float, int]:
+    """(error, point) of the largest |bn/h P - g(point/bn)| over the support
+    lo, lo + h, ..., evaluated in blocks of _SUPPORT_BLOCK points, with the
+    first point on ties (a nan counts as the largest, as in np.argmax)."""
+    tops = []
+    for start in range(0, len(entries), _SUPPORT_BLOCK):
+        block = entries[start : start + _SUPPORT_BLOCK]
+        points = lo + h * np.arange(start, start + len(block), dtype=np.int64)
+        err = np.abs(bn / h * block - density(points / bn))
+        i = int(np.argmax(err))
+        tops.append((err[i], int(points[i])))
+    i = int(np.argmax([e for e, _ in tops]))
+    return float(tops[i][0]), tops[i][1]
 
 
 def _density_range(g: Callable[[float], float], floor: float) -> tuple[float, float]:

@@ -203,8 +203,6 @@ def expected_visits(chain: FiniteChain, z: int, y: int):
 class EquivalenceReport:
     """Outcome of the cross-checks between the visit-count formulations."""
 
-    z: int
-    y: int
     p_return: Fraction
     p_reach: Fraction
     expected: object  # Fraction or inf
@@ -246,9 +244,7 @@ def verify_equivalences(
     else:
         gap = _extrapolation_gap(chain, z, y, float(expected))
         ok = ok and gap is not None and gap <= tol
-    return EquivalenceReport(
-        z, y, p_return, p_reach, expected, product, direct, mismatches, gap, ok
-    )
+    return EquivalenceReport(p_return, p_reach, expected, product, direct, mismatches, gap, ok)
 
 
 def _extrapolation_gap(chain: FiniteChain, z: int, y: int, target: float) -> float | None:

@@ -1,4 +1,4 @@
-"""Brute-force oracle for the first-return law of the +-1 walk."""
+"""Brute-force oracles for the first-return law of the +-1 walk."""
 
 from __future__ import annotations
 
@@ -21,3 +21,10 @@ def enumerate_first_returns(nmax: int) -> dict[int, Fraction]:
     for t in range(2, n + 1, 2):
         counts[t] = Fraction(int((first_zero == t).sum()), 1 << n)
     return counts
+
+
+def survival_series(mmax: int) -> np.ndarray:
+    """u[m-1] = P(no return by time 2m) = C(2m, m) / 4^m for m = 1..mmax,
+    as one 80-bit running product."""
+    m = np.arange(1, mmax + 1, dtype=np.longdouble)
+    return np.cumprod((2 * m - 1) / (2 * m))

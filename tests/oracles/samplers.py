@@ -1,0 +1,93 @@
+"""The Green-sum samplers and the stream constructor in their one-shot
+form, the bit-identity oracles for the in-place versions in `recwalk`.
+
+`sample_first_return`, `sample_position_at` and `survival_table` read
+fresh arrays through boolean masks and build the 2^16-entry table from one
+80-bit product over all of it; `stream` keys Philox through `key=`.  The
+`recwalk` versions must return the same arrays and the same streams.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import numpy as np
+
+from recwalk.return_laws import _BINOM_LIMIT, _TABLE_M, _u_series
+
+from .return_laws import survival_series
+
+_INDEX_LIMIT = 1 << 56
+
+
+def stream(seed: int, index: int = 0, lane: int = 0) -> np.random.Generator:
+    """Independent generator for one (seed, lane, sample-index) triple.
+
+    The key is the seed, which must lie in [0, 2**64), and a word packing
+    the lane into the top 8 bits and the index into the low 56, so index
+    must lie in [0, 2**56) and lane in [0, 256); anything else would alias
+    another key and is rejected.
+    """
+    if not (0 <= seed < 1 << 64 and 0 <= index < _INDEX_LIMIT and 0 <= lane < 256):
+        raise ValueError(f"stream key out of range: seed {seed}, index {index}, lane {lane}")
+    # a uint64 array, because numpy would pass a Python list holding a
+    # value >= 2**63 through float64 and round distinct keys together
+    key = np.array([seed, (lane << 56) | index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@functools.cache
+def survival_table() -> np.ndarray:
+    """u_m = C(2m, m) / 4^m for m = 0.._TABLE_M: the 80-bit running product
+    rounded to float64, 512 KB, built on first use."""
+    return np.concatenate(([1.0], survival_series(_TABLE_M).astype(np.float64)))
+
+
+def sample_first_return(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw n first-return times by inversion of the survival function.
+
+    With w = 1 - U in (0, 1], the time is 2m for the least m >= 1 with
+    u_m <= w.  Since u_m = (1 - 1/(64 x^2) + O(x^-4)) / sqrt(pi x) at
+    x = m + 1/4, the guess c = floor(1 / (pi w^2) - 1/4), raised to 2, is
+    within one of m, so m = c - 1 + [u_(c-1) > w] + [u_c > w]: two lookups
+    in the table of u_m, or two series evaluations for the ~0.2% of draws
+    past it.  Values are even and float64: beyond 2^53 the integer grid is
+    no longer exact, but such draws occur with probability < 1e-8 each and
+    only their magnitude matters downstream.
+    """
+    w = 1.0 - rng.random(n)
+    c = np.maximum(np.floor(1.0 / (np.pi * w * w) - 0.25), 2.0)
+    k = np.minimum(c, _TABLE_M).astype(np.intp)
+    table = survival_table()
+    u_below, u_at = table[k - 1], table[k]
+    far = c > _TABLE_M
+    if np.any(far):
+        for u, m in ((u_below, c[far] - 1.0), (u_at, c[far])):
+            x = m + 0.25
+            u[far] = _u_series(x) / np.sqrt(np.pi * x)
+    return 2.0 * (c - 1.0 + (u_below > w) + (u_at > w))
+
+
+def sample_position_at(rng: np.random.Generator, lengths: np.ndarray) -> np.ndarray:
+    """Position of an independent +-1 walk after each of the given numbers
+    of steps, exact in law below 2^62 steps.
+
+    A walk of r <= 64 steps reads one raw 64-bit word: its top r bits are
+    r fair +-1 steps, so the position is 2 popcount - r.  Longer walks draw
+    a binomial, and from 2^62 steps on a normal rounded to the lattice of
+    even integers, beyond the integer range of the binomial.
+    """
+    out = np.empty(len(lengths), dtype=np.float64)
+    short = lengths <= 64
+    r = lengths[short]
+    words = rng.bit_generator.random_raw(len(r))
+    out[short] = 2.0 * np.bitwise_count(words >> (64 - r).astype(np.uint64)) - r
+    mid = ~short & (lengths < _BINOM_LIMIT)
+    if np.any(mid):
+        ns = lengths[mid].astype(np.int64)
+        out[mid] = 2.0 * rng.binomial(ns, 0.5) - ns.astype(np.float64)
+    big = lengths >= _BINOM_LIMIT
+    if np.any(big):
+        ns = lengths[big]
+        out[big] = 2.0 * np.round(np.sqrt(ns) * rng.standard_normal(len(ns)) / 2.0)
+    return out

@@ -1,5 +1,6 @@
 """Stable-law oracles: the Gaussian target, the lattice lower bound on
-n P(Z_n = 0), and the dense local-limit error that `lll_error` must equal."""
+n P(Z_n = 0), the dense local-limit error that `lll_error` must equal, and
+the one-shot n-fold law that `self_convolve` must equal bit for bit."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ from typing import Mapping
 
 import numpy as np
 
-from recwalk.stable_laws import LatticeLaw, LLTError, StableTarget, _density_range
+from recwalk.stable_laws import (
+    LatticeLaw, LLTError, StableTarget, _density_range, transform_length,
+)
 
 
 def gaussian_density(s):
@@ -48,8 +51,6 @@ class LowerBoundReport:
     """Check of n P(Z_n = 0) >= a_const across a family of n."""
 
     values: dict[int, float]
-    a_const: float
-    n_threshold: int
     passed: bool
 
 
@@ -65,4 +66,24 @@ def lower_bound_check(
     if not tested:
         raise ValueError("no computed n at or beyond the threshold")
     passed = all(v >= a_const for v in tested.values())
-    return LowerBoundReport(values, a_const, n_threshold, passed)
+    return LowerBoundReport(values, passed)
+
+
+def one_shot_self_convolve(d: LatticeLaw, n: int) -> LatticeLaw:
+    """Law of the sum of n independent copies of d.
+
+    One real transform of d, at transform_length points, is raised to the
+    n-th power; negatives are clipped and a symmetric input is symmetrised
+    once, as in convolve_dists.  The leaked account bounds everything
+    dropped.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    size = n * (len(d.entries) - 1) + 1
+    m = transform_length(len(d.entries), n)
+    conv = np.fft.irfft(np.fft.rfft(d.entries, m) ** n, m)[:size]
+    np.clip(conv, 0.0, None, out=conv)
+    if d.is_symmetric():
+        conv = 0.5 * (conv + conv[::-1])
+    leaked = max(1.0 - (1.0 - d.leaked) ** n, 1.0 - float(conv.sum()))
+    return LatticeLaw(n * d.lo, d.span, conv, leaked)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recwalk
-
+from oracles import samplers as one_shot
+from recwalk import branched_walk, cli
 from recwalk.cli import main
 from recwalk.lawcache import (
     CacheCorruptionError,
@@ -228,6 +229,21 @@ class TestReturnLawCommand:
         assert run(["return-law", "--n-max", 1200, "--out", out]) == 0
         assert out.read_bytes() == first
 
+    def test_chunked_write_matches_one_join(self, tmp_path, monkeypatch):
+        # 1,000 law rows and two fit rows, written in chunks that divide
+        # them, that do not, and that hold them all
+        out = tmp_path / "a.csv"
+        texts = []
+        for chunk in (1, 7, 1000, 1002, 1 << 14):
+            monkeypatch.setattr(cli, "_WRITE_CHUNK", chunk)
+            assert run(["return-law", "--n-max", 2000, "--out", out]) == 0
+            texts.append(out.read_bytes())
+        assert texts.count(texts[0]) == len(texts)
+        lines = texts[0].decode().split("\n")
+        assert len(lines) == 3 + 1000 + 2 + 1 and lines[-1] == ""
+        assert lines[-3].startswith("slope,") and lines[-2].startswith("prefactor,")
+        assert lines[-4].startswith("2000,")
+
 
 class TestLllCommand:
     def test_small_schedule(self, tmp_path):
@@ -342,6 +358,22 @@ class TestGreenCommand:
         aux_vals = {int(r[1]): float(r[2]) for r in rows if r[0] == "auxiliary"}
         assert aux_vals[10] <= aux_vals[100] <= aux_vals[1000]
 
+    def test_bytes_match_one_shot_samplers(self, tmp_path, monkeypatch):
+        # the in-place samplers and key-only streams against the one-shot
+        # ones; a short horizon clips the direct walks, and 3*10^4 returns
+        # per method include about 60 draws past the sampler's table
+        out = tmp_path / "green.csv"
+        argv = [
+            "green", "--samples", 30, "--direct-samples", 30, "--direct-returns", 1000,
+            "--horizon", 20_000, "--schedule", "10,100,1000", "--seed", 2**63 + 7, "--out", out,
+        ]
+        run(argv)
+        first = out.read_bytes()
+        for name in ("stream", "sample_first_return", "sample_position_at"):
+            monkeypatch.setattr(branched_walk, name, getattr(one_shot, name))
+        run(argv)
+        assert out.read_bytes() == first
+
 
 def test_package_imports_without_scipy():
     # the package is what the commands run: importing the command line loads
@@ -360,3 +392,28 @@ def test_package_imports_without_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.splitlines() == ["[]", "[]"]
+
+
+def test_numpy_random_stays_unloaded(tmp_path):
+    # numpy.random costs about 20 ms and 5 MB to import: the commands that
+    # draw nothing must not load it, and the first stream does
+    code = (
+        "import contextlib, io, sys\n"
+        "from recwalk.cli import main\n"
+        "seen = ['numpy.random' in sys.modules]\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    main(['green', '--help'])\n"
+        "seen.append('numpy.random' in sys.modules)\n"
+        "main(['lll', '--l-max', '200', '--schedule', '8,16', '--out', 'lll.csv'])\n"
+        "seen.append('numpy.random' in sys.modules)\n"
+        "from recwalk.rng import stream\n"
+        "stream(1)\n"
+        "seen.append('numpy.random' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(recwalk.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines() == ["[False, False, False, True]"]

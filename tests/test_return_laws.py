@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, polygamma
 
-from oracles.return_laws import enumerate_first_returns
+from oracles import samplers as one_shot
+from oracles.return_laws import enumerate_first_returns, survival_series
 from recwalk import return_laws
 from recwalk.return_laws import (
     LONG,
     _inverse_square_tail,
     _k_tail_completion,
     _TABLE_M,
-    _survival_series,
     _survival_table,
     _u_float,
     first_return_law,
@@ -31,7 +31,7 @@ from recwalk.return_laws import (
     tail_functional,
     tail_limit,
 )
-from recwalk.rng import RETURN_LANE, stream
+from recwalk.rng import POSITION_LANE, RETURN_LANE, stream
 
 
 # closed forms for the return-position law, derived via the elementary
@@ -80,7 +80,7 @@ def marching_oracle(lmax: int, kmax: int, k_tail: bool) -> tuple[np.ndarray, flo
     kmax.  O(lmax kmax), independent of the telescoping and of the blocked
     completion."""
     ls = np.arange(0, lmax + 1, 2, dtype=np.float64)
-    u = _survival_series(kmax // 2)
+    u = survival_series(kmax // 2)
     ks = np.arange(2, kmax + 1, 2, dtype=np.float64)
     f = u.astype(np.float64) / (ks - 1.0)  # P(return = k)
     p = u.astype(np.float64)  # P(S_k = 0), overwritten in place per l
@@ -102,7 +102,7 @@ def marching_oracle(lmax: int, kmax: int, k_tail: bool) -> tuple[np.ndarray, flo
 
 @functools.cache
 def _former_negated_table() -> np.ndarray:
-    return -_survival_series(1 << 20).astype(np.float64)
+    return -survival_series(1 << 20).astype(np.float64)
 
 
 def _former_bisection(w: float) -> float:
@@ -468,7 +468,7 @@ class TestScalarSpecialFunctions:
 
     def test_survival_matches_product_series(self):
         # 80-bit running product of (2m - 1) / 2m
-        u = _survival_series(20_000).astype(np.float64)
+        u = survival_series(20_000).astype(np.float64)
         got = np.array([survival(2 * m) for m in range(1, 20_001)])
         assert np.max(np.abs(got / u - 1)) < 1e-14
 
@@ -552,6 +552,75 @@ class TestSamplers:
         assert np.array_equal(first_returns_at(at), ms)
         assert np.array_equal(first_returns_at(at - 2.0**-53), ms + 1)
         assert first_returns_at([1.0]).tolist() == [1.0]  # the largest draw, U = 0
+
+
+#: float lengths on both sides of the bit-count and binomial seams
+SEAM_LENGTHS = [63.0, 64.0, 65.0, 66.0, 2.0**62 - 1024, 2.0**62, 2.0**62 + 1024, 2.0**80]
+
+
+class TestBitIdenticalToOneShot:
+    """The blocked table, the in-place samplers and the key-only streams
+    give the arrays and streams of their one-shot oracles."""
+
+    def test_table(self):
+        assert np.array_equal(_survival_table(), one_shot.survival_table())
+
+    @pytest.mark.parametrize("nmax", [2, 8190, 8192, 8194, 8196, 40_000])
+    def test_first_return_law_across_blocks(self, nmax):
+        u = survival_series(nmax // 2)
+        odd = 2 * np.arange(1, nmax // 2 + 1, dtype=LONG) - 1
+        law = first_return_law(nmax)
+        assert np.array_equal(law.probs, (u / odd).astype(np.float64))
+        assert law.tail_mass == float(u[-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1) | st.integers(2**63, 2**64 - 1),
+        index=st.integers(0, 2**56 - 1),
+        n=st.integers(1, 3000),
+    )
+    def test_samplers_on_streams(self, seed, index, n):
+        r = sample_first_return(stream(seed, index, RETURN_LANE), n)
+        want = one_shot.sample_first_return(one_shot.stream(seed, index, RETURN_LANE), n)
+        assert np.array_equal(r, want)
+        z = sample_position_at(stream(seed, index, POSITION_LANE), r)
+        assert np.array_equal(z, one_shot.sample_position_at(one_shot.stream(seed, index, POSITION_LANE), r))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        lengths=st.lists(
+            st.sampled_from(SEAM_LENGTHS) | st.integers(1, 200).map(float)
+            | st.floats(2.0, 2.0**70).map(math.floor),
+            min_size=1, max_size=300,
+        ),
+    )
+    def test_position_across_seams(self, seed, lengths):
+        lengths = np.array(lengths, dtype=np.float64)
+        got = sample_position_at(stream(seed, 3, POSITION_LANE), lengths)
+        want = one_shot.sample_position_at(one_shot.stream(seed, 3, POSITION_LANE), lengths)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ks=st.lists(
+        st.integers(1, 2**53) | st.integers(1, 2**44) | st.integers(1, 2**30),
+        min_size=1, max_size=200,
+    ))
+    def test_first_return_past_the_table(self, ks):
+        # w = k 2^-53 down to the smallest draw: below w = 2.2e-3 the guess
+        # c passes 2^16 and both neighbours come from the series
+        w = np.array(ks, dtype=np.float64) * 2.0**-53
+        got = sample_first_return(StubGenerator(1.0 - w), len(w))
+        want = one_shot.sample_first_return(StubGenerator(1.0 - w), len(w))
+        assert np.array_equal(got, want)
+
+    def test_every_table_step_and_the_far_draws(self):
+        # the least draw at or above each u_m and the draw below it, and the
+        # 2^12 smallest draws, which lie past the table
+        k = np.concatenate((np.ceil(_survival_table()[1:] * 2.0**53), np.arange(2.0, 2.0**12)))
+        w = np.concatenate((k, k - 1.0)) * 2.0**-53
+        got = sample_first_return(StubGenerator(1.0 - w), len(w))
+        assert np.array_equal(got, one_shot.sample_first_return(StubGenerator(1.0 - w), len(w)))
 
 
 class TestPositionSampler:

@@ -1,6 +1,10 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from recwalk.rng import stream
+from oracles import samplers as one_shot
+from recwalk.rng import _philox_key, stream
 
 
 class TestStreamKeys:
@@ -25,3 +29,24 @@ class TestStreamKeys:
 
     def test_seed_range_ends_accepted(self):
         assert (stream(0).random(4) != stream(2**64 - 1).random(4)).all()
+
+
+class TestKeyOnlyStreams:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1) | st.integers(2**63, 2**64 - 1),
+        index=st.integers(0, 2**56 - 1),
+        lane=st.integers(0, 255),
+    )
+    def test_same_stream_as_philox_key(self, seed, index, lane):
+        got, want = stream(seed, index, lane), one_shot.stream(seed, index, lane)
+        assert repr(got.bit_generator.state) == repr(want.bit_generator.state)
+        assert np.array_equal(got.bit_generator.random_raw(9), want.bit_generator.random_raw(9))
+        assert np.array_equal(got.random(5), want.random(5))
+
+    def test_key_is_two_words_only(self):
+        key = _philox_key()(np.array([1, 2], dtype=np.uint64))
+        assert key.generate_state(2, np.uint64).tolist() == [1, 2]
+        for n_words, dtype in ((4, np.uint32), (2, np.uint32), (3, np.uint64)):
+            with pytest.raises(ValueError, match="two 64-bit words"):
+                key.generate_state(n_words, dtype)

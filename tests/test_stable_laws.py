@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles.stable_laws import (
     gaussian_density,
     gaussian_target,
     lower_bound_check,
+    one_shot_self_convolve,
 )
 from recwalk.stable_laws import (
     LatticeLaw,
@@ -150,6 +152,27 @@ class TestTransformPath:
         if symmetric:
             assert out.is_symmetric()
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        data=st.data(), span=st.sampled_from([1, 2]), n=st.integers(1, 80) | st.just(4096),
+        symmetric=st.booleans(),
+    )
+    def test_bit_identical_to_one_shot(self, data, span, n, symmetric):
+        # the in-place power and the half-length symmetrisation change no bit
+        d = data.draw(lattice_laws(span))
+        if symmetric:
+            d = mirrored(d)
+        out, want = self_convolve(d, n), one_shot_self_convolve(d, n)
+        assert (out.lo, out.span, out.leaked) == (want.lo, want.span, want.leaked)
+        assert np.array_equal(out.entries, want.entries)
+
+    def test_position_law_bit_identical_to_one_shot(self, pos_law_small):
+        base = LatticeLaw.from_position_law(pos_law_small)
+        for n in (1, 2, 3, 64, 65):
+            out, want = self_convolve(base, n), one_shot_self_convolve(base, n)
+            assert out.leaked == want.leaked, n
+            assert np.array_equal(out.entries, want.entries), n
+
     def test_large_law_takes_one_transform(self, pos_law_small, monkeypatch):
         base = LatticeLaw.from_position_law(pos_law_small)
         monkeypatch.setattr(sl, "convolve_dists", None)  # must not be called
@@ -188,6 +211,22 @@ class TestLLTError:
     def test_matches_dense_oracle(self, case):
         law, target, n = case
         assert lll_error(law, target, n) == dense_lll_error(law, target, n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=lll_cases(), block=st.integers(1, 12))
+    def test_blocked_support_matches_dense_oracle(self, case, block):
+        # blocks of a few points, so that the sup and its ties cross blocks
+        law, target, n = case
+        with mock.patch.object(sl, "_SUPPORT_BLOCK", block):
+            assert lll_error(law, target, n) == dense_lll_error(law, target, n)
+
+    def test_tie_across_blocks_takes_first_point(self):
+        # equal errors at -2 and 2, in different blocks of one point each
+        law = LatticeLaw(-2, 2, np.array([0.25, 0.0, 0.25]))
+        target = StableTarget(lambda s: np.zeros_like(s), 2, 0, lambda n: 1.0)
+        with mock.patch.object(sl, "_SUPPORT_BLOCK", 1):
+            rep = lll_error(law, target, 1)
+        assert (rep.sup_error, rep.argmax_point) == (0.125, -2)  # B_1/h = 1/2
 
     def test_off_support_sup_takes_first_point(self):
         # P = 0 at -1 and 1, where the Gaussian density is largest: the sup
