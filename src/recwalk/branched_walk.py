@@ -43,8 +43,6 @@ from .rng import (
     DEFAULT_SEED, DIRECT_LANE, POSITION_LANE, RETURN_LANE, SHIFT_LANE, WALK_LANE, stream,
 )
 
-DEFAULT_DIRECT_HORIZON = 4_000_000
-
 
 # ---------------------------------------------------------------------------
 # Points of the branched space.
@@ -359,7 +357,8 @@ def shifted_green_sum(
             return _auxiliary_returns(seed, i, n_returns, horizon is not None)
 
     elif method == "direct":
-        horizon = float(DEFAULT_DIRECT_HORIZON if horizon is None else horizon)
+        if horizon is None:
+            raise ValueError("the direct method requires a horizon")
 
         def returns(i):
             return _direct_returns(stream(seed, i, DIRECT_LANE), n_returns, int(horizon))

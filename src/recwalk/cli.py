@@ -40,6 +40,8 @@ MAX_GREEN_RETURNS = 10_000_000
 #: 0.1 ms per method even at `--schedule 1,2,3` (60-100 us auxiliary, 100-115 us
 #: direct on a 2-core x86 VM), so 10^6 already takes minutes
 MAX_GREEN_SAMPLES = 1_000_000
+#: default `green --horizon`, in walk steps, past which returns are dropped
+DEFAULT_DIRECT_HORIZON = 4_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,10 +125,10 @@ def cmd_return_law(parser: _Parser, args) -> int:
     return 0
 
 
-def _law_rows(law: return_laws.ReturnTimeLaw):
+def _law_rows(law: return_laws.LatticeLaw):
     """The rows n, P(return = n), n^(3/2) P(return = n), made _WRITE_CHUNK
     at a time."""
-    ns, ps = law.arrays()
+    ns, ps = law.support(), law.entries
     for lo in range(0, len(ns), _WRITE_CHUNK):
         chunk = zip(ns[lo : lo + _WRITE_CHUNK].tolist(), ps[lo : lo + _WRITE_CHUNK].tolist())
         # n**1.5 by Python's pow: numpy's SIMD power differs in the last bit
@@ -156,11 +158,11 @@ def cmd_lll(parser: _Parser, args) -> int:
     law, hit = lawcache.load_or_compute_position_law(args.cache_dir, lmax, kmax)
     log.info(
         "position law (lmax=%d, kmax=%d): cache %s in %.2fs, error bound %.3g, tail mass %.3g",
-        lmax, kmax, "hit" if hit else "miss", time.perf_counter() - t0, law.error_bound, law.tail_mass,
+        lmax, kmax, "hit" if hit else "miss", time.perf_counter() - t0, law.error_bound, law.leaked,
     )
     sigma = return_laws.tail_limit(law, ms=_ladder(lmax)).sigma
     target = stable_laws.StableTarget.cauchy(scale=np.pi * sigma)
-    base = stable_laws.LatticeLaw.from_position_law(law)
+    base = return_laws.LatticeLaw.from_position_law(law)
     rows = []
     errors = []
     for n in schedule:
@@ -315,7 +317,7 @@ def build_parser() -> _Parser:
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--direct-samples", type=int, default=100)
     p.add_argument("--direct-returns", type=int, default=1000)
-    p.add_argument("--horizon", type=int, default=branched_walk.DEFAULT_DIRECT_HORIZON)
+    p.add_argument("--horizon", type=int, default=DEFAULT_DIRECT_HORIZON)
     p.add_argument("--schedule", type=_int_list, default=[100, 1000, 10000])
     p.set_defaults(func=cmd_green, default_out="recwalk_green.csv")
 

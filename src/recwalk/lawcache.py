@@ -40,14 +40,14 @@ def save_position_law(law: ReturnPositionLaw, cache_dir) -> Path:
     replaces the cache file in one step, so an interrupted write never
     leaves a partial file behind for the next lookup to read.
     """
-    path = position_law_path(cache_dir, law.lmax, law.kmax)
+    path = position_law_path(cache_dir, law.hi, law.kmax)
     path.parent.mkdir(parents=True, exist_ok=True)
     param = (
-        f"lmax={law.lmax};kmax={law.kmax};ktail={int(law.k_tail_completed)};"
-        f"err={_fmt(law.error_bound)};tail={_fmt(law.tail_mass)};v={FORMAT_VERSION}"
+        f"lmax={law.hi};kmax={law.kmax};ktail={int(law.k_tail_completed)};"
+        f"err={_fmt(law.error_bound)};tail={_fmt(law.leaked)};v={FORMAT_VERSION}"
     )
     lines = [f"return-position,{param}"]
-    for t, p in enumerate(law.values):
+    for t, p in enumerate(law.entries[law.hi // 2 :]):  # l >= 0; the law is symmetric
         lines.append(f"{2 * t},{_fmt(p)}")
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
@@ -60,6 +60,8 @@ def save_position_law(law: ReturnPositionLaw, cache_dir) -> Path:
 
 
 def load_position_law(path) -> ReturnPositionLaw:
+    """Read a cache file, whose rows must be l = 0, 2, ..., lmax in order,
+    and mirror them onto -lmax..lmax."""
     path = Path(path)
     try:
         lines = path.read_text().strip().splitlines()
@@ -70,20 +72,18 @@ def load_position_law(path) -> ReturnPositionLaw:
         if fields.get("v") != FORMAT_VERSION:
             raise ValueError(f"unknown format version {fields.get('v')!r}")
         lmax, kmax = int(fields["lmax"]), int(fields["kmax"])
-        values = np.empty(lmax // 2 + 1, dtype=LONG)
-        count = 0
-        for line in lines[1:]:
+        half = np.empty(lmax // 2 + 1, dtype=LONG)
+        if len(lines) - 1 != len(half):
+            raise ValueError(f"expected {len(half)} rows, found {len(lines) - 1}")
+        for t, line in enumerate(lines[1:]):
             idx, prob = line.split(",")
-            values[int(idx) // 2] = LONG(prob)
-            count += 1
-        if count != lmax // 2 + 1:
-            raise ValueError(f"expected {lmax // 2 + 1} rows, found {count}")
+            if int(idx) != 2 * t:
+                raise ValueError(f"row {t + 1} is l = {idx}, expected l = {2 * t}")
+            half[t] = LONG(prob)
         return ReturnPositionLaw(
-            lmax=lmax,
+            -lmax, 2, np.concatenate((half[:0:-1], half)), float(LONG(fields["tail"])),
             kmax=kmax,
-            values=values,
             error_bound=float(LONG(fields["err"])),
-            tail_mass=float(LONG(fields["tail"])),
             k_tail_completed=bool(int(fields["ktail"])),
         )
     except (ValueError, KeyError, IndexError) as exc:

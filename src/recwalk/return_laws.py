@@ -11,8 +11,8 @@ truncation bounds elsewhere:
   functional m * P(pos >= m), whose limit is the scale constant of the
   heavy tail.
 
-First-return probabilities are exact rationals up to RATIONAL_CUTOFF and
-80-bit products rounded to float64 beyond; the return-position law is
+Both laws are LatticeLaws on the even lattice: the first-return law holds
+80-bit products rounded once to float64, and the return-position law is
 evaluated in 80-bit floats through two telescoping identities (see
 return_position_law).
 """
@@ -22,26 +22,50 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 LONG = np.longdouble
 
-#: below this time index, first-return probabilities are exact rationals
-RATIONAL_CUTOFF = 64
 
+@dataclass(frozen=True)
+class LatticeLaw:
+    """Law on the lattice lo, lo + span, lo + 2 span, ..., hi.
 
-def first_return_prob_exact(n: int) -> Fraction:
-    """P(first return to 0 of the +-1 walk happens at time n), exactly.
-
-    Zero for odd n; for n = 2m the count of strictly-nonzero bridges gives
-    C(2m, m) / ((2m - 1) 4^m).
+    entries[i] = P(lo + i span), zeros allowed; leaked is the mass missing
+    from the entries, so entries.sum() + leaked == 1 up to rounding.
     """
-    if n % 2 == 1 or n < 2:
-        return Fraction(0)
-    m = n // 2
-    return Fraction(math.comb(2 * m, m), (2 * m - 1) * 4**m)
+
+    lo: int
+    span: int
+    entries: np.ndarray
+    leaked: float = 0.0
+
+    @classmethod
+    def from_position_law(cls, law: ReturnPositionLaw) -> LatticeLaw:
+        """The law conditioned on its window and cast to float64, so the convolution
+        inputs carry mass one; the window mass is 2 sum_{l >= 0} - P(0), in 80 bits."""
+        half = law.entries[law.hi // 2 :]
+        entries = law.entries.astype(np.float64)
+        entries /= float(2 * np.sum(half) - half[0])
+        return cls(law.lo, law.span, entries)
+
+    @property
+    def hi(self) -> int:
+        return self.lo + self.span * (len(self.entries) - 1)
+
+    def support(self) -> np.ndarray:
+        """The lattice points lo, lo + span, ..., hi, in increasing order."""
+        return self.lo + self.span * np.arange(len(self.entries))
+
+    def prob(self, k: int) -> float:
+        i, off = divmod(k - self.lo, self.span)
+        if off or not 0 <= i < len(self.entries):
+            return 0.0
+        return float(self.entries[i])
+
+    def is_symmetric(self) -> bool:
+        return self.lo == -self.hi and np.array_equal(self.entries, self.entries[::-1])
 
 
 #: entries of the running product that _survival_blocks holds at once (64 KB)
@@ -100,41 +124,16 @@ def survival(n) -> float:
     return _u_float(n // 2)
 
 
-@dataclass
-class ReturnTimeLaw:
-    """First-return-time law with even support up to nmax.
-
-    probs[m - 1] = P(return time = 2m) in float64, m = 1..nmax/2; prob(n)
-    is the exact Fraction for n <= RATIONAL_CUTOFF.  tail_mass is
-    P(return time > nmax).  Odd times have probability zero and are not
-    stored.
-    """
-
-    probs: np.ndarray
-    tail_mass: float
-    nmax: int
-
-    def prob(self, n: int):
-        if n <= RATIONAL_CUTOFF:
-            return first_return_prob_exact(n) if n <= self.nmax else Fraction(0)
-        if n % 2 or n > self.nmax:
-            return 0.0
-        return float(self.probs[n // 2 - 1])
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(even times, probabilities) as arrays, in increasing time."""
-        return np.arange(2, self.nmax + 1, 2), self.probs
-
-
-def first_return_law(nmax: int) -> ReturnTimeLaw:
-    """Law of the first return to 0 of the +-1 walk, up to time nmax: the
-    80-bit survival product over 2m - 1, rounded once to float64."""
+def first_return_law(nmax: int) -> LatticeLaw:
+    """Law of the first return to 0 of the +-1 walk on 2, 4, ..., nmax: the
+    80-bit survival product over 2m - 1, rounded once to float64; leaked is
+    P(return time > nmax)."""
     if nmax < 2 or nmax % 2 == 1:
         raise ValueError("nmax must be an even integer >= 2")
     probs = np.empty(nmax // 2)
     for m, u in _survival_blocks(nmax // 2):
         probs[int(m[0]) - 1 : int(m[-1])] = u / (2 * m - 1)
-    return ReturnTimeLaw(probs, float(u[-1]), nmax)
+    return LatticeLaw(2, 2, probs, float(u[-1]))
 
 
 @dataclass
@@ -147,11 +146,11 @@ class TailExponentFit:
     window: tuple[int, int]
 
 
-def fit_tail_exponent(law: ReturnTimeLaw, m_lo: int, m_hi: int) -> TailExponentFit:
+def fit_tail_exponent(law: LatticeLaw, m_lo: int, m_hi: int) -> TailExponentFit:
     """Fit the power-law tail of a return-time law over even n in [m_lo, m_hi]."""
-    if m_lo < 2 or m_hi > law.nmax:
+    if m_lo < 2 or m_hi > law.hi:
         raise ValueError("fit window must lie within the computed law")
-    ns, ps = law.arrays()
+    ns, ps = law.support(), law.entries
     mask = (ns >= m_lo) & (ns <= m_hi) & (ps > 0)
     if mask.sum() < 10:
         raise ValueError(f"need at least 10 points to fit, have {int(mask.sum())}")
@@ -162,32 +161,22 @@ def fit_tail_exponent(law: ReturnTimeLaw, m_lo: int, m_hi: int) -> TailExponentF
     return TailExponentFit(float(slope), prefactor, int(mask.sum()), (m_lo, m_hi))
 
 
-@dataclass
-class ReturnPositionLaw:
-    """Law of the free diagonal-walk coordinate at the first tracked return.
+@dataclass(frozen=True, kw_only=True)
+class ReturnPositionLaw(LatticeLaw):
+    """Law of the free diagonal-walk coordinate at the first tracked return,
+    on the window -lmax, -lmax + 2, ..., lmax in 80-bit entries.
 
-    Support is the even integers; the construction is exactly symmetric, so
-    only l = 0, 2, ..., lmax is stored.  error_bound certifies the pointwise
-    distance to the untruncated law; tail_mass is the weight outside
-    [-lmax, lmax] implied by the mass accounting.
+    The untruncated law is nu(0) = 1 - 2/pi and nu(+-2j) = 2 / (pi (4j^2 - 1)),
+    with characteristic function phi(theta) = 1 - |sin theta|: the identity
+    sum over j >= 1 of cos(2j theta) / (4j^2 - 1) = 1/2 - (pi/4) |sin theta|
+    turns the coefficients into phi.  error_bound certifies the pointwise
+    distance of the entries to nu; leaked is the mass outside the window
+    implied by the mass accounting.
     """
 
-    lmax: int
     kmax: int
-    values: np.ndarray  # longdouble, values[t] = P(pos = 2t)
     error_bound: float
-    tail_mass: float
     k_tail_completed: bool
-
-    def prob(self, l: int) -> float:
-        l = abs(int(l))
-        if l % 2 == 1 or l > self.lmax:
-            return 0.0
-        return float(self.values[l // 2])
-
-    def window_mass(self) -> float:
-        """Total stored mass over [-lmax, lmax]."""
-        return float(2 * np.sum(self.values) - self.values[0])
 
 
 #: largest boundary column that `lll` asks return_position_law to hold: 2^22
@@ -266,12 +255,8 @@ def return_position_law(
         error_bound = min(leak, leak * math.sqrt(2 / (math.pi * kmax)) + 1e-13)
 
     return ReturnPositionLaw(
-        lmax=lmax,
-        kmax=kmax,
-        values=acc,
-        error_bound=float(error_bound),
-        tail_mass=float(1 - covered),
-        k_tail_completed=k_tail,
+        -lmax, 2, np.concatenate((acc[:0:-1], acc)), float(1 - covered),
+        kmax=kmax, error_bound=float(error_bound), k_tail_completed=k_tail,
     )
 
 
@@ -344,16 +329,17 @@ def tail_functional(law: ReturnPositionLaw, m: int) -> TailFunctional:
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    top = law.lmax - law.lmax // 2
+    lmax = law.hi
+    top = lmax - lmax // 2
     if m > top:
         raise ValueError(f"m = {m} is within the safety margin of the window edge "
                          f"(need m <= {top})")
     t0 = (m + 1) // 2
-    in_window = float(np.sum(law.values[t0:]))
+    in_window = float(np.sum(law.entries[lmax // 2 + t0 :]))
     sigma = fit_tail_scale(law)
     # sum over even l > lmax of 2 sigma / l^2 = (sigma / 2) sum over t > lmax/2 of 1 / t^2
-    completion = sigma * 0.5 * _inverse_square_tail(law.lmax // 2)
-    nterms = law.lmax // 2 - t0 + 1
+    completion = sigma * 0.5 * _inverse_square_tail(lmax // 2)
+    nterms = lmax // 2 - t0 + 1
     certified = m * nterms * law.error_bound
     value = m * (in_window + completion)
     if certified > MAX_CERTIFIED_FRACTION * value:
@@ -383,10 +369,10 @@ def _inverse_square_tail(t: int) -> float:
 def fit_tail_scale(law: ReturnPositionLaw) -> float:
     """Fitted scale of the sigma / l^2 tail density, from the upper half of
     the window."""
-    lo = law.lmax // 2
-    ts = np.arange((lo + 1) // 2, law.lmax // 2 + 1)
+    lmax = law.hi
+    ts = np.arange((lmax // 2 + 1) // 2, lmax // 2 + 1)
     ls = 2 * ts.astype(np.float64)
-    vals = law.values[ts].astype(np.float64)
+    vals = law.entries[lmax // 2 + ts].astype(np.float64)
     if len(ts) < 5:
         raise ValueError("window too small to fit the tail scale")
     return float(np.median(vals * ls * ls / 2.0))

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .return_laws import ReturnPositionLaw
+from .return_laws import LatticeLaw
 
 log = logging.getLogger(__name__)
 
@@ -45,40 +45,6 @@ class StableTarget:
 
 # ---------------------------------------------------------------------------
 # Convolution of float laws on an integer lattice.
-
-
-@dataclass(frozen=True)
-class LatticeLaw:
-    """Float law on the lattice lo, lo + span, lo + 2 span, ...
-
-    entries[i] = P(lo + i span), zeros allowed; leaked is the mass missing
-    from the entries, so entries.sum() + leaked == 1 up to rounding.
-    """
-
-    lo: int
-    span: int
-    entries: np.ndarray
-    leaked: float = 0.0
-
-    @classmethod
-    def from_position_law(cls, law: ReturnPositionLaw) -> "LatticeLaw":
-        """The return-position law conditioned on its window [-lmax, lmax],
-        renormalized so the convolution inputs carry mass one."""
-        half = law.values.astype(np.float64) / law.window_mass()
-        return cls(-law.lmax, 2, np.concatenate((half[:0:-1], half)))
-
-    @property
-    def hi(self) -> int:
-        return self.lo + self.span * (len(self.entries) - 1)
-
-    def prob(self, k: int) -> float:
-        i, off = divmod(k - self.lo, self.span)
-        if off or not 0 <= i < len(self.entries):
-            return 0.0
-        return float(self.entries[i])
-
-    def is_symmetric(self) -> bool:
-        return self.lo == -self.hi and np.array_equal(self.entries, self.entries[::-1])
 
 
 def convolve_dists(a: LatticeLaw, b: LatticeLaw) -> LatticeLaw:

@@ -1,10 +1,23 @@
-"""Brute-force oracles for the first-return law of the +-1 walk."""
+"""Exact and brute-force oracles for the first-return law of the +-1 walk."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
+
+
+def first_return_prob_exact(n: int) -> Fraction:
+    """P(first return to 0 of the +-1 walk happens at time n), exactly.
+
+    Zero for odd n; for n = 2m the count of strictly-nonzero bridges gives
+    C(2m, m) / ((2m - 1) 4^m).
+    """
+    if n % 2 == 1 or n < 2:
+        return Fraction(0)
+    m = n // 2
+    return Fraction(math.comb(2 * m, m), (2 * m - 1) * 4**m)
 
 
 def enumerate_first_returns(nmax: int) -> dict[int, Fraction]:

@@ -110,7 +110,7 @@ def test_criterion_02_tail_exponent():
     t0 = time.perf_counter()
     law = first_return_law(2000)
     fit = fit_tail_exponent(law, 100, 1000)
-    ns, ps = law.arrays()
+    ns, ps = law.support(), law.entries
     window = (ns >= 500) & (ns <= 1000)
     scaled = ps[window] * ns[window].astype(float) ** 1.5
     variation = float(scaled.max() / scaled.min() - 1.0)

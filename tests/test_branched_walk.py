@@ -386,6 +386,10 @@ class TestCrossMethod:
         with pytest.raises(ValueError):
             shifted_green_sum(10, 10, method="teleport")
 
+    def test_direct_requires_a_horizon(self):
+        with pytest.raises(ValueError, match="requires a horizon"):
+            shifted_green_sum(10, 10, method="direct")
+
     def test_checkpoint_validation(self):
         with pytest.raises(ValueError):
             shifted_green_sum(10, 10, checkpoints=(50,))

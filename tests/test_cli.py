@@ -29,10 +29,10 @@ class TestLawCache:
         law = return_position_law(100, 10_000)
         save_position_law(law, tmp_path)
         back = load_position_law(position_law_path(tmp_path, 100, 10_000))
-        assert back.lmax == law.lmax and back.kmax == law.kmax
-        assert np.array_equal(back.values, law.values)
+        assert (back.lo, back.span, back.kmax) == (law.lo, law.span, law.kmax)
+        assert np.array_equal(back.entries, law.entries)
         assert back.error_bound == law.error_bound
-        assert back.tail_mass == law.tail_mass
+        assert back.leaked == law.leaked
 
     @settings(max_examples=30, deadline=None)
     @given(half_l=st.integers(1, 60), half_k=st.integers(1, 3000), k_tail=st.booleans())
@@ -40,10 +40,10 @@ class TestLawCache:
         law = return_position_law(2 * half_l, 2 * half_k, k_tail)
         with tempfile.TemporaryDirectory() as cache_dir:
             back = load_position_law(save_position_law(law, cache_dir))
-        assert (back.lmax, back.kmax) == (law.lmax, law.kmax)
-        assert np.array_equal(back.values, law.values)
+        assert (back.lo, back.kmax) == (law.lo, law.kmax)
+        assert np.array_equal(back.entries, law.entries)
         assert back.error_bound == law.error_bound
-        assert back.tail_mass == law.tail_mass
+        assert back.leaked == law.leaked
         assert back.k_tail_completed == law.k_tail_completed
 
     def test_derived_quantities_stable_across_reload(self, tmp_path):
@@ -51,8 +51,8 @@ class TestLawCache:
         assert not hit
         again, hit2 = load_or_compute_position_law(tmp_path, 100, 10_000)
         assert hit2
-        assert np.array_equal(law.values, again.values)
-        assert (law.error_bound, law.tail_mass) == (again.error_bound, again.tail_mass)
+        assert np.array_equal(law.entries, again.entries)
+        assert (law.error_bound, law.leaked) == (again.error_bound, again.leaked)
         assert tail_functional(law, 30).value == tail_functional(again, 30).value
 
     def test_failed_replace_leaves_clean_miss(self, tmp_path, monkeypatch):
@@ -270,7 +270,7 @@ class TestLllCommand:
                 assert run(args) == 0
             line = next(r.getMessage() for r in caplog.records if "position law" in r.getMessage())
             assert f"(lmax=400, kmax=160000): cache {state} in " in line
-            assert f"error bound {law.error_bound:.3g}, tail mass {law.tail_mass:.3g}" in line
+            assert f"error bound {law.error_bound:.3g}, tail mass {law.leaked:.3g}" in line
 
     def test_cache_hit_identical_output(self, tmp_path):
         out = tmp_path / "a.csv"
@@ -305,6 +305,29 @@ class TestLllCommand:
             assert err.startswith("usage: recwalk")
             assert f"recwalk: error: law cache {path} is corrupted" in err
             assert "delete the file and rerun" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["duplicated", "odd", "negative"])
+    def test_misplaced_cache_rows_reported(self, tmp_path, capsys, damage):
+        # the l = 2 row repeats the l = 0 row, or moves to l = 3 or l = -2
+        cache = tmp_path / "cache"
+        args = [
+            "lll", "--l-max", 400, "--k-max", 160_000, "--schedule", "4,8",
+            "--cache-dir", cache, "--out", tmp_path / "a.csv",
+        ]
+        assert run(args) == 0
+        path = cache / "return_position_L400_K160000.csv"
+        lines = path.read_text().splitlines()
+        assert lines[2].startswith("2,")
+        prob = lines[2].split(",")[1]
+        lines[2] = {"duplicated": lines[1], "odd": f"3,{prob}", "negative": f"-2,{prob}"}[damage]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(args)
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"recwalk: error: law cache {path} is corrupted" in err
+        assert "delete the file and rerun" in err and "Traceback" not in err
 
 
 class TestClassifyCommand:

@@ -12,17 +12,17 @@ from hypothesis import strategies as st
 from scipy.special import gammaln, polygamma
 
 from oracles import samplers as one_shot
-from oracles.return_laws import enumerate_first_returns, survival_series
+from oracles.return_laws import enumerate_first_returns, first_return_prob_exact, survival_series
 from recwalk import return_laws
 from recwalk.return_laws import (
     LONG,
+    LatticeLaw,
     _inverse_square_tail,
     _k_tail_completion,
     _TABLE_M,
     _survival_table,
     _u_float,
     first_return_law,
-    first_return_prob_exact,
     fit_tail_exponent,
     return_position_law,
     sample_first_return,
@@ -43,6 +43,16 @@ def closed_form(l: int) -> float:
     if l == 0:
         return 1 - 2 / math.pi
     return 2 / (math.pi * (l * l - 1))
+
+
+def nonnegative_half(law) -> np.ndarray:
+    """P(pos = 0), P(pos = 2), ..., P(pos = lmax) of a return-position law."""
+    return law.entries[law.hi // 2 :]
+
+
+def assert_mass_accounted(law) -> None:
+    """The entries and the leaked mass of a law add up to one."""
+    assert abs(float(law.entries.sum()) + law.leaked - 1.0) < 1e-13
 
 
 def completion_grid(kmax: int, ratio: float = 1.005) -> tuple[np.ndarray, np.ndarray]:
@@ -208,22 +218,19 @@ class TestFirstReturnLaw:
         assert law.prob(3) == 0
 
     def test_mass_identity(self, return_law_2000):
-        ns, ps = return_law_2000.arrays()
-        assert abs(ps.sum() + return_law_2000.tail_mass - 1.0) < 1e-12
+        assert abs(return_law_2000.entries.sum() + return_law_2000.leaked - 1.0) < 1e-12
 
     def test_tail_mass_is_survival(self, return_law_2000):
-        assert abs(return_law_2000.tail_mass - survival(2000)) < 1e-14
-
-    def test_rational_float_boundary(self, return_law_2000):
-        assert isinstance(return_law_2000.prob(64), Fraction)
-        assert isinstance(return_law_2000.prob(66), float)
-        assert abs(return_law_2000.prob(66) - float(first_return_prob_exact(66))) < 1e-18
+        assert abs(return_law_2000.leaked - survival(2000)) < 1e-14
 
     def test_arrays_round_the_exact_law(self, return_law_2000):
-        ns, ps = return_law_2000.arrays()
+        ns, ps = return_law_2000.support(), return_law_2000.entries
         exact = [float(first_return_prob_exact(n)) for n in range(2, 65, 2)]
         assert ns[:32].tolist() == list(range(2, 65, 2))
         assert ps[:32].tolist() == exact
+        assert (return_law_2000.lo, return_law_2000.span, return_law_2000.hi) == (2, 2, 2000)
+        assert abs(return_law_2000.prob(66) - float(first_return_prob_exact(66))) < 1e-18
+        assert return_law_2000.prob(65) == return_law_2000.prob(2002) == 0.0
 
     def test_rejects_bad_nmax(self):
         with pytest.raises(ValueError):
@@ -239,9 +246,8 @@ class TestTailExponentFit:
         assert abs(fit.prefactor - 0.798) <= 0.02
 
     def test_planted_exponent_recovered(self):
-        law = first_return_law(2000)
         planted = np.arange(2, 2001, 2, dtype=float) ** -1.5
-        law.probs = planted / planted.sum()
+        law = LatticeLaw(2, 2, planted / planted.sum())
         fit = fit_tail_exponent(law, 100, 1000)
         assert abs(fit.slope + 1.5) < 1e-6
 
@@ -265,7 +271,7 @@ class TestReturnPositionLaw:
         assert pos_law_small.error_bound <= survival(pos_law_small.kmax)
 
     def test_mass_accounting(self, pos_law_small):
-        assert abs(pos_law_small.window_mass() + pos_law_small.tail_mass - 1.0) < 1e-12
+        assert_mass_accounted(pos_law_small)
 
     def test_kmax_doubling_stays_within_certificate(self):
         a = return_position_law(100, 10_000)
@@ -330,20 +336,30 @@ class TestTelescoping:
     def test_matches_marching_oracle(self, lmax, kmax, k_tail):
         law = return_position_law(lmax, kmax, k_tail)
         want, tail_mass = marching_oracle(lmax, kmax, k_tail)
-        diff = np.abs(law.values - want)
+        assert law.is_symmetric() and (law.lo, law.span) == (-lmax, 2)
+        diff = np.abs(nonnegative_half(law) - want)
         assert np.all(diff <= 1e-15)
         big = want > 1e-12
         assert np.all(diff[big] <= 1e-12 * want[big])
-        assert abs(law.tail_mass - tail_mass) < 1e-14
+        assert abs(law.leaked - tail_mass) < 1e-14
 
     @settings(max_examples=60, deadline=None)
-    @given(half_l=st.integers(1, 80), half_k=st.integers(1, 600), k_tail=st.booleans())
-    def test_nonnegative_zero_beyond_kmax_and_mass_accounted(self, half_l, half_k, k_tail):
+    @given(
+        half_l=st.integers(1, 80), half_k=st.integers(1, 600), k_tail=st.booleans(),
+        half_n=st.integers(1, 10**5),
+    )
+    def test_nonnegative_zero_beyond_kmax_and_mass_accounted(self, half_l, half_k, k_tail, half_n):
         law = return_position_law(2 * half_l, 2 * half_k, k_tail)
-        assert np.all(law.values >= 0)
+        assert np.all(law.entries >= 0)
         if not k_tail:
-            assert np.all(law.values[half_k + 1 :] == 0)
-        assert abs(law.window_mass() + law.tail_mass - 1.0) < 1e-13
+            assert np.all(nonnegative_half(law)[half_k + 1 :] == 0)
+        assert_mass_accounted(law)
+        assert law.is_symmetric()
+        conditioned = LatticeLaw.from_position_law(law)
+        assert conditioned.entries.dtype == np.float64 and conditioned.leaked == 0.0
+        assert abs(conditioned.entries.sum() - 1.0) < 1e-13
+        # the first-return law on 2, 4, ..., 2 half_n accounts for its mass too
+        assert_mass_accounted(first_return_law(2 * half_n))
 
 
 class TestKTailCompletion:
@@ -406,8 +422,8 @@ class TestKTailCompletion:
         # the exact truncated sums, which the marching oracle checks
         ls = np.arange(0, lmax + 1, 2, dtype=np.float64)
         completed = _k_tail_completion(kmax, ls)[0] - _k_tail_completion(far, ls)[0]
-        exact = (return_position_law(lmax, far, k_tail=False).values
-                 - return_position_law(lmax, kmax, k_tail=False).values)
+        exact = (nonnegative_half(return_position_law(lmax, far, k_tail=False))
+                 - nonnegative_half(return_position_law(lmax, kmax, k_tail=False)))
         np.testing.assert_allclose(completed.astype(np.float64), exact.astype(np.float64), rtol=1e-4, atol=0)
 
 
@@ -570,8 +586,8 @@ class TestBitIdenticalToOneShot:
         u = survival_series(nmax // 2)
         odd = 2 * np.arange(1, nmax // 2 + 1, dtype=LONG) - 1
         law = first_return_law(nmax)
-        assert np.array_equal(law.probs, (u / odd).astype(np.float64))
-        assert law.tail_mass == float(u[-1])
+        assert np.array_equal(law.entries, (u / odd).astype(np.float64))
+        assert law.leaked == float(u[-1])
 
     @settings(max_examples=60, deadline=None)
     @given(

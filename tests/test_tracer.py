@@ -22,6 +22,8 @@ TRACED = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
          "--schedule", "10,100"],
         "branched_walk.shifted_green_sum",
     ),
+    (["classify", "--samples", "3000", "--horizon", "1500"], "branched_walk.classify_point"),
+    (["return-law"], "cli.main"),
 ])
 def test_traced_run(tmp_path, argv, span):
     names = {s["name"] for s in traced_spans(tmp_path, argv)}
