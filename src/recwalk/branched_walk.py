@@ -306,20 +306,16 @@ def classify_standard_points(
 class GreenSumEstimate:
     """Monte Carlo partial sums of P(position = -shift at the n-th return).
 
-    partial_sums[n] estimates the expected number of hits among returns
-    0..n (the n = 0 term is identically 1).  Samples that fail to complete
-    all returns within the horizon contribute only their completed part;
-    exhausted counts them.
+    checkpoint_stats[n] is the (mean, standard error) over the samples of
+    the number of hits among returns 0..n (the n = 0 term is identically
+    1).  Samples that fail to complete all returns within the horizon
+    contribute only their completed part; exhausted counts them.
     """
 
     method: str
     nsamples: int
-    partial_sums: np.ndarray
     checkpoint_stats: dict[int, tuple[float, float]]
     exhausted: int
-
-    def value(self, n: int) -> float:
-        return float(self.partial_sums[n])
 
 
 def shifted_green_sum(
@@ -330,7 +326,8 @@ def shifted_green_sum(
     horizon: float | None = None,
     checkpoints: tuple[int, ...] = (),
 ) -> GreenSumEstimate:
-    """Estimate the partial sums G_N of the shifted-walk return indicator.
+    """Estimate the partial sums G_N of the shifted-walk return indicator
+    at each checkpoint N, n_returns always among them.
 
     method="auxiliary": draw the return-time/position increments of the
     diagonal walk from their exact laws and an independent shift stream;
@@ -367,7 +364,6 @@ def shifted_green_sum(
         raise ValueError(f"unknown method {method!r}")
     cp_index = np.array(checkpoints) - 1
     cp_vals = np.zeros((nsamples, len(checkpoints)))
-    hit_index = []  # hits are a few per 10^4 returns: keep their indices
     exhausted = 0
     for i in range(nsamples):
         hit, times = returns(i)
@@ -375,13 +371,13 @@ def shifted_green_sum(
         if times is not None:
             idx = idx[times[idx] <= horizon]
             exhausted += int(times[-1] > horizon)
-        hit_index.append(idx)
         cp_vals[i] = 1.0 + np.searchsorted(idx, cp_index, "right")
-    hits_by_n = np.bincount(np.concatenate(hit_index) + 1, minlength=n_returns + 1)
-    hits_by_n[0] = nsamples
-    partial = np.cumsum(hits_by_n) / nsamples
-    stats = _checkpoint_stats(checkpoints, cp_vals, nsamples)
-    return GreenSumEstimate(method, nsamples, partial, stats, exhausted)
+    # column by column: an axis=0 reduction sums in another order (stderr bits)
+    stats = {
+        cp: (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(nsamples)))
+        for cp, vals in zip(checkpoints, cp_vals.T)
+    }
+    return GreenSumEstimate(method, nsamples, stats, exhausted)
 
 
 def _auxiliary_returns(
@@ -424,16 +420,6 @@ def _direct_returns(
         j += (2.0 if j >= 0 else 0.0) if p else d
         hit[n] = j == 0
     return hit, times
-
-
-def _checkpoint_stats(
-    checkpoints: tuple[int, ...], cp_vals: np.ndarray, nsamples: int
-) -> dict[int, tuple[float, float]]:
-    out = {}
-    for col, cp in enumerate(checkpoints):
-        vals = cp_vals[:, col]
-        out[cp] = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(nsamples)))
-    return out
 
 
 def cross_method_gap(

@@ -197,11 +197,7 @@ def column_length(lmax: int, kmax: int) -> int:
     return min(m1, lmax // 2 + 1 + math.isqrt(225 * m1 - 1) + 1)  # ceil(15 sqrt(m1))
 
 
-def return_position_law(
-    lmax: int,
-    kmax: int | None = None,
-    k_tail: bool = True,
-) -> ReturnPositionLaw:
+def return_position_law(lmax: int, kmax: int, k_tail: bool = True) -> ReturnPositionLaw:
     """Build the return-position law: the sum of P(return = k) P(S_k = l)
     over even return times k <= kmax, completed beyond kmax.
 
@@ -222,8 +218,6 @@ def return_position_law(
     """
     if lmax < 2 or lmax % 2 == 1:
         raise ValueError("lmax must be an even integer >= 2")
-    if kmax is None:
-        kmax = lmax * lmax
     if kmax < 2 or kmax % 2 == 1:
         raise ValueError("kmax must be an even integer >= 2")
 
@@ -303,29 +297,18 @@ def _k_tail_completion(kmax: int, ls: np.ndarray) -> tuple[np.ndarray, float]:
     return contrib.astype(LONG), covered
 
 
-@dataclass
-class TailFunctional:
-    """m * P(pos >= m), with the part that the completed tail beyond the
-    window contributes and the certified truncation error."""
-
-    m: int
-    value: float
-    completion: float
-    certified_error: float
-
-
 #: largest share of the tail functional's value that its certified error may be
 MAX_CERTIFIED_FRACTION = 0.10
 
 
-def tail_functional(law: ReturnPositionLaw, m: int) -> TailFunctional:
-    """Evaluate m * P(pos >= m) from a computed return-position law.
+def tail_functional(law: ReturnPositionLaw, m: int) -> float:
+    """m * P(pos >= m) from a computed return-position law.
 
     The sum over [m, lmax] is exact up to the law's certified bound; the
-    tail beyond lmax is completed with the fitted sigma / l^2 density and
-    reported separately.  Refuses m within lmax / 2 of the window edge or
-    where the certified truncation error exceeds MAX_CERTIFIED_FRACTION of
-    the value.
+    tail beyond lmax is completed with the fitted sigma / l^2 density.
+    Refuses m < 2, m within lmax / 2 of the window edge, and m where the
+    certified truncation error, m times the bound at each entry summed,
+    exceeds MAX_CERTIFIED_FRACTION of the value.
     """
     if m < 2:
         raise ValueError("m must be >= 2")
@@ -348,7 +331,7 @@ def tail_functional(law: ReturnPositionLaw, m: int) -> TailFunctional:
             f"{MAX_CERTIFIED_FRACTION:.0%} of the value {value:.3g}; "
             "recompute the law with a larger kmax"
         )
-    return TailFunctional(m, value, m * completion, certified)
+    return value
 
 
 def _inverse_square_tail(t: int) -> float:
@@ -388,7 +371,7 @@ class TailLimit:
 
 def tail_limit(law: ReturnPositionLaw, ms=(100, 200, 400)) -> TailLimit:
     """Least-squares extrapolation of the tail functional in powers of 1/m."""
-    vals = {m: tail_functional(law, m).value for m in ms}
+    vals = {m: tail_functional(law, m) for m in ms}
     x = np.array([1.0 / m for m in ms])
     y = np.array([vals[m] for m in ms])
     coef = np.polyfit(x, y, 1)

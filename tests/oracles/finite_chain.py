@@ -88,12 +88,18 @@ def _solve_exact(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
         if pivot is None:
             raise ValueError("singular linear system")
         m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
+        row = m[col]
+        # zero entries of the pivot row change nothing: skip them
+        nonzero = [j for j in range(n + 1) if row[j]]
+        inv = 1 / row[col]
+        for j in nonzero:
+            row[j] *= inv
         for r in range(n):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+            f = m[r][col]
+            if r != col and f:
+                other = m[r]
+                for j in nonzero:
+                    other[j] -= f * row[j]
     return [m[r][n] for r in range(n)]
 
 

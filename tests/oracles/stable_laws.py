@@ -1,13 +1,16 @@
 """Stable-law oracles: the Gaussian target, the lattice lower bound on
-n P(Z_n = 0), the dense local-limit error that `lll_error` must equal, and
-the one-shot n-fold law that `self_convolve` must equal bit for bit."""
+n P(Z_n = 0), the dense local-limit error that `lll_error` must equal,
+the one-shot n-fold law that `self_convolve` must equal bit for bit, and
+P(Z_n = 0) for the untruncated law in exact form."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Mapping
 
+import mpmath
 import numpy as np
 
 from recwalk.stable_laws import (
@@ -87,3 +90,28 @@ def one_shot_self_convolve(d: LatticeLaw, n: int) -> LatticeLaw:
         conv = 0.5 * (conv + conv[::-1])
     leaked = max(1.0 - (1.0 - d.leaked) ** n, 1.0 - float(conv.sum()))
     return LatticeLaw(n * d.lo, d.span, conv, leaked)
+
+
+def zero_mass_exact(n: int) -> mpmath.mpf:
+    """P(Z_n = 0) for the sum Z_n of n independent draws of the untruncated
+    return-position law nu, as a_n + b_n / pi with rationals a_n and b_n.
+
+    nu has characteristic function 1 - |sin theta|, so P(Z_n = 0) is the
+    mean of (1 - |sin theta|)^n over [0, pi].  Expanding the power and
+    taking each mean of sin^k by Wallis's integrals gives
+    a_n = sum over even k of C(n, k) C(k, k/2) / 2^k and
+    b_n = -sum over odd k = 2m + 1 of C(n, k) 2 4^m (m!)^2 / k!.
+    The two terms cancel to about n/3 digits, so the sum is formed with
+    n/3 + 40 digits of pi; the result carries that precision.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    a = sum(Fraction(math.comb(n, k) * math.comb(k, k // 2), 2**k) for k in range(0, n + 1, 2))
+    b = -sum(
+        Fraction(math.comb(n, k) * 2 * 4 ** (k // 2) * math.factorial(k // 2) ** 2,
+                 math.factorial(k))
+        for k in range(1, n + 1, 2)
+    )
+    with mpmath.workdps(n // 3 + 40):
+        return (mpmath.mpf(a.numerator) / a.denominator
+                + mpmath.mpf(b.numerator) / b.denominator / mpmath.pi)

@@ -226,11 +226,13 @@ def test_criterion_07_large_deviations():
 
 def test_criterion_08_green_divergence():
     t0 = time.perf_counter()
+    # every n is a checkpoint, so that each partial sum is checked
     aux = shifted_green_sum(
-        10_000, 600, seed=DEFAULT_SEED, method="auxiliary", checkpoints=(100, 1000, 10_000)
+        10_000, 600, seed=DEFAULT_SEED, method="auxiliary", checkpoints=tuple(range(1, 10_001))
     )
-    nondecreasing = bool(np.all(np.diff(aux.partial_sums) >= 0))
-    g1, g2, g3 = (aux.value(n) for n in (100, 1000, 10_000))
+    sums = [aux.checkpoint_stats[n][0] for n in range(1, 10_001)]
+    nondecreasing = bool(np.all(np.diff(sums) >= 0))
+    g1, g2, g3 = (sums[n - 1] for n in (100, 1000, 10_000))
     growth_ok = (g3 - g2) > 0.5 * (g2 - g1)
 
     horizon = 4_000_000

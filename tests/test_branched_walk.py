@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles.engine import SparseDist, iterate_push_forward, observe_returns, sample_path
@@ -237,6 +237,16 @@ def closed_form(j: int) -> float:
     return (1 - 2 / math.pi) if j == 0 else 2 / (math.pi * (4 * j * j - 1))
 
 
+def every(n: int) -> tuple[int, ...]:
+    """Checkpoints 1..n: shifted_green_sum then reports every partial sum."""
+    return tuple(range(1, n + 1))
+
+
+def means(est) -> list[float]:
+    """The estimate's partial sums G_1, G_2, ..., in checkpoint order."""
+    return [mean for _, (mean, _) in sorted(est.checkpoint_stats.items())]
+
+
 class TestGreenSumAuxiliary:
     def test_first_term_exact_sum(self, pos_law_small):
         shift = excursion_shift_law(40)
@@ -245,14 +255,15 @@ class TestGreenSumAuxiliary:
 
     def test_first_term_monte_carlo(self, pos_law_small):
         est = shifted_green_sum(1, 20_000, seed=12, method="auxiliary")
-        t1 = est.value(1) - 1.0
+        t1 = est.checkpoint_stats[1][0] - 1.0
         want = first_term_exact(pos_law_small, excursion_shift_law(40))
         assert abs(t1 - want) < 3 * math.sqrt(want * (1 - want) / 20_000)
 
     def test_partial_sums_nondecreasing(self):
-        est = shifted_green_sum(300, 300, seed=13, method="auxiliary")
-        assert np.all(np.diff(est.partial_sums) >= 0)
-        assert est.partial_sums[0] == 1.0
+        est = shifted_green_sum(300, 300, seed=13, method="auxiliary", checkpoints=every(300))
+        sums = means(est)
+        assert np.all(np.diff(sums) >= 0)
+        assert 1.0 <= sums[0] <= 2.0  # the n = 0 term plus one indicator
 
     def test_growth_against_frozen_oracle(self):
         est = shifted_green_sum(1000, 900, seed=14, method="auxiliary", checkpoints=(100, 1000))
@@ -273,13 +284,14 @@ class TestGreenSumAuxiliary:
         b = shifted_green_sum(1, 20_000, seed=15, method="auxiliary")
         want = first_term_exact(pos_law_small, excursion_shift_law(40))
         se = math.sqrt(want * (1 - want) / 20_000)
-        assert a.value(1) != b.value(1)  # indicators really changed
-        assert abs(a.value(1) - b.value(1)) < 6 * se
+        g1a, g1b = a.checkpoint_stats[1][0], b.checkpoint_stats[1][0]
+        assert g1a != g1b  # indicators really changed
+        assert abs(g1a - g1b) < 6 * se
 
     def test_reproducible(self):
-        a = shifted_green_sum(50, 200, seed=16, method="auxiliary")
-        b = shifted_green_sum(50, 200, seed=16, method="auxiliary")
-        assert np.array_equal(a.partial_sums, b.partial_sums)
+        a = shifted_green_sum(50, 200, seed=16, method="auxiliary", checkpoints=every(50))
+        b = shifted_green_sum(50, 200, seed=16, method="auxiliary", checkpoints=every(50))
+        assert a.checkpoint_stats == b.checkpoint_stats
 
 
 class TestGreenSumDirect:
@@ -287,8 +299,10 @@ class TestGreenSumDirect:
         assert abs(DIRECT_T1 - 0.8 * closed_form(0)) < 1e-6
         nunu0 = closed_form(0) ** 2 + 2 * sum(closed_form(j) ** 2 for j in range(1, 5000))
         assert abs(DIRECT_T2 - (0.16 * closed_form(1) + 0.64 * nunu0)) < 1e-6
-        est = shifted_green_sum(2, 8000, seed=17, method="direct", horizon=50_000)
-        t = np.diff(est.partial_sums)
+        est = shifted_green_sum(
+            2, 8000, seed=17, method="direct", horizon=50_000, checkpoints=every(2)
+        )
+        t = np.diff([1.0, *means(est)])
         for n, want in ((1, DIRECT_T1), (2, DIRECT_T2)):
             se = math.sqrt(want * (1 - want) / 8000)
             assert abs(t[n - 1] - want) < 4 * se, (n, t[n - 1], want)
@@ -331,9 +345,46 @@ class TestGreenSumDirect:
         assert abs(frac - 0.2) < 4 * math.sqrt(0.2 * 0.8 / n)
 
     def test_reproducible(self):
-        a = shifted_green_sum(20, 100, seed=19, method="direct", horizon=20_000)
-        b = shifted_green_sum(20, 100, seed=19, method="direct", horizon=20_000)
-        assert np.array_equal(a.partial_sums, b.partial_sums)
+        kw = dict(method="direct", horizon=20_000, checkpoints=every(20))
+        a = shifted_green_sum(20, 100, seed=19, **kw)
+        b = shifted_green_sum(20, 100, seed=19, **kw)
+        assert a.checkpoint_stats == b.checkpoint_stats
+
+
+class TestCheckpointCounts:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(["auxiliary", "auxiliary-horizon", "direct"]),
+        n=st.integers(1, 80),
+        nsamples=st.integers(2, 25),
+        seed=st.integers(0, 2**64 - 1),
+        horizon=st.integers(2, 10**4),
+    )
+    def test_means_are_per_return_counts(self, case, n, nsamples, seed, horizon):
+        # every checkpoint mean equals, bit for bit, the cumulative hit count
+        # by return n over all samples divided once by nsamples
+        method = "direct" if case == "direct" else "auxiliary"
+        horizon = None if case == "auxiliary" else horizon
+        est = shifted_green_sum(
+            n, nsamples, seed=seed, method=method, horizon=horizon, checkpoints=every(n)
+        )
+        hits_by_n = np.zeros(n + 1, dtype=np.int64)
+        for i in range(nsamples):
+            if method == "auxiliary":
+                hit, times = branched_walk._auxiliary_returns(seed, i, n, horizon is not None)
+            else:
+                hit, times = branched_walk._direct_returns(
+                    stream(seed, i, DIRECT_LANE), n, horizon
+                )
+            idx = np.flatnonzero(hit)
+            if times is not None:
+                idx = idx[times[idx] <= horizon]
+            hits_by_n += np.bincount(idx + 1, minlength=n + 1)
+        hits_by_n[0] = nsamples
+        per_return = np.cumsum(hits_by_n) / nsamples
+        assert sorted(est.checkpoint_stats) == list(range(1, n + 1))
+        for k in range(1, n + 1):
+            assert est.checkpoint_stats[k][0] == per_return[k], k
 
 
 class TestCrossMethod:

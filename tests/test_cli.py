@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 
 import recwalk
 from oracles import samplers as one_shot
-from recwalk import branched_walk, cli
+from recwalk import branched_walk, cli, lawcache, return_laws, stable_laws
 from recwalk.cli import main
 from recwalk.lawcache import (
     CacheCorruptionError,
@@ -53,7 +56,7 @@ class TestLawCache:
         assert hit2
         assert np.array_equal(law.entries, again.entries)
         assert (law.error_bound, law.leaked) == (again.error_bound, again.leaked)
-        assert tail_functional(law, 30).value == tail_functional(again, 30).value
+        assert tail_functional(law, 30) == tail_functional(again, 30)
 
     def test_failed_replace_leaves_clean_miss(self, tmp_path, monkeypatch):
         import recwalk.lawcache as lawcache
@@ -120,6 +123,91 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv):
     assert err.startswith("usage: recwalk")
     assert "recwalk: error: " in err and "Traceback" not in err
     assert not out.exists()
+
+
+#: the integer options of each command, and those of them that must be
+#: positive or even (--seed only has to fit the stream keys)
+INT_OPTIONS = {
+    "return-law": ("--seed", "--n-max"),
+    "lll": ("--seed", "--l-max", "--k-max"),
+    "classify": ("--seed", "--samples", "--horizon"),
+    "green": ("--seed", "--samples", "--direct-samples", "--direct-returns", "--horizon"),
+}
+EVEN_OPTIONS = {"return-law": ("--n-max",), "lll": ("--l-max", "--k-max")}
+
+
+def _option(options: dict, values: st.SearchStrategy) -> st.SearchStrategy:
+    """[command, option, value] for an option of `options` and a value."""
+    return st.sampled_from([(c, o) for c, opts in options.items() for o in opts]).flatmap(
+        lambda co: values.map(lambda v: [*co, str(v)])
+    )
+
+
+def _schedule(entries: st.SearchStrategy, ok=lambda v: True, min_size=1) -> st.SearchStrategy:
+    return st.lists(entries, min_size=min_size, max_size=5).filter(ok).map(
+        lambda v: ",".join(map(str, v))
+    )
+
+
+def _increasing_to(last: st.SearchStrategy) -> st.SearchStrategy:
+    """A strictly increasing schedule of positive integers ending at `last`."""
+    return last.flatmap(lambda n: st.lists(st.integers(1, n - 1), max_size=3, unique=True).map(
+        lambda head: ",".join(map(str, [*sorted(head), n]))
+    ))
+
+
+def _even_above(lo: int, hi: int) -> st.SearchStrategy:
+    return st.integers(lo // 2 + 1, hi // 2).map(lambda h: 2 * h)
+
+
+NON_INTEGERS = st.floats().map(repr) | st.text(alphabet="ab.+-_ e", max_size=4)
+POSITIVE = {c: opts[1:] for c, opts in INT_OPTIONS.items()}
+SCHEDULED = ("lll", "green")
+
+#: argv that must be refused, each with exactly one bad argument
+INVALID_ARGV = st.one_of(
+    _option(INT_OPTIONS, NON_INTEGERS),
+    _option(POSITIVE, st.integers(max_value=0)),
+    _option(EVEN_OPTIONS, st.integers(0, 10**7).map(lambda h: 2 * h + 1)),
+    _option({c: ("--schedule",) for c in SCHEDULED}, st.one_of(
+        st.sampled_from(["", ",", " , "]),
+        _schedule(st.integers(1, 10**4), lambda v: any(b <= a for a, b in zip(v, v[1:])), 2),
+        _schedule(st.integers(max_value=0)),
+        _schedule(st.floats().map(repr) | st.text(alphabet="ab.+-_e", min_size=1, max_size=4)),
+    )),
+    _option({"return-law": ("--n-max",)}, _even_above(cli.MAX_RETURN_TIME, 10**12)),
+    _option({"green": ("--samples", "--direct-samples")},
+            st.integers(cli.MAX_GREEN_SAMPLES + 1, 10**12)),
+    _option({"green": ("--schedule",)},
+            _increasing_to(st.integers(cli.MAX_GREEN_RETURNS + 1, 10**12))),
+    _option({"lll": ("--k-max",)}, _even_above(160_000_000_000, 10**15).filter(
+        lambda k: return_laws.column_length(2000, k) > return_laws.MAX_COLUMN)),
+    _option({"lll": ("--l-max",)}, _even_above(377_640, 10**7).filter(
+        lambda l: return_laws.column_length(l, l * l) > return_laws.MAX_COLUMN)),
+    _option({"lll": ("--schedule",)}, _increasing_to(st.integers(8389, 10**9).filter(
+        lambda n: stable_laws.transform_length(2001, n) > stable_laws.MAX_TRANSFORM))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=INVALID_ARGV)
+def test_invalid_argv_is_usage_error(argv):
+    # each command's computation is stubbed out: an argv that got past the
+    # checks would fail here instead of starting it
+    started = AssertionError(f"computation started for {argv}")
+    stubs = [(lawcache, "load_or_compute_position_law"), (return_laws, "first_return_law"),
+             (branched_walk, "classify_standard_points"), (branched_walk, "shifted_green_sum")]
+    with contextlib.ExitStack() as stack, tempfile.TemporaryDirectory() as tmp:
+        for module, name in stubs:
+            stack.enter_context(mock.patch.object(module, name, side_effect=started))
+        err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", f"{tmp}/out", "--cache-dir", f"{tmp}/cache"])
+        assert os.listdir(tmp) == []
+    assert exc.value.code == 1
+    text = err.getvalue()
+    assert text.startswith("usage: recwalk")
+    assert "recwalk: error: " in text and "Traceback" not in text
 
 
 class TestLllScheduleBound:

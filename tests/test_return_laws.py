@@ -288,7 +288,7 @@ class TestReturnPositionLaw:
 
     def test_rejects_odd_windows(self):
         with pytest.raises(ValueError):
-            return_position_law(101)
+            return_position_law(101, 10_000)
         with pytest.raises(ValueError):
             return_position_law(100, 1001)
 
@@ -430,15 +430,19 @@ class TestKTailCompletion:
 class TestTailFunctional:
     def test_values_near_their_limit(self, pos_law_small):
         # closed form: m * P(pos >= m) = m / (pi (m - 1)) for even m
+        law = pos_law_small
         for m in (50, 100, 200):
-            tf = tail_functional(pos_law_small, m)
+            value = tail_functional(law, m)
             want = m / (math.pi * (m - 1))
-            assert abs(tf.value - want) < 0.01 * want, m
-            assert tf.certified_error < 0.10 * tf.value
-            assert tf.completion > 0
+            assert abs(value - want) < 0.01 * want, m
+            # the window entries l = m..lmax, each within the law's bound
+            t0, top = (m + 1) // 2, law.hi // 2
+            assert m * (top - t0 + 1) * law.error_bound < 0.10 * value
+            # the completed tail beyond the window adds to the window sum
+            assert value > m * float(np.sum(law.entries[top + t0 :]))
 
     def test_monotone_tail(self, pos_law_small):
-        vals = [tail_functional(pos_law_small, m).value / m for m in (50, 100, 150, 200)]
+        vals = [tail_functional(pos_law_small, m) / m for m in (50, 100, 150, 200)]
         assert vals == sorted(vals, reverse=True)
 
     def test_limit_extrapolation(self, pos_law_small):
@@ -455,8 +459,8 @@ class TestTailFunctional:
             tail_functional(rough, 200)
 
     def test_variation_between_m_and_2m(self, pos_law_small):
-        a = tail_functional(pos_law_small, 100).value
-        b = tail_functional(pos_law_small, 200).value
+        a = tail_functional(pos_law_small, 100)
+        b = tail_functional(pos_law_small, 200)
         assert abs(b - a) / a < 0.05
 
 

@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from oracles.stable_laws import (
     gaussian_target,
     lower_bound_check,
     one_shot_self_convolve,
+    zero_mass_exact,
 )
 from recwalk.stable_laws import (
     LatticeLaw,
@@ -317,3 +319,27 @@ class TestLowerBound:
         rep = lower_bound_check(dns, 0.58, 16)
         assert rep.passed  # n = 4 sits below the threshold and is not tested
         assert 4 in rep.values
+
+
+class TestZeroMassExact:
+    """P(Z_n = 0) for the untruncated law nu, from the exact form a_n + b_n / pi."""
+
+    @pytest.mark.parametrize("n", [4, 7, 8, 64, 256, 512])
+    def test_matches_quadrature_and_bracket(self, n):
+        exact = zero_mass_exact(n)
+        with mpmath.workdps(30):
+            # u = sin theta turns the mean of (1 - |sin theta|)^n into this integral
+            quad_value = 2 / mpmath.pi * mpmath.quad(
+                lambda u: (1 - u) ** (n - 0.5) * (1 + u) ** -0.5, [0, mpmath.mpf(1) / n, 1]
+            )
+            assert abs(exact - quad_value) < 1e-25 * exact
+            # Taylor bounds on (1 + u)^(-1/2) bracket n P(Z_n = 0)
+            lower = n / mpmath.pi * (1 / (n + 0.5) + 1 / (n + 1.5))
+            upper = lower + n / mpmath.pi * 3 / (2 * (n + 0.5) * (n + 1.5) * (n + 2.5))
+            assert lower <= n * exact <= upper
+
+    @pytest.mark.parametrize("n, want", [
+        (8, 0.571369317823), (64, 0.626967646917), (512, 0.635381198516),
+    ])
+    def test_known_values(self, n, want):
+        assert abs(float(n * zero_mass_exact(n)) - want) < 1e-12
