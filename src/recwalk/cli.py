@@ -160,14 +160,13 @@ def cmd_lll(parser: _Parser, args) -> int:
         "position law (lmax=%d, kmax=%d): cache %s in %.2fs, error bound %.3g, tail mass %.3g",
         lmax, kmax, "hit" if hit else "miss", time.perf_counter() - t0, law.error_bound, law.leaked,
     )
-    sigma = return_laws.tail_limit(law, ms=_ladder(lmax)).sigma
-    target = stable_laws.StableTarget.cauchy(scale=np.pi * sigma)
+    scale = np.pi * return_laws.tail_limit(law, ms=_ladder(lmax)).sigma
     base = return_laws.LatticeLaw.from_position_law(law)
     rows = []
     errors = []
     for n in schedule:
         # the n-fold law is dropped before the next one is built
-        rep = stable_laws.lll_error(stable_laws.self_convolve(base, n), target, n)
+        rep = stable_laws.lll_error(stable_laws.self_convolve(base, n), scale, n)
         errors.append(rep.sup_error)
         rows.append(f"{n},{_fmt(rep.sup_error)},{rep.argmax_point},{_fmt(n * rep.prob_at_zero)}")
     _write_table(

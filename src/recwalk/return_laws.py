@@ -264,27 +264,36 @@ _K_TAIL_RATIO = 1.005
 _BLOCK_ENTRIES = 1 << 15
 
 
+def _k_tail_grid(kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bucket weights, geometric midpoints) of the grid of even return times
+    beyond kmax: e_0 = kmax, e_j = max(2 rint(k_j / 2), e_(j-1) + 2) for the
+    running products k_j = kmax * _K_TAIL_RATIO^j, up to the first e_j with
+    survival(e_j) sqrt(2 / (pi e_j)) < 1e-18; the weights are survival's drops."""
+    # survival(e) sqrt(2 / (pi e)) < 2 / (pi e) < 1e-18 once the edges pass 1e18
+    steps = max(1, math.ceil(math.log(1e18 / kmax) / math.log(_K_TAIL_RATIO))) + 1
+    k = np.cumprod(np.concatenate(([float(kmax)], np.full(steps, _K_TAIL_RATIO))))
+    # e_j - 2j is the running maximum of 2 rint(k_i / 2) - 2i, with e_0 = kmax
+    lift = 2 * np.rint(k / 2).astype(np.int64) - 2 * np.arange(steps + 1)
+    lift[0] = kmax
+    edges = np.maximum.accumulate(lift) + 2 * np.arange(steps + 1)
+    # survival as _u_float evaluates it: the series from m = 8 on
+    x = edges // 2 + 0.25
+    surv = _u_series(x) / np.sqrt(np.pi * x)
+    surv[edges < 16] = [survival(int(e)) for e in edges[edges < 16]]
+    end = 2 + int(np.argmax(surv[1:] * np.sqrt(2 / (np.pi * edges[1:])) < 1e-18))
+    edges, surv = edges[:end].astype(float), surv[:end]
+    return surv[:-1] - surv[1:], np.sqrt(edges[:-1] * edges[1:])
+
+
 def _k_tail_completion(kmax: int, ls: np.ndarray) -> tuple[np.ndarray, float]:
-    """Contribution of return times beyond kmax, on a geometric grid.
+    """Contribution of return times beyond kmax, on _k_tail_grid's grid.
 
     Bucket weights use the exact survival identity; within a bucket the
     binomial point mass is replaced by sqrt(2/(pi k)) exp(-l^2 / 2k) at the
-    geometric midpoint.  The grid stops once the remaining contribution is
-    below 1e-18 pointwise.  The grid x window matrix of densities is formed
+    geometric midpoint.  The grid x window matrix of densities is formed
     one block of buckets at a time, so memory does not grow with the window.
     """
-    edges, survs = [kmax], [survival(kmax)]
-    k = float(kmax)
-    while True:
-        k *= _K_TAIL_RATIO
-        ke = max(int(2 * round(k / 2)), edges[-1] + 2)
-        edges.append(ke)
-        survs.append(survival(ke))
-        if survs[-1] * math.sqrt(2 / (math.pi * ke)) < 1e-18:
-            break
-    surv = np.array(survs)
-    weights = surv[:-1] - surv[1:]
-    mids = np.sqrt(np.array(edges[:-1], dtype=float) * np.array(edges[1:], dtype=float))
+    weights, mids = _k_tail_grid(kmax)
     neg_sq = -(ls**2)
     rows = max(1, _BLOCK_ENTRIES // len(ls))
     contrib = np.zeros(len(ls))

@@ -3,7 +3,7 @@
 The limit law of the experiments is the symmetric exponent-1 law with
 density g(s) = scale / (pi (s^2 + scale^2)).  Provides dense float
 self-convolution of lattice laws with leak accounting and the local-limit
-error functional sup_k |B_n/h P(Z_n = an + kh) - g((an + kh)/B_n)|.
+error functional sup over even k of |n/2 P(Z_n = k) - g(k/n)|.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -20,27 +19,9 @@ from .return_laws import LatticeLaw
 log = logging.getLogger(__name__)
 
 
-def cauchy_density(s, scale: float = 1.0):
-    """Density scale / (pi (s^2 + scale^2)); the standard form at scale 1.
-    Elementwise on arrays."""
+def cauchy_density(s, scale: float):
+    """Density scale / (pi (s^2 + scale^2)), elementwise on arrays."""
     return scale / (math.pi * (s * s + scale * scale))
-
-
-@dataclass(frozen=True)
-class StableTarget:
-    """A stable limit law together with the lattice and norming data needed
-    by the local limit theorem: the sums live on {a n + k h : k integer}
-    and Z_n / B_n converges to the density g, which must accept arrays."""
-
-    density: Callable[[float], float]
-    span: int
-    offset: int
-    norming: Callable[[int], float]
-
-    @classmethod
-    def cauchy(cls, scale: float = 1.0) -> "StableTarget":
-        """Exponent-1 target with B_n = n, for sums on the even lattice 2Z."""
-        return cls(lambda s: cauchy_density(s, scale), 2, 0, lambda n: float(n))
 
 
 # ---------------------------------------------------------------------------
@@ -120,47 +101,28 @@ class LLTError:
     truncation_warning: bool
 
 
-#: lll_error evaluates the lattice out to where the target density drops below this
-DENSITY_FLOOR = 1e-9
+def lll_error(dn: LatticeLaw, scale: float, n: int) -> LLTError:
+    """Local-limit error of the law of an n-fold sum on the even lattice.
 
-
-def lll_error(dn: LatticeLaw, target: StableTarget, n: int) -> LLTError:
-    """Local-limit error of the law of an n-fold sum against its target.
-
-    The sup of |B_n/h P(Z_n = an + kh) - g((an + kh)/B_n)| over the
-    lattice points of the support and out to where g drops below
-    DENSITY_FLOOR, with the first point on ties.  A law with more than one
-    entry must have the target's span h: against lattice h, a law of span
-    2h would be compared at points its sums never reach.  Off the support
-    P = 0 and the error is g itself, so there only the lattice points
-    nearest s = 0 on each side are evaluated: this assumes g strictly unimodal
-    about 0 (increasing below, decreasing above), as the centred stable
-    targets are.  Warns when the leaked mass of dn could move the sup by
-    more than 10%.
+    The sup over the even integers k of |n/2 P(Z_n = k) - g(k/n)|, g the
+    Cauchy density of the given scale, with the first point on ties.  A
+    law with more than one entry must have span 2: a law of span 4 would
+    be compared at points its sums never reach.  Off the support P = 0
+    and the error is g(k/n), which falls away from k = 0, so there only
+    the even integers outside the support nearest 0 are evaluated: 0
+    itself when the support misses it, else lo - 2 and hi + 2.  Warns
+    when the leaked mass of dn could move the sup by more than 10%.
     """
-    h, a = target.span, target.offset
-    bn = target.norming(n)
-    base = a * n
-    if len(dn.entries) > 1 and dn.span != h:
-        raise ValueError(f"law span {dn.span} differs from the lattice span {h}")
-    if (dn.lo - base) % h:
+    if len(dn.entries) > 1 and dn.span != 2:
+        raise ValueError(f"law span {dn.span} differs from the lattice span 2")
+    if dn.lo % 2:
         raise ValueError("support does not lie on the stated lattice")
     lo, hi = dn.lo, dn.hi
-    best = [_support_sup(dn.entries, lo, h, bn, target.density)]
-    # extend until the density itself drops below the floor
-    s_floor = _density_range(target.density, DENSITY_FLOOR)
-    left = base + h * math.floor((s_floor[0] * bn) / h)
-    right = base + h * math.ceil((s_floor[1] * bn) / h)
-    for first, last in ((left, lo - h), (hi + h, right)):
-        if first <= last:
-            # the lattice points of [first, last] next to 0 from below and above
-            j = min(max((-first) // h, 0), (last - first) // h)
-            pts = np.unique([first + j * h, min(first + (j + 1) * h, last)])
-            dens = np.abs(target.density(pts / bn))
-            k = int(np.argmax(dens))
-            best.append((float(dens[k]), int(pts[k])))
+    outside = [lo - 2, hi + 2] if lo <= 0 <= hi else [0]
+    best = [_support_sup(dn.entries, lo, n, scale)]
+    best += [(cauchy_density(k / n, scale), k) for k in outside]
     sup, point = max(best, key=lambda b: (b[0], -b[1]))
-    warn = dn.leaked * bn / h > 0.1 * sup
+    warn = dn.leaked * n / 2 > 0.1 * sup
     if warn:
         log.warning(
             "leaked mass %.3g could shift the local-limit sup %.3g by more than 10%%",
@@ -174,26 +136,16 @@ def lll_error(dn: LatticeLaw, target: StableTarget, n: int) -> LLTError:
 _SUPPORT_BLOCK = 1 << 15
 
 
-def _support_sup(entries: np.ndarray, lo: int, h: int, bn: float, density) -> tuple[float, int]:
-    """(error, point) of the largest |bn/h P - g(point/bn)| over the support
-    lo, lo + h, ..., evaluated in blocks of _SUPPORT_BLOCK points, with the
+def _support_sup(entries: np.ndarray, lo: int, n: int, scale: float) -> tuple[float, int]:
+    """(error, point) of the largest |n/2 P - g(point/n)| over the support
+    lo, lo + 2, ..., evaluated in blocks of _SUPPORT_BLOCK points, with the
     first point on ties (a nan counts as the largest, as in np.argmax)."""
     tops = []
     for start in range(0, len(entries), _SUPPORT_BLOCK):
         block = entries[start : start + _SUPPORT_BLOCK]
-        points = lo + h * np.arange(start, start + len(block), dtype=np.int64)
-        err = np.abs(bn / h * block - density(points / bn))
+        points = lo + 2 * np.arange(start, start + len(block), dtype=np.int64)
+        err = np.abs(n / 2 * block - cauchy_density(points / n, scale))
         i = int(np.argmax(err))
         tops.append((err[i], int(points[i])))
     i = int(np.argmax([e for e, _ in tops]))
     return float(tops[i][0]), tops[i][1]
-
-
-def _density_range(g: Callable[[float], float], floor: float) -> tuple[float, float]:
-    """[s_lo, s_hi] outside of which the (unimodal) density stays below floor."""
-    s = 1.0
-    while g(s) >= floor or g(-s) >= floor:
-        s *= 2
-        if s > 1e12:
-            break
-    return (-s, s)

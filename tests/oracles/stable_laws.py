@@ -1,7 +1,7 @@
-"""Stable-law oracles: the Gaussian target, the lattice lower bound on
-n P(Z_n = 0), the dense local-limit error that `lll_error` must equal,
-the one-shot n-fold law that `self_convolve` must equal bit for bit, and
-P(Z_n = 0) for the untruncated law in exact form."""
+"""Stable-law oracles: the lattice lower bound on n P(Z_n = 0), the dense
+local-limit error that `lll_error` must equal, the one-shot n-fold law
+that `self_convolve` must equal bit for bit, and P(Z_n = 0) for the
+untruncated law in exact form."""
 
 from __future__ import annotations
 
@@ -13,40 +13,27 @@ from typing import Mapping
 import mpmath
 import numpy as np
 
-from recwalk.stable_laws import (
-    LatticeLaw, LLTError, StableTarget, _density_range, transform_length,
-)
+from recwalk.stable_laws import LatticeLaw, LLTError, cauchy_density, transform_length
 
 
-def gaussian_density(s):
-    """Standard normal density, elementwise on arrays."""
-    return np.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
+#: even integers that dense_lll_error evaluates beyond the support and 0
+MARGIN = 64
 
 
-def gaussian_target(span: int = 2, offset: int = 1) -> StableTarget:
-    """Exponent-2 target with B_n = sqrt(n), for +-1 step sums."""
-    return StableTarget(gaussian_density, span, offset, lambda n: math.sqrt(n))
-
-
-def dense_lll_error(dn: LatticeLaw, target: StableTarget, n: int, floor: float = 1e-9) -> LLTError:
-    """Oracle for lll_error: the error on every lattice point from the
-    support out to where the density drops below the floor, with
+def dense_lll_error(dn: LatticeLaw, scale: float, n: int) -> LLTError:
+    """Oracle for lll_error: the error at every even integer from MARGIN
+    points below min(lo, 0) to MARGIN points above max(hi, 0), with
     probability zero off the support, and the first point on ties."""
-    h, a = target.span, target.offset
-    bn = target.norming(n)
-    base = a * n
     support = dn.lo + dn.span * np.arange(len(dn.entries), dtype=np.int64)
-    assert not np.any((support - base) % h)
-    s_floor = _density_range(target.density, floor)
-    lo = min(dn.lo, base + h * math.floor((s_floor[0] * bn) / h))
-    hi = max(dn.hi, base + h * math.ceil((s_floor[1] * bn) / h))
-    pts = np.arange(lo, hi + 1, h, dtype=np.int64)
+    assert not np.any(support % 2)
+    lo = min(dn.lo, 0) - 2 * MARGIN
+    pts = np.arange(lo, max(dn.hi, 0) + 2 * MARGIN + 1, 2, dtype=np.int64)
     probs = np.zeros(len(pts))
-    probs[(support - lo) // h] = dn.entries
-    err = np.abs(bn / h * probs - target.density(pts / bn))
+    probs[(support - lo) // 2] = dn.entries
+    err = np.abs(n / 2 * probs - cauchy_density(pts / n, scale))
     i = int(np.argmax(err))
     sup = float(err[i])
-    return LLTError(n, sup, int(pts[i]), dn.prob(0), dn.leaked * bn / h > 0.1 * sup)
+    return LLTError(n, sup, int(pts[i]), dn.prob(0), dn.leaked * n / 2 > 0.1 * sup)
 
 
 @dataclass

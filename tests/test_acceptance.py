@@ -17,7 +17,7 @@ import pytest
 from oracles.finite_chain import random_chain, verify_equivalences
 from oracles.return_laws import enumerate_first_returns
 from oracles.shift_law import excursion_shift_law, large_deviation_check, shift_sum_tail_exact
-from oracles.stable_laws import dense_lll_error, lower_bound_check
+from oracles.stable_laws import dense_lll_error, lower_bound_check, zero_mass_exact
 from recwalk.cli import main
 from recwalk.branched_walk import (
     Inlet,
@@ -36,7 +36,6 @@ from recwalk.return_laws import (
 from recwalk.rng import DEFAULT_SEED
 from recwalk.stable_laws import (
     LatticeLaw,
-    StableTarget,
     lll_error,
     self_convolve,
 )
@@ -144,8 +143,7 @@ def test_criterion_03_tail_functional_limit(big_position_law):
 def test_criterion_04_local_limit_errors(big_position_law, convolutions):
     t0 = time.perf_counter()
     sigma = tail_limit(big_position_law, ms=(100, 200, 400)).sigma
-    target = StableTarget.cauchy(scale=math.pi * sigma)
-    errs = [lll_error(convolutions[n], target, n).sup_error for n in (8, 16, 32, 64)]
+    errs = [lll_error(convolutions[n], math.pi * sigma, n).sup_error for n in (8, 16, 32, 64)]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
     ok = decreasing and errs[-1] < 0.05
     elapsed = time.perf_counter() - t0 + _charge_convolutions()
@@ -161,10 +159,9 @@ def test_criterion_04_local_limit_errors(big_position_law, convolutions):
 
 def test_lll_error_matches_dense_oracle(big_position_law, convolutions):
     # the CLI's laws and target: the support-only sup equals the dense one
-    sigma = tail_limit(big_position_law, ms=(100, 200, 400)).sigma
-    target = StableTarget.cauchy(scale=math.pi * sigma)
+    scale = math.pi * tail_limit(big_position_law, ms=(100, 200, 400)).sigma
     for n in (8, 16, 32, 64):
-        assert lll_error(convolutions[n], target, n) == dense_lll_error(convolutions[n], target, n)
+        assert lll_error(convolutions[n], scale, n) == dense_lll_error(convolutions[n], scale, n)
 
 
 def test_criterion_05_zero_mass_lower_bound(convolutions):
@@ -172,15 +169,45 @@ def test_criterion_05_zero_mass_lower_bound(convolutions):
     dns = {n: convolutions[n] for n in (16, 32, 64)}
     rep = lower_bound_check(dns, 0.5, 16)
     in_band = all(0.55 <= v <= 0.72 for v in rep.values.values())
+    every_n = zero_mass_bracket_holds()
     elapsed = time.perf_counter() - t0 + _charge_convolutions()
     report(
         5,
-        rep.passed and in_band,
+        rep.passed and in_band and every_n,
         f"n P(Z_n = 0) = { {n: '%.4f' % v for n, v in rep.values.items()} } "
-        "in [0.55, 0.72]; a = 0.5 from n0 = 16 passes",
+        "in [0.55, 0.72]; a = 0.5 from n0 = 16 passes; for the untruncated law "
+        "n P(Z_n = 0) >= 0.5 for every n >= 4 and in [0.55, 0.72] for every n >= 7",
         elapsed,
         None,
     )
+
+
+def zero_mass_bracket_holds() -> bool:
+    """The closed-form bracket L_n <= n P(Z_n = 0) <= U_n for the untruncated
+    law, L_n = (n/pi) [1/(n + 1/2) + 1/(n + 3/2)] and U_n = L_n +
+    (n/pi) 3 / (2 (n + 1/2) (n + 3/2) (n + 5/2)), puts n P(Z_n = 0) at or
+    above 0.5 for every n >= 4 and in [0.55, 0.72] for every n >= 7:
+    L_n increases towards 2/pi and U_n - L_n < 3 / (2 pi n^2)."""
+
+    def lower(n):
+        return n / np.pi * (1 / (n + 0.5) + 1 / (n + 1.5))
+
+    def gap(n):
+        return n / np.pi * 3 / (2 * (n + 0.5) * (n + 1.5) * (n + 2.5))
+
+    n = np.arange(1.0, 10**6 + 1)
+    checks = [
+        lower(4.0) >= 0.5,
+        lower(7.0) >= 0.55,
+        bool(np.all(np.diff(lower(n)) > 0)),
+        bool(np.all(lower(n) < 2 / np.pi)),
+        bool(np.all(gap(n) < 3 / (2 * np.pi * n**2))),
+        2 / np.pi + 3 / (2 * np.pi * 49) <= 0.72,
+    ]
+    for m in (16, 32, 64):
+        value = float(m * zero_mass_exact(m))
+        checks.append(lower(m) <= value <= lower(m) + gap(m))
+    return all(checks)
 
 
 def test_criterion_06_shift_law_identities():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import recwalk
 from oracles import samplers as one_shot
-from recwalk import branched_walk, cli, lawcache, return_laws, stable_laws
+from recwalk import branched_walk, cli, lawcache, return_laws, rng, stable_laws
 from recwalk.cli import main
 from recwalk.lawcache import (
     CacheCorruptionError,
@@ -188,18 +188,37 @@ INVALID_ARGV = st.one_of(
         lambda n: stable_laws.transform_length(2001, n) > stable_laws.MAX_TRANSFORM))),
 )
 
+#: argv with two bad arguments for the same command
+TWO_BAD_ARGV = st.tuples(INVALID_ARGV, INVALID_ARGV).filter(lambda ab: ab[0][0] == ab[1][0]).map(
+    lambda ab: [*ab[0], *ab[1][1:]]
+)
+#: a --seed outside [0, 2^64), which the stream keys refuse, with few samples;
+#: lll and return-law accept any --seed, since they draw nothing with it
+BAD_SEED_ARGV = st.tuples(
+    st.sampled_from([["classify", "--samples", "10", "--horizon", "10"],
+                     ["green", "--samples", "2", "--direct-samples", "2", "--schedule", "1,2,3"]]),
+    st.integers(max_value=-1) | st.integers(min_value=1 << 64),
+).map(lambda cv: [*cv[0], "--seed", str(cv[1])])
+
 
 @settings(max_examples=300, deadline=None)
-@given(argv=INVALID_ARGV)
+@given(argv=INVALID_ARGV | TWO_BAD_ARGV | BAD_SEED_ARGV)
 def test_invalid_argv_is_usage_error(argv):
-    # each command's computation is stubbed out: an argv that got past the
-    # checks would fail here instead of starting it
+    # each command's computation is stubbed out at its law build or its
+    # first random stream, which is built for real so that a bad seed is
+    # refused as in a run: an argv that got past the checks would fail here
+    # instead of computing
     started = AssertionError(f"computation started for {argv}")
-    stubs = [(lawcache, "load_or_compute_position_law"), (return_laws, "first_return_law"),
-             (branched_walk, "classify_standard_points"), (branched_walk, "shifted_green_sum")]
+
+    def first_stream(*key):
+        rng.stream(*key)
+        raise started
+
+    stubs = [(lawcache, "load_or_compute_position_law"), (return_laws, "first_return_law")]
     with contextlib.ExitStack() as stack, tempfile.TemporaryDirectory() as tmp:
         for module, name in stubs:
             stack.enter_context(mock.patch.object(module, name, side_effect=started))
+        stack.enter_context(mock.patch.object(branched_walk, "stream", side_effect=first_stream))
         err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--out", f"{tmp}/out", "--cache-dir", f"{tmp}/cache"])

@@ -19,6 +19,7 @@ from recwalk.return_laws import (
     LatticeLaw,
     _inverse_square_tail,
     _k_tail_completion,
+    _k_tail_grid,
     _TABLE_M,
     _survival_table,
     _u_float,
@@ -56,7 +57,9 @@ def assert_mass_accounted(law) -> None:
 
 
 def completion_grid(kmax: int, ratio: float = 1.005) -> tuple[np.ndarray, np.ndarray]:
-    """(bucket weights, geometric midpoints) of _k_tail_completion's grid."""
+    """Oracle for _k_tail_grid: the edges and survivals one at a time, each
+    edge from the running product k, and the grid ended after the first edge
+    whose survival times sqrt(2 / (pi edge)) is below 1e-18."""
     edges, survs = [kmax], [survival(kmax)]
     k = float(kmax)
     while True:
@@ -365,6 +368,14 @@ class TestTelescoping:
 class TestKTailCompletion:
     """The completion of return times beyond kmax, summed in blocks of
     grid buckets, against the dense oracle and the telescoped sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kmax=st.integers(1, 10**9).map(lambda h: 2 * h) | st.just(5 * 10**17))
+    def test_grid_matches_scalar_loop(self, kmax):
+        weights, mids = _k_tail_grid(kmax)
+        want_weights, want_mids = completion_grid(kmax)
+        assert np.array_equal(weights, want_weights)
+        assert np.array_equal(mids, want_mids)
 
     @staticmethod
     def assert_matches_dense(kmax, lmax):

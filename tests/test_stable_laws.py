@@ -11,15 +11,12 @@ from scipy.integrate import quad
 import recwalk.stable_laws as sl
 from oracles.stable_laws import (
     dense_lll_error,
-    gaussian_density,
-    gaussian_target,
     lower_bound_check,
     one_shot_self_convolve,
     zero_mass_exact,
 )
 from recwalk.stable_laws import (
     LatticeLaw,
-    StableTarget,
     cauchy_density,
     convolve_dists,
     lll_error,
@@ -50,19 +47,15 @@ def lattice_laws(draw, span: int) -> LatticeLaw:
 
 class TestDensities:
     def test_cauchy_values(self):
-        assert abs(cauchy_density(0.0) - 1 / math.pi) < 1e-15
-        assert abs(cauchy_density(1.0) - 1 / (2 * math.pi)) < 1e-15
+        assert abs(cauchy_density(0.0, 1.0) - 1 / math.pi) < 1e-15
+        assert abs(cauchy_density(1.0, 1.0) - 1 / (2 * math.pi)) < 1e-15
         for s in (0.3, 1.7, 12.0):
-            assert cauchy_density(s) == cauchy_density(-s)
+            assert cauchy_density(s, 1.0) == cauchy_density(-s, 1.0)
 
     def test_normalization(self):
-        targets = (StableTarget.cauchy(), StableTarget.cauchy(scale=1.7), gaussian_target())
-        for target in targets:
-            val, _ = quad(target.density, -np.inf, np.inf, limit=400)
+        for scale in (1.0, 1.7):
+            val, _ = quad(cauchy_density, -np.inf, np.inf, args=(scale,), limit=400)
             assert abs(val - 1.0) < 1e-9
-
-    def test_gaussian_value(self):
-        assert abs(gaussian_density(0.0) - 1 / math.sqrt(2 * math.pi)) < 1e-15
 
 
 class TestSelfConvolve:
@@ -192,71 +185,59 @@ class TestTransformPath:
 
 @st.composite
 def lll_cases(draw):
-    """(law, target, n) on the target's lattice: Cauchy targets at several
-    scales or the Gaussian at offset 1, the law's mass anywhere from 1e-6
-    (narrower and lower than the target, so the sup sits off the support)
-    to 30."""
+    """(law, scale, n) on the even lattice: Cauchy scales from 0.05 to 100,
+    the law's mass anywhere from 1e-6 (narrower and lower than the target,
+    so the sup sits off the support) to 30."""
     n = draw(st.integers(1, 64))
-    if draw(st.booleans()):
-        target = StableTarget.cauchy(scale=draw(st.sampled_from([0.05, 0.3, 1.0, 3.0])))
-    else:
-        target = gaussian_target()
+    scale = draw(st.sampled_from([0.05, 0.3, 1.0, 3.0, 100.0]))
     weights = np.array(draw(st.lists(st.floats(0, 1), min_size=1, max_size=30)))
-    lo = target.offset * n + target.span * draw(st.integers(-40, 40))
-    law = LatticeLaw(lo, target.span, weights * 10 ** draw(st.floats(-6, 0)), draw(st.floats(0, 0.5)))
-    return law, target, n
+    lo = 2 * draw(st.integers(-40, 40))
+    law = LatticeLaw(lo, 2, weights * 10 ** draw(st.floats(-6, 0)), draw(st.floats(0, 0.5)))
+    return law, scale, n
 
 
 class TestLLTError:
     @settings(max_examples=150, deadline=None)
     @given(case=lll_cases())
     def test_matches_dense_oracle(self, case):
-        law, target, n = case
-        assert lll_error(law, target, n) == dense_lll_error(law, target, n)
+        assert lll_error(*case) == dense_lll_error(*case)
 
     @settings(max_examples=100, deadline=None)
     @given(case=lll_cases(), block=st.integers(1, 12))
     def test_blocked_support_matches_dense_oracle(self, case, block):
         # blocks of a few points, so that the sup and its ties cross blocks
-        law, target, n = case
         with mock.patch.object(sl, "_SUPPORT_BLOCK", block):
-            assert lll_error(law, target, n) == dense_lll_error(law, target, n)
+            assert lll_error(*case) == dense_lll_error(*case)
 
     def test_tie_across_blocks_takes_first_point(self):
-        # equal errors at -2 and 2, in different blocks of one point each
+        # equal errors n/2 P - g at -2 and 2, in different blocks of one point each
         law = LatticeLaw(-2, 2, np.array([0.25, 0.0, 0.25]))
-        target = StableTarget(lambda s: np.zeros_like(s), 2, 0, lambda n: 1.0)
         with mock.patch.object(sl, "_SUPPORT_BLOCK", 1):
-            rep = lll_error(law, target, 1)
-        assert (rep.sup_error, rep.argmax_point) == (0.125, -2)  # B_1/h = 1/2
+            rep = lll_error(law, 100.0, 1)
+        assert rep == dense_lll_error(law, 100.0, 1)
+        assert (rep.sup_error, rep.argmax_point) == (0.125 - cauchy_density(2.0, 100.0), -2)
+
+    @staticmethod
+    def matched_law(lo: int, hi: int) -> LatticeLaw:
+        """A law with n/2 P = g exactly on [lo, hi], at n = 4 and scale 3."""
+        pts = np.arange(lo, hi + 1, 2)
+        return LatticeLaw(lo, 2, 2 / 4 * cauchy_density(pts / 4, 3.0))
 
     def test_off_support_sup_takes_first_point(self):
-        # P = 0 at -1 and 1, where the Gaussian density is largest: the sup
-        # is g(1) off the support, at the first of the two points
-        law = LatticeLaw(5, 2, np.array([1e-6, 1e-6]))
-        target = gaussian_target()
-        rep = lll_error(law, target, 1)
-        assert rep == dense_lll_error(law, target, 1)
-        assert (rep.argmax_point, rep.sup_error) == (-1, float(gaussian_density(np.array(1.0))))
+        # on [-40, 40] the error is 0, so the sup is g off the support, at
+        # -42 and 42 alike: the first of the two points
+        law = self.matched_law(-40, 40)
+        rep = lll_error(law, 3.0, 4)
+        assert rep == dense_lll_error(law, 3.0, 4)
+        assert (rep.argmax_point, rep.sup_error) == (-42, cauchy_density(10.5, 3.0))
 
     def test_off_support_sup_next_to_support(self):
-        # the law matches B_n/h P = g on [-40, 10], so the sup is g at the
-        # outside point nearest the mode: 12, not the far end -42
-        pts = np.arange(-40, 11, 2)
-        law = LatticeLaw(-40, 2, 2 / 4 * cauchy_density(pts / 4, 3.0))
-        target = StableTarget.cauchy(scale=3.0)
-        rep = lll_error(law, target, 4)
-        assert rep == dense_lll_error(law, target, 4)
+        # the law matches n/2 P = g on [-40, 10], so the sup is g at the
+        # outside point nearest 0: 12, not the far end -42
+        law = self.matched_law(-40, 10)
+        rep = lll_error(law, 3.0, 4)
+        assert rep == dense_lll_error(law, 3.0, 4)
         assert rep.argmax_point == 12
-
-    def test_binomial_family_monotone(self):
-        target = gaussian_target(span=2, offset=1)
-        errs = []
-        for n in (25, 100, 400):
-            dn = self_convolve(pm_one(), n)
-            errs.append(lll_error(dn, target, n).sup_error)
-        assert errs[2] < errs[1] < errs[0]
-        assert errs[2] < 0.01
 
     def test_position_family_monotone(self, pos_law_small):
         # the 400-wide window supports the trend up to n = 16; beyond that
@@ -264,38 +245,27 @@ class TestLLTError:
         # so the full 8..64 doubling ladder runs on the 2000-wide law in
         # the acceptance suite
         base = LatticeLaw.from_position_law(pos_law_small)
-        target = StableTarget.cauchy(scale=1.0)
         errs = []
         for n in (4, 8, 16):
             dn = self_convolve(base, n)
-            errs.append(lll_error(dn, target, n).sup_error)
+            errs.append(lll_error(dn, 1.0, n).sup_error)
         assert errs == sorted(errs, reverse=True)
         assert errs[-1] < 0.05
 
-    def test_self_target_is_exact(self):
-        # n = 1 against the law itself re-expressed as the target density
-        d = LatticeLaw(-2, 2, np.array([0.25, 0.5, 0.25]))
-
-        def g(s):  # B_1 = 1, h = 2: g(s) = (1/2) P(Z = s)
-            return np.select([s == -2.0, s == 0.0, s == 2.0], [0.125, 0.25, 0.125], 0.0)
-
-        target = StableTarget(g, span=2, offset=0, norming=lambda n: 1.0)
-        rep = lll_error(d, target, 1)
-        assert rep.sup_error == 0.0
-
     def test_off_lattice_support_rejected(self):
-        d = LatticeLaw(1, 1, np.array([0.5, 0.5]))
-        with pytest.raises(ValueError):
-            lll_error(d, StableTarget.cauchy(), 1)
+        with pytest.raises(ValueError, match="span 1 differs from the lattice span 2"):
+            lll_error(LatticeLaw(1, 1, np.array([0.5, 0.5])), 1.0, 1)
+        with pytest.raises(ValueError, match="support does not lie on the stated lattice"):
+            lll_error(LatticeLaw(1, 2, np.array([0.5, 0.5])), 1.0, 1)
 
     def test_span_multiple_of_lattice_rejected(self):
         d = LatticeLaw(-4, 4, np.array([0.25, 0.5, 0.25]))
         with pytest.raises(ValueError, match="span 4 differs from the lattice span 2"):
-            lll_error(d, StableTarget.cauchy(), 1)
+            lll_error(d, 1.0, 1)
 
     def test_truncation_warning(self):
         d = LatticeLaw(-2, 2, np.array([0.1, 0.6, 0.2]), leaked=0.1)
-        rep = lll_error(d, StableTarget.cauchy(), 1)
+        rep = lll_error(d, 1.0, 1)
         assert rep.truncation_warning
 
 

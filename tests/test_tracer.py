@@ -1,12 +1,15 @@
 """The benchmark's tracer wraps program functions by name, so a renamed or
-deleted function breaks it; these runs fail here first, not only in a
-traced benchmark run.  They read bench/ and change nothing in it."""
+deleted function breaks it, and its checks count the sampler calls inside
+the traced spans; these runs fail here first, not only in a traced
+benchmark run.  They read bench/ and change nothing in it."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -26,8 +29,12 @@ TRACED = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
     (["return-law"], "cli.main"),
 ])
 def test_traced_run(tmp_path, argv, span):
-    names = {s["name"] for s in traced_spans(tmp_path, argv)}
-    assert {"cli.main", span} <= names
+    spans = traced_spans(tmp_path, argv)
+    assert {"cli.main", span} <= {s["name"] for s in spans}
+    if argv[0] == "green":
+        # the benchmark's sample-count contract: one first-return draw per
+        # auxiliary sample and one stream per direct sample, inside the spans
+        assert bench_checks().check_green_spans(spans, {"samples": 4, "direct_samples": 4}) == []
 
 
 def test_traced_cache_cold_then_warm(tmp_path):
@@ -41,6 +48,15 @@ def test_traced_cache_cold_then_warm(tmp_path):
     assert warm["lawcache.load_or_compute"]["attrs"] == {"hit": True}
     assert warm["lawcache.load"]["attrs"]["file_bytes"] > 0
     assert "lawcache.save" not in warm
+
+
+def bench_checks():
+    """bench/checks.py as a module, loaded without writing its bytecode."""
+    spec = importlib.util.spec_from_file_location("bench_checks", TRACED.with_name("checks.py"))
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.object(sys, "dont_write_bytecode", True):
+        spec.loader.exec_module(module)
+    return module
 
 
 def traced_spans(cwd, argv) -> list[dict]:
