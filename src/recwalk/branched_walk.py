@@ -39,9 +39,7 @@ from typing import Union
 import numpy as np
 
 from .return_laws import sample_first_return, sample_position_at
-from .rng import (
-    DEFAULT_SEED, DIRECT_LANE, POSITION_LANE, RETURN_LANE, SHIFT_LANE, WALK_LANE, stream,
-)
+from .rng import DIRECT_LANE, POSITION_LANE, RETURN_LANE, SHIFT_LANE, WALK_LANE, stream
 
 
 # ---------------------------------------------------------------------------
@@ -253,10 +251,7 @@ def _entry_probability(s: Tail | Inlet, horizon: int) -> float:
 
 
 def classify_point(
-    s: BranchedState,
-    horizon: int = 10_000,
-    nsamples: int = 100_000,
-    seed: int = DEFAULT_SEED,
+    s: BranchedState, horizon: int, nsamples: int, seed: int
 ) -> ClassificationReport:
     """Combine the exact absorption split with a Monte Carlo estimate of
     lattice entry before the horizon.
@@ -288,9 +283,7 @@ def classify_point(
 
 
 def classify_standard_points(
-    horizon: int = 10_000,
-    nsamples: int = 100_000,
-    seed: int = DEFAULT_SEED,
+    horizon: int, nsamples: int, seed: int
 ) -> list[ClassificationReport]:
     return [
         classify_point(p, horizon, nsamples, seed)
@@ -321,8 +314,8 @@ class GreenSumEstimate:
 def shifted_green_sum(
     n_returns: int,
     nsamples: int,
-    seed: int = DEFAULT_SEED,
-    method: str = "auxiliary",
+    seed: int,
+    method: str,
     horizon: float | None = None,
     checkpoints: tuple[int, ...] = (),
 ) -> GreenSumEstimate:

@@ -56,17 +56,10 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17e}"
 
 
-_INTERNAL_ARGS = ("func", "default_out")
-
-
 def _config_dict(args, command: str) -> dict:
     """The arguments of the run, for the output's config; the paths among
     them are written as text by `json.dumps(..., default=str)`."""
-    cfg = {
-        k: v
-        for k, v in sorted(vars(args).items())
-        if k not in _INTERNAL_ARGS and v is not None
-    }
+    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
     cfg["command"] = command
     return cfg
 
@@ -289,37 +282,37 @@ def build_parser() -> _Parser:
     parser.add_argument("--verbose", action="store_true", help="log at DEBUG level")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, out_name):
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--out", type=Path, default=None)
+        p.add_argument("--out", type=Path, default=Path(out_name))
         p.add_argument("--cache-dir", type=Path, default=Path(DEFAULT_CACHE_DIR))
 
     p = sub.add_parser("return-law", help="first-return-time law and its tail fit")
-    common(p)
+    common(p, "recwalk_return_law.csv")
     p.add_argument("--n-max", type=int, default=2000)
-    p.set_defaults(func=cmd_return_law, default_out="recwalk_return_law.csv")
+    p.set_defaults(func=cmd_return_law)
 
     p = sub.add_parser("lll", help="local-limit error curve for the return-position law")
-    common(p)
+    common(p, "recwalk_lll.csv")
     p.add_argument("--l-max", type=int, default=2000)
     p.add_argument("--k-max", type=int, default=None)
     p.add_argument("--schedule", type=_int_list, default=[8, 16, 32, 64])
-    p.set_defaults(func=cmd_lll, default_out="recwalk_lll.csv")
+    p.set_defaults(func=cmd_lll)
 
     p = sub.add_parser("classify", help="classify the six reference points")
-    common(p)
+    common(p, "recwalk_classify.json")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--horizon", type=int, default=10_000)
-    p.set_defaults(func=cmd_classify, default_out="recwalk_classify.json")
+    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("green", help="shifted-walk green partial sums, both methods")
-    common(p)
+    common(p, "recwalk_green.csv")
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--direct-samples", type=int, default=100)
     p.add_argument("--direct-returns", type=int, default=1000)
     p.add_argument("--horizon", type=int, default=DEFAULT_DIRECT_HORIZON)
     p.add_argument("--schedule", type=_int_list, default=[100, 1000, 10000])
-    p.set_defaults(func=cmd_green, default_out="recwalk_green.csv")
+    p.set_defaults(func=cmd_green)
 
     return parser
 
@@ -332,8 +325,6 @@ def main(argv=None) -> int:
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if args.out is None:
-        args.out = Path(args.default_out)
     for attr in ("samples", "horizon", "n_max", "l_max", "direct_samples", "direct_returns"):
         if getattr(args, attr, None) is not None and getattr(args, attr) < 1:
             parser.error(f"--{attr.replace('_', '-')} must be positive")

@@ -3,8 +3,10 @@
 One law per file: a header line (kind, parameters) followed by
 (index, probability) rows.  Every number is printed with the fewest
 digits that read back to the same 80-bit value, so a loaded law equals
-the law that was saved, bit for bit.  Files are keyed by the law
-parameters, so a cache hit reproduces the run that wrote it byte for byte.
+the law that was saved, bit for bit.  Files are keyed by (lmax, kmax),
+which fix the law and its error bound, so a cache hit reproduces the run
+that wrote it byte for byte; a file whose header holds another key is
+refused.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ import numpy as np
 
 from .return_laws import LONG, ReturnPositionLaw, return_position_law
 
-#: version 1 printed 18 digits, too few to read back exactly, and version 2
-#: repeated the error bound as a third header field; both are refused
-FORMAT_VERSION = "recwalk-law-3"
+#: version 1 printed 18 digits, too few to read back exactly, version 2
+#: repeated the error bound as a third header field, and version 3 stored
+#: the error bound and the k-tail flag, which kmax alone fixes; all are refused
+FORMAT_VERSION = "recwalk-law-4"
 
 
 class CacheCorruptionError(ValueError):
@@ -42,10 +45,7 @@ def save_position_law(law: ReturnPositionLaw, cache_dir) -> Path:
     """
     path = position_law_path(cache_dir, law.hi, law.kmax)
     path.parent.mkdir(parents=True, exist_ok=True)
-    param = (
-        f"lmax={law.hi};kmax={law.kmax};ktail={int(law.k_tail_completed)};"
-        f"err={_fmt(law.error_bound)};tail={_fmt(law.leaked)};v={FORMAT_VERSION}"
-    )
+    param = f"lmax={law.hi};kmax={law.kmax};tail={_fmt(law.leaked)};v={FORMAT_VERSION}"
     lines = [f"return-position,{param}"]
     for t, p in enumerate(law.entries[law.hi // 2 :]):  # l >= 0; the law is symmetric
         lines.append(f"{2 * t},{_fmt(p)}")
@@ -83,13 +83,15 @@ def load_position_law(path) -> ReturnPositionLaw:
         return ReturnPositionLaw(
             -lmax, 2, np.concatenate((half[:0:-1], half)), float(LONG(fields["tail"])),
             kmax=kmax,
-            error_bound=float(LONG(fields["err"])),
-            k_tail_completed=bool(int(fields["ktail"])),
         )
     except (ValueError, KeyError, IndexError) as exc:
-        raise CacheCorruptionError(
-            f"law cache {path} is corrupted ({exc}); delete the file and rerun"
-        ) from exc
+        raise _corrupted(path, exc) from exc
+
+
+def _corrupted(path, reason) -> CacheCorruptionError:
+    return CacheCorruptionError(
+        f"law cache {path} is corrupted ({reason}); delete the file and rerun"
+    )
 
 
 def load_or_compute_position_law(cache_dir, lmax: int, kmax: int) -> tuple[ReturnPositionLaw, bool]:
@@ -101,7 +103,10 @@ def load_or_compute_position_law(cache_dir, lmax: int, kmax: int) -> tuple[Retur
     """
     path = position_law_path(cache_dir, lmax, kmax)
     if path.exists():
-        return load_position_law(path), True
+        law = load_position_law(path)
+        if (law.hi, law.kmax) != (lmax, kmax):  # a file stored under another key
+            raise _corrupted(path, f"it holds lmax={law.hi}, kmax={law.kmax}")
+        return law, True
     law = return_position_law(lmax, kmax)
     save_position_law(law, cache_dir)
     return law, False

@@ -175,8 +175,14 @@ class ReturnPositionLaw(LatticeLaw):
     """
 
     kmax: int
-    error_bound: float
-    k_tail_completed: bool
+
+    @property
+    def error_bound(self) -> float:
+        """Pointwise bound on |entry - nu|: the local-CLT relative error
+        O(1/kmax) of the completion beyond kmax plus its in-bucket variation
+        below _K_TAIL_RATIO - 1, both covered by 0.05 with wide margin."""
+        u = survival(self.kmax)
+        return min(u, 0.05 * u * math.sqrt(2 / (math.pi * self.kmax)) + 1e-13)
 
 
 #: largest boundary column that `lll` asks return_position_law to hold: 2^22
@@ -197,7 +203,7 @@ def column_length(lmax: int, kmax: int) -> int:
     return min(m1, lmax // 2 + 1 + math.isqrt(225 * m1 - 1) + 1)  # ceil(15 sqrt(m1))
 
 
-def return_position_law(lmax: int, kmax: int, k_tail: bool = True) -> ReturnPositionLaw:
+def return_position_law(lmax: int, kmax: int) -> ReturnPositionLaw:
     """Build the return-position law: the sum of P(return = k) P(S_k = l)
     over even return times k <= kmax, completed beyond kmax.
 
@@ -210,9 +216,8 @@ def return_position_law(lmax: int, kmax: int, k_tail: bool = True) -> ReturnPosi
     solved down from S(M + 1) = 0, gives (4t^2 - 1) S(t) = 4 sum over
     s = t..M of (2s + 1) (M + 1 - s) F(M + 1, s) for t >= 1: no entry is
     negative, and S(t) = 0 exactly for t > M.  Return times beyond kmax are
-    either dropped (k_tail=False, certified leak = survival(kmax) pointwise)
-    or completed with the normal local approximation on a fine geometric
-    grid (k_tail=True).  Against the telescoped sum over the return times it
+    completed with the normal local approximation on a fine geometric grid
+    (_k_tail_completion).  Against the telescoped sum over the return times it
     replaces, the completed part is accurate to 4e-5 relative for
     kmax >= lmax**2 >= 10**4, and to 7e-7 at (lmax, kmax) = (2000, 4e6).
     """
@@ -234,23 +239,11 @@ def return_position_law(lmax: int, kmax: int, k_tail: bool = True) -> ReturnPosi
     acc[0] = 1 - 4 * LONG(m1) ** 2 * column[0]
     acc[1:top] = tails[1:top] / (4 * s[1:top] ** 2 - 1)
     covered = 2 * np.sum(acc) - acc[0]
-
-    leak = survival(kmax)
-    if k_tail:
-        tail_in, tail_covered = _k_tail_completion(kmax, ls)
-        acc += tail_in
-        covered += LONG(tail_covered)
-        # Certified: local-CLT relative error O(1/kmax) plus in-bucket
-        # variation below _K_TAIL_RATIO - 1; 0.05 covers both with wide margin.
-        error_bound = min(leak, 0.05 * leak * math.sqrt(2 / (math.pi * kmax)) + 1e-13)
-    else:
-        # Everything past kmax is dropped: pointwise at most
-        # max_k P(S_k = l) * P(return > kmax).
-        error_bound = min(leak, leak * math.sqrt(2 / (math.pi * kmax)) + 1e-13)
-
+    tail_in, tail_covered = _k_tail_completion(kmax, ls)
+    acc += tail_in
+    covered += LONG(tail_covered)
     return ReturnPositionLaw(
-        -lmax, 2, np.concatenate((acc[:0:-1], acc)), float(1 - covered),
-        kmax=kmax, error_bound=float(error_bound), k_tail_completed=k_tail,
+        -lmax, 2, np.concatenate((acc[:0:-1], acc)), float(1 - covered), kmax=kmax
     )
 
 
@@ -378,7 +371,7 @@ class TailLimit:
     values: dict[int, float]
 
 
-def tail_limit(law: ReturnPositionLaw, ms=(100, 200, 400)) -> TailLimit:
+def tail_limit(law: ReturnPositionLaw, ms) -> TailLimit:
     """Least-squares extrapolation of the tail functional in powers of 1/m."""
     vals = {m: tail_functional(law, m) for m in ms}
     x = np.array([1.0 / m for m in ms])

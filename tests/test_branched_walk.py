@@ -435,12 +435,12 @@ class TestCrossMethod:
 
     def test_invalid_method(self):
         with pytest.raises(ValueError):
-            shifted_green_sum(10, 10, method="teleport")
+            shifted_green_sum(10, 10, seed=25, method="teleport")
 
     def test_direct_requires_a_horizon(self):
         with pytest.raises(ValueError, match="requires a horizon"):
-            shifted_green_sum(10, 10, method="direct")
+            shifted_green_sum(10, 10, seed=25, method="direct")
 
     def test_checkpoint_validation(self):
         with pytest.raises(ValueError):
-            shifted_green_sum(10, 10, checkpoints=(50,))
+            shifted_green_sum(10, 10, seed=25, method="auxiliary", checkpoints=(50,))

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -38,16 +39,15 @@ class TestLawCache:
         assert back.leaked == law.leaked
 
     @settings(max_examples=30, deadline=None)
-    @given(half_l=st.integers(1, 60), half_k=st.integers(1, 3000), k_tail=st.booleans())
-    def test_roundtrip_property(self, half_l, half_k, k_tail):
-        law = return_position_law(2 * half_l, 2 * half_k, k_tail)
+    @given(half_l=st.integers(1, 60), half_k=st.integers(1, 3000))
+    def test_roundtrip_property(self, half_l, half_k):
+        law = return_position_law(2 * half_l, 2 * half_k)
         with tempfile.TemporaryDirectory() as cache_dir:
             back = load_position_law(save_position_law(law, cache_dir))
         assert (back.lo, back.kmax) == (law.lo, law.kmax)
         assert np.array_equal(back.entries, law.entries)
         assert back.error_bound == law.error_bound
         assert back.leaked == law.leaked
-        assert back.k_tail_completed == law.k_tail_completed
 
     def test_derived_quantities_stable_across_reload(self, tmp_path):
         law, hit = load_or_compute_position_law(tmp_path, 100, 10_000)
@@ -77,19 +77,21 @@ class TestLawCache:
         law = return_position_law(100, 10_000)
         path = save_position_law(law, tmp_path)
         lines = path.read_text().splitlines()
-        for damaged in (lines[:20], version_2(lines)):
+        for damaged in (lines[:20], former(law, 2, lines), former(law, 3, lines)):
             path.write_text("\n".join(damaged) + "\n")
             with pytest.raises(CacheCorruptionError, match="delete"):
                 load_position_law(path)
 
 
-def version_2(lines: list[str]) -> list[str]:
-    """A cache file's lines in the version 2 layout, which repeated the
-    error bound as a third header field."""
-    kind, param = lines[0].split(",")[:2]
-    param = re.sub(r"v=recwalk-law-\d+", "v=recwalk-law-2", param)
-    err = dict(kv.split("=", 1) for kv in param.split(";"))["err"]
-    return [f"{kind},{param},{err}"] + lines[1:]
+def former(law, version: int, lines: list[str]) -> list[str]:
+    """The cache file lines of the law in format version 2 or 3: both
+    stored the k-tail flag and the error bound in the header, and version 2
+    repeated the error bound as a third header field."""
+    err = lawcache._fmt(law.error_bound)
+    param = (f"lmax={law.hi};kmax={law.kmax};ktail=1;err={err};"
+             f"tail={lawcache._fmt(law.leaked)};v=recwalk-law-{version}")
+    header = f"return-position,{param}" + (f",{err}" if version == 2 else "")
+    return [header] + lines[1:]
 
 
 def run(args):
@@ -391,7 +393,7 @@ class TestLllCommand:
         assert run(args) == 0  # cache hit this time
         assert out.read_bytes() == cold
 
-    def test_corrupt_cache_reported(self, tmp_path, capsys):
+    def test_corrupt_cache_reported(self, tmp_path, capsys, pos_law_small):
         cache = tmp_path / "cache"
         args = [
             "lll", "--l-max", 400, "--k-max", 160_000, "--schedule", "4,8",
@@ -402,7 +404,8 @@ class TestLllCommand:
         text = path.read_text()
         truncated = text[:100]
         version_1 = re.sub(r"v=recwalk-law-\d+", "v=recwalk-law-1", text)  # the 18-digit format
-        for damaged in (truncated, version_1, "\n".join(version_2(text.splitlines())) + "\n"):
+        versions_2_3 = ["\n".join(former(pos_law_small, v, text.splitlines())) + "\n" for v in (2, 3)]
+        for damaged in (truncated, version_1, *versions_2_3):
             path.write_text(damaged)
             capsys.readouterr()
             with pytest.raises(SystemExit) as exc:
@@ -412,6 +415,23 @@ class TestLllCommand:
             assert err.startswith("usage: recwalk")
             assert f"recwalk: error: law cache {path} is corrupted" in err
             assert "delete the file and rerun" in err and "Traceback" not in err
+
+    def test_miskeyed_cache_reported(self, tmp_path, capsys):
+        # a file stored under another kmax's name holds another law
+        cache, out = tmp_path / "cache", tmp_path / "b.csv"
+        args = ["lll", "--l-max", 200, "--schedule", "4,8", "--cache-dir", cache]
+        assert run(args + ["--k-max", 40_000, "--out", tmp_path / "a.csv"]) == 0
+        path = cache / "return_position_L200_K80000.csv"
+        shutil.copy(cache / "return_position_L200_K40000.csv", path)
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(args + ["--k-max", 80_000, "--out", out])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: recwalk")
+        assert (f"recwalk: error: law cache {path} is corrupted (it holds lmax=200, kmax=40000); "
+                "delete the file and rerun") in err
+        assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("damage", ["duplicated", "odd", "negative"])
     def test_misplaced_cache_rows_reported(self, tmp_path, capsys, damage):

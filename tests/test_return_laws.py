@@ -51,6 +51,16 @@ def nonnegative_half(law) -> np.ndarray:
     return law.entries[law.hi // 2 :]
 
 
+def telescoped(lmax: int, kmax: int):
+    """return_position_law(lmax, kmax) without its completion beyond kmax:
+    the telescoped sum over return times k <= kmax alone, with the mass
+    beyond kmax in leaked."""
+    with mock.patch.object(
+        return_laws, "_k_tail_completion", lambda kmax, ls: (np.zeros(len(ls), dtype=LONG), 0.0)
+    ):
+        return return_position_law(lmax, kmax)
+
+
 def assert_mass_accounted(law) -> None:
     """The entries and the leaked mass of a law add up to one."""
     assert abs(float(law.entries.sum()) + law.leaked - 1.0) < 1e-13
@@ -266,9 +276,12 @@ class TestReturnPositionLaw:
         assert pos_law_small.prob(7) == 0.0
 
     def test_against_closed_form(self, pos_law_small):
-        for l in (0, 2, 4, 10, 40, 200, 400):
-            got = pos_law_small.prob(l)
-            assert abs(got - closed_form(l)) <= pos_law_small.error_bound, l
+        for law, ls in (
+            (pos_law_small, (0, 2, 4, 10, 40, 200, 400)),
+            (return_position_law(100, 40_000), (0, 2, 20, 80)),
+        ):
+            for l in ls:
+                assert abs(law.prob(l) - closed_form(l)) <= law.error_bound, (law.hi, l)
 
     def test_error_bound_within_survival_certificate(self, pos_law_small):
         assert pos_law_small.error_bound <= survival(pos_law_small.kmax)
@@ -282,12 +295,6 @@ class TestReturnPositionLaw:
         cert = survival(10_000)
         for l in range(0, 101, 2):
             assert abs(a.prob(l) - b.prob(l)) < cert
-
-    def test_without_k_tail_completion_still_certified(self):
-        # dropping the completion leaves a certified (larger) leak
-        a = return_position_law(100, 40_000, k_tail=False)
-        for l in (0, 2, 20, 80):
-            assert abs(a.prob(l) - closed_form(l)) <= a.error_bound, l
 
     def test_rejects_odd_windows(self):
         with pytest.raises(ValueError):
@@ -324,7 +331,7 @@ class TestTelescoping:
             assert (4 * t * t - 1) * S[t] == 4 * tail, t
 
     def test_float_build_matches_exact_truncated_sum(self):
-        law = return_position_law(40, 30, k_tail=False)
+        law = telescoped(40, 30)
         for t in range(21):
             want = float(sum((boundary_term(m, t) for m in range(1, 16)), Fraction(0)))
             assert abs(law.prob(2 * t) - want) <= 1e-16 * want, t
@@ -337,7 +344,7 @@ class TestTelescoping:
         (400, 160_000, True),
     ])
     def test_matches_marching_oracle(self, lmax, kmax, k_tail):
-        law = return_position_law(lmax, kmax, k_tail)
+        law = return_position_law(lmax, kmax) if k_tail else telescoped(lmax, kmax)
         want, tail_mass = marching_oracle(lmax, kmax, k_tail)
         assert law.is_symmetric() and (law.lo, law.span) == (-lmax, 2)
         diff = np.abs(nonnegative_half(law) - want)
@@ -352,7 +359,7 @@ class TestTelescoping:
         half_n=st.integers(1, 10**5),
     )
     def test_nonnegative_zero_beyond_kmax_and_mass_accounted(self, half_l, half_k, k_tail, half_n):
-        law = return_position_law(2 * half_l, 2 * half_k, k_tail)
+        law = (return_position_law if k_tail else telescoped)(2 * half_l, 2 * half_k)
         assert np.all(law.entries >= 0)
         if not k_tail:
             assert np.all(nonnegative_half(law)[half_k + 1 :] == 0)
@@ -433,8 +440,7 @@ class TestKTailCompletion:
         # the exact truncated sums, which the marching oracle checks
         ls = np.arange(0, lmax + 1, 2, dtype=np.float64)
         completed = _k_tail_completion(kmax, ls)[0] - _k_tail_completion(far, ls)[0]
-        exact = (nonnegative_half(return_position_law(lmax, far, k_tail=False))
-                 - nonnegative_half(return_position_law(lmax, kmax, k_tail=False)))
+        exact = nonnegative_half(telescoped(lmax, far)) - nonnegative_half(telescoped(lmax, kmax))
         np.testing.assert_allclose(completed.astype(np.float64), exact.astype(np.float64), rtol=1e-4, atol=0)
 
 
@@ -465,7 +471,7 @@ class TestTailFunctional:
             tail_functional(pos_law_small, 380)
 
     def test_refuses_uncertified_truncation(self):
-        rough = return_position_law(400, 2_000, k_tail=False)
+        rough = return_position_law(400, 2_000)
         with pytest.raises(ValueError):
             tail_functional(rough, 200)
 
