@@ -5,13 +5,14 @@ configuration and the law cache, so reruns produce byte-identical output
 files.  Timing and cache information go to stderr, never into the files.
 
 Exit codes: 0 pass, 1 usage error (also when a library check refuses the
-configuration), 2 numerical-check failure, 3 Monte Carlo / exact-oracle
-contradiction.
+configuration or an --out or --cache-dir path cannot be used), 2
+numerical-check failure, 3 Monte Carlo / exact-oracle contradiction.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import logging
@@ -83,6 +84,16 @@ def _write_table(path: Path, config: dict, columns: list[str], rows) -> None:
             f.write("\n".join(chunk))
 
 
+@contextlib.contextmanager
+def _usable(parser: _Parser, option: str, path: Path):
+    """Report an OS error inside the block, such as a directory named by
+    --out or a file named by --cache-dir, as a usage error naming the path."""
+    try:
+        yield
+    except OSError as exc:
+        parser.error(f"{option}: cannot use {path} ({exc})")
+
+
 def _even(parser: _Parser, value: int, name: str) -> int:
     if value < 2 or value % 2:
         parser.error(f"{name} must be an even integer >= 2")
@@ -107,10 +118,11 @@ def cmd_return_law(parser: _Parser, args) -> int:
         f"slope,{_fmt(fit.slope)},window={fit.window[0]}..{fit.window[1]}",
         f"prefactor,{_fmt(fit.prefactor)},npoints={fit.npoints}",
     ]
-    _write_table(
-        args.out, _config_dict(args, "return-law"),
-        ["n", "prob", "n32_prob"], itertools.chain(_law_rows(law), fit_rows),
-    )
+    with _usable(parser, "--out", args.out):
+        _write_table(
+            args.out, _config_dict(args, "return-law"),
+            ["n", "prob", "n32_prob"], itertools.chain(_law_rows(law), fit_rows),
+        )
     log.info("return-law finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
     if not SLOPE_BAND[0] <= fit.slope <= SLOPE_BAND[1]:
         log.error("fitted slope %.4f outside %s", fit.slope, SLOPE_BAND)
@@ -148,7 +160,8 @@ def cmd_lll(parser: _Parser, args) -> int:
             f"above the limit of {stable_laws.MAX_TRANSFORM}"
         )
     t0 = time.perf_counter()
-    law, hit = lawcache.load_or_compute_position_law(args.cache_dir, lmax, kmax)
+    with _usable(parser, "--cache-dir", args.cache_dir):
+        law, hit = lawcache.load_or_compute_position_law(args.cache_dir, lmax, kmax)
     log.info(
         "position law (lmax=%d, kmax=%d): cache %s in %.2fs, error bound %.3g, tail mass %.3g",
         lmax, kmax, "hit" if hit else "miss", time.perf_counter() - t0, law.error_bound, law.leaked,
@@ -162,10 +175,11 @@ def cmd_lll(parser: _Parser, args) -> int:
         rep = stable_laws.lll_error(stable_laws.self_convolve(base, n), scale, n)
         errors.append(rep.sup_error)
         rows.append(f"{n},{_fmt(rep.sup_error)},{rep.argmax_point},{_fmt(n * rep.prob_at_zero)}")
-    _write_table(
-        args.out, _config_dict(args, "lll"),
-        ["n", "sup_error", "argmax_k", "n_times_p0"], rows,
-    )
+    with _usable(parser, "--out", args.out):
+        _write_table(
+            args.out, _config_dict(args, "lll"),
+            ["n", "sup_error", "argmax_k", "n_times_p0"], rows,
+        )
     log.info("lll finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
     if any(b >= a for a, b in zip(errors, errors[1:])):
         log.error("sup errors not strictly decreasing: %s", errors)
@@ -192,8 +206,9 @@ def cmd_classify(parser: _Parser, args) -> int:
         "config": _config_dict(args, "classify"),
         "reports": [r.to_json_dict() for r in reports],
     }
-    args.out.parent.mkdir(parents=True, exist_ok=True)
-    args.out.write_text(json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n")
+    with _usable(parser, "--out", args.out):
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        args.out.write_text(json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n")
     log.info("classify finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
     for r in reports:
         width = r.ci[1] - r.ci[0]
@@ -244,10 +259,11 @@ def cmd_green(parser: _Parser, args) -> int:
         rows.append(f"growth-ratio,{a}->{b},{_fmt(gb / ga)},,")
     gap, sigma = branched_walk.cross_method_gap(direct, aux_capped, n_direct)
     rows.append(f"cross-method-gap,{n_direct},{_fmt(gap)},{_fmt(sigma)},")
-    _write_table(
-        args.out, _config_dict(args, "green"),
-        ["method", "n", "value", "stderr", "exhausted_frac"], rows,
-    )
+    with _usable(parser, "--out", args.out):
+        _write_table(
+            args.out, _config_dict(args, "green"),
+            ["method", "n", "value", "stderr", "exhausted_frac"], rows,
+        )
     log.info("green finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
     for est, name in ((direct, "direct"), (aux_capped, "auxiliary-capped")):
         frac = est.exhausted / est.nsamples
@@ -328,6 +344,8 @@ def main(argv=None) -> int:
     for attr in ("samples", "horizon", "n_max", "l_max", "direct_samples", "direct_returns"):
         if getattr(args, attr, None) is not None and getattr(args, attr) < 1:
             parser.error(f"--{attr.replace('_', '-')} must be positive")
+    if not 0 <= args.seed < 1 << 64:  # the range of the stream keys, for every command
+        parser.error(f"--seed must lie in [0, 2^64), got {args.seed}")
     try:
         return args.func(parser, args)
     except ValueError as exc:  # a library check refused the configuration

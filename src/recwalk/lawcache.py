@@ -6,7 +6,7 @@ digits that read back to the same 80-bit value, so a loaded law equals
 the law that was saved, bit for bit.  Files are keyed by (lmax, kmax),
 which fix the law and its error bound, so a cache hit reproduces the run
 that wrote it byte for byte; a file whose header holds another key is
-refused.
+refused, and a file in a former format is rebuilt.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ import numpy as np
 
 from .return_laws import LONG, ReturnPositionLaw, return_position_law
 
+FORMAT_VERSION = "recwalk-law-4"
 #: version 1 printed 18 digits, too few to read back exactly, version 2
 #: repeated the error bound as a third header field, and version 3 stored
-#: the error bound and the k-tail flag, which kmax alone fixes; all are refused
-FORMAT_VERSION = "recwalk-law-4"
+#: the error bound and the k-tail flag, which kmax alone fixes; a lookup
+#: rebuilds such a file, and load_position_law refuses it
+FORMER_VERSIONS = ("recwalk-law-1", "recwalk-law-2", "recwalk-law-3")
 
 
 class CacheCorruptionError(ValueError):
@@ -102,11 +104,19 @@ def load_or_compute_position_law(cache_dir, lmax: int, kmax: int) -> tuple[Retur
     byte-identical whether or not the cache was warm.
     """
     path = position_law_path(cache_dir, lmax, kmax)
-    if path.exists():
+    if path.exists() and not _in_former_format(path):
         law = load_position_law(path)
         if (law.hi, law.kmax) != (lmax, kmax):  # a file stored under another key
             raise _corrupted(path, f"it holds lmax={law.hi}, kmax={law.kmax}")
         return law, True
     law = return_position_law(lmax, kmax)
-    save_position_law(law, cache_dir)
+    save_position_law(law, cache_dir)  # replaces a file in a former format
     return law, False
+
+
+def _in_former_format(path: Path) -> bool:
+    """Whether the header declares a former version, read before the header
+    is unpacked: versions 1 and 2 put a third comma field after `v=`."""
+    with open(path, errors="replace") as f:  # undecodable bytes are for load_position_law
+        fields = f.readline().strip().replace(",", ";").split(";")
+    return any(f"v={version}" in fields for version in FORMER_VERSIONS)

@@ -110,8 +110,9 @@ def _u_series(x):
     """sqrt(pi x) Gamma(x + 1/4) / Gamma(x + 3/4) for x >= 8.25, a float or
     an array, as 1 + a series in 1/x^2 whose first omitted term is < 1e-16."""
     series = 0.0
+    x2 = x * x
     for c in _U_SERIES:
-        series = (series + c) / (x * x)
+        series = (series + c) / x2
     return 1.0 + series
 
 
@@ -360,7 +361,21 @@ def fit_tail_scale(law: ReturnPositionLaw) -> float:
     vals = law.entries[lmax // 2 + ts].astype(np.float64)
     if len(ts) < 5:
         raise ValueError("window too small to fit the tail scale")
-    return float(np.median(vals * ls * ls / 2.0))
+    return _median(vals * ls * ls / 2.0)
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-d array, bit for bit, without the import of numpy.ma
+    (about 13 ms and 1.3 MB) that np.median makes on its first call: nan if
+    a value is nan, else the mean of the one or two middle values, a sum
+    that starts from +0.0 as np.mean's does, so -0.0 reads as +0.0."""
+    ordered = np.sort(values)  # a nan sorts last
+    if np.isnan(ordered[-1]):
+        return math.nan
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return 0.0 + float(ordered[mid])
+    return (0.0 + float(ordered[mid - 1]) + float(ordered[mid])) / 2
 
 
 @dataclass

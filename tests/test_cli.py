@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -77,20 +76,21 @@ class TestLawCache:
         law = return_position_law(100, 10_000)
         path = save_position_law(law, tmp_path)
         lines = path.read_text().splitlines()
-        for damaged in (lines[:20], former(law, 2, lines), former(law, 3, lines)):
+        for damaged in (lines[:20], *(former(law, v, lines) for v in (1, 2, 3))):
             path.write_text("\n".join(damaged) + "\n")
             with pytest.raises(CacheCorruptionError, match="delete"):
                 load_position_law(path)
 
 
 def former(law, version: int, lines: list[str]) -> list[str]:
-    """The cache file lines of the law in format version 2 or 3: both
-    stored the k-tail flag and the error bound in the header, and version 2
-    repeated the error bound as a third header field."""
+    """The cache file lines of the law in format version 1, 2 or 3: all
+    stored the k-tail flag and the error bound in the header, versions 1
+    and 2 repeated the error bound as a third header field, and version 1
+    printed 18 digits, which the rows here do not mimic."""
     err = lawcache._fmt(law.error_bound)
     param = (f"lmax={law.hi};kmax={law.kmax};ktail=1;err={err};"
              f"tail={lawcache._fmt(law.leaked)};v=recwalk-law-{version}")
-    header = f"return-position,{param}" + (f",{err}" if version == 2 else "")
+    header = f"return-position,{param}" + (f",{err}" if version < 3 else "")
     return [header] + lines[1:]
 
 
@@ -106,7 +106,7 @@ def run(args):
     ["green", "--samples", 1],
     ["green", "--direct-samples", 1],
     ["lll", "--k-max", 0],
-    ["classify", "--seed", -1],  # refused by the stream keys
+    ["classify", "--seed", -1],  # outside the stream keys' range
     ["lll", "--schedule", "8,8"],
     ["green", "--schedule", "100,100,1000"],
     ["return-law", "--n-max", 2_000_002],  # above cli.MAX_RETURN_TIME
@@ -194,11 +194,14 @@ INVALID_ARGV = st.one_of(
 TWO_BAD_ARGV = st.tuples(INVALID_ARGV, INVALID_ARGV).filter(lambda ab: ab[0][0] == ab[1][0]).map(
     lambda ab: [*ab[0], *ab[1][1:]]
 )
-#: a --seed outside [0, 2^64), which the stream keys refuse, with few samples;
-#: lll and return-law accept any --seed, since they draw nothing with it
+#: a --seed outside [0, 2^64), the range of the stream keys, which every
+#: command refuses when it parses its arguments, lll and return-law too,
+#: though they draw nothing with it; with small configurations
 BAD_SEED_ARGV = st.tuples(
     st.sampled_from([["classify", "--samples", "10", "--horizon", "10"],
-                     ["green", "--samples", "2", "--direct-samples", "2", "--schedule", "1,2,3"]]),
+                     ["green", "--samples", "2", "--direct-samples", "2", "--schedule", "1,2,3"],
+                     ["lll", "--l-max", "40", "--schedule", "2,4"],
+                     ["return-law", "--n-max", "200"]]),
     st.integers(max_value=-1) | st.integers(min_value=1 << 64),
 ).map(lambda cv: [*cv[0], "--seed", str(cv[1])])
 
@@ -229,6 +232,50 @@ def test_invalid_argv_is_usage_error(argv):
     text = err.getvalue()
     assert text.startswith("usage: recwalk")
     assert "recwalk: error: " in text and "Traceback" not in text
+
+
+@pytest.mark.parametrize("command", ["return-law", "lll", "classify", "green"])
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_seed_out_of_range_is_named(tmp_path, capsys, command, seed):
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--seed", seed, "--out", tmp_path / "out", "--cache-dir", tmp_path / "c"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: recwalk")
+    assert f"recwalk: error: --seed must lie in [0, 2^64), got {seed}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+#: an unusable --out or --cache-dir for each command, with small configurations:
+#: (argv, the path the message names, its OS reason)
+UNUSABLE_PATHS = {
+    "lll-cache-dir-is-a-file": (["lll", "--l-max", 40, "--schedule", "2,4",
+                                 "--cache-dir", "{file}", "--out", "{dir}/out.csv"],
+                                "--cache-dir: cannot use {file}", "File exists"),
+    "classify-out-below-a-file": (["classify", "--samples", 10, "--horizon", 10,
+                                   "--out", "{file}/x.json"],
+                                  "--out: cannot use {file}/x.json", "File exists"),
+    "return-law-out-is-a-directory": (["return-law", "--n-max", 200, "--out", "{dir}"],
+                                      "--out: cannot use {dir}", "Is a directory"),
+    "green-out-is-a-directory": (["green", "--samples", 2, "--direct-samples", 2,
+                                  "--schedule", "1,2,3", "--out", "{dir}"],
+                                 "--out: cannot use {dir}", "Is a directory"),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_PATHS)
+def test_unusable_path_is_usage_error(tmp_path, capsys, case):
+    argv, named, reason = UNUSABLE_PATHS[case]
+    paths = {"file": tmp_path / "file", "dir": tmp_path}
+    paths["file"].write_text("not a directory\n")
+    with pytest.raises(SystemExit) as exc:
+        run([str(a).format(**paths) for a in argv])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: recwalk")
+    assert f"recwalk: error: {named.format(**paths)} (" in err and reason in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
 class TestLllScheduleBound:
@@ -403,9 +450,9 @@ class TestLllCommand:
         path = cache / "return_position_L400_K160000.csv"
         text = path.read_text()
         truncated = text[:100]
-        version_1 = re.sub(r"v=recwalk-law-\d+", "v=recwalk-law-1", text)  # the 18-digit format
-        versions_2_3 = ["\n".join(former(pos_law_small, v, text.splitlines())) + "\n" for v in (2, 3)]
-        for damaged in (truncated, version_1, *versions_2_3):
+        # a header of the current version with the third field of version 2
+        third_field = text.replace("\n", f",{lawcache._fmt(pos_law_small.error_bound)}\n", 1)
+        for damaged in (truncated, third_field):
             path.write_text(damaged)
             capsys.readouterr()
             with pytest.raises(SystemExit) as exc:
@@ -415,6 +462,24 @@ class TestLllCommand:
             assert err.startswith("usage: recwalk")
             assert f"recwalk: error: law cache {path} is corrupted" in err
             assert "delete the file and rerun" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_former_cache_format_rebuilt(self, tmp_path, caplog, pos_law_small, version):
+        cache, out = tmp_path / "cache", tmp_path / "a.csv"
+        args = [
+            "lll", "--l-max", 400, "--k-max", 160_000, "--schedule", "4,8",
+            "--cache-dir", cache, "--out", out,
+        ]
+        assert run(args) == 0
+        path = cache / "return_position_L400_K160000.csv"
+        current, cold = path.read_bytes(), out.read_bytes()
+        lines = former(pos_law_small, version, current.decode().splitlines())
+        path.write_text("\n".join(lines) + "\n")
+        caplog.clear()
+        with caplog.at_level("INFO", logger="recwalk"):
+            assert run(args) == 0
+        assert "(lmax=400, kmax=160000): cache miss in " in caplog.text
+        assert path.read_bytes() == current and out.read_bytes() == cold
 
     def test_miskeyed_cache_reported(self, tmp_path, capsys):
         # a file stored under another kmax's name holds another law
@@ -544,26 +609,36 @@ def test_package_imports_without_scipy():
     assert out.stdout.splitlines() == ["[]", "[]"]
 
 
-def test_numpy_random_stays_unloaded(tmp_path):
-    # numpy.random costs about 20 ms and 5 MB to import: the commands that
-    # draw nothing must not load it, and the first stream does
+#: the numpy submodules that each command loads after `import recwalk.cli`, at
+#: a small configuration.  numpy.random costs about 13 ms and 6.1 MB to import,
+#: so only the commands that draw load it, on their first stream; numpy.fft
+#: only lll, for its convolutions; and no command loads scipy or numpy.ma,
+#: which np.median imports on its first call (about 13 ms and 1.3 MB)
+NUMPY_SUBMODULES = {
+    "lll": (["lll", "--l-max", "200", "--schedule", "8,16"], ["numpy.fft"]),
+    "return-law": (["return-law", "--n-max", "200"], []),
+    "classify": (["classify", "--samples", "10", "--horizon", "10"], ["numpy.random"]),
+    "green": (["green", "--samples", "2", "--direct-samples", "2", "--schedule", "1,2,3"],
+              ["numpy.random"]),
+    "help": (["green", "--help"], []),
+}
+
+
+@pytest.mark.parametrize("command", NUMPY_SUBMODULES)
+def test_numpy_submodules_per_command(tmp_path, command):
+    argv, loaded = NUMPY_SUBMODULES[command]
     code = (
         "import contextlib, io, sys\n"
         "from recwalk.cli import main\n"
-        "seen = ['numpy.random' in sys.modules]\n"
+        "before = set(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
-        "    main(['green', '--help'])\n"
-        "seen.append('numpy.random' in sys.modules)\n"
-        "main(['lll', '--l-max', '200', '--schedule', '8,16', '--out', 'lll.csv'])\n"
-        "seen.append('numpy.random' in sys.modules)\n"
-        "from recwalk.rng import stream\n"
-        "stream(1)\n"
-        "seen.append('numpy.random' in sys.modules)\n"
-        "print(seen)\n"
+        f"    main({argv!r})\n"
+        "new = {'.'.join(m.split('.')[:2]) for m in set(sys.modules) - before}\n"
+        "print(sorted(m for m in new if m.partition('.')[0] in ('numpy', 'scipy')))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(recwalk.__file__))}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True,
         check=True,
     )
-    assert out.stdout.splitlines() == ["[False, False, False, True]"]
+    assert out.stdout.splitlines() == [repr(loaded)]

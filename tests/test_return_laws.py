@@ -21,10 +21,13 @@ from recwalk.return_laws import (
     _k_tail_completion,
     _k_tail_grid,
     _TABLE_M,
+    _median,
     _survival_table,
     _u_float,
+    _u_series,
     first_return_law,
     fit_tail_exponent,
+    fit_tail_scale,
     return_position_law,
     sample_first_return,
     sample_position_at,
@@ -480,6 +483,28 @@ class TestTailFunctional:
         b = tail_functional(pos_law_small, 200)
         assert abs(b - a) / a < 0.05
 
+    @pytest.mark.parametrize("lmax", [40, 42, 44, 46, 202, 204, 2000])
+    def test_tail_scale_is_np_median(self, lmax):
+        # --l-max 40, 42, 202 and 2000 fit an odd count of values, 44, 46 and
+        # 204 an even count
+        law = return_position_law(lmax, min(lmax * lmax, 40_000))
+        ts = np.arange((lmax // 2 + 1) // 2, lmax // 2 + 1)
+        ls = 2 * ts.astype(np.float64)
+        window = law.entries[lmax // 2 + ts].astype(np.float64) * ls * ls / 2.0
+        assert len(window) % 2 == (lmax not in (44, 46, 204))
+        assert np.float64(fit_tail_scale(law)).tobytes() == np.median(window).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0, 1.0]),
+                           min_size=1, max_size=40))
+    def test_median_is_np_median_bit_for_bit(self, values):
+        values = np.array(values)
+        want = np.median(values)
+        if np.isnan(want):
+            assert math.isnan(_median(values))
+        else:
+            assert np.float64(_median(values)).tobytes() == want.tobytes()
+
 
 class TestScalarSpecialFunctions:
     @pytest.mark.parametrize("t", [1, 5, 20, 1000, 10**5, 10**7])
@@ -502,6 +527,19 @@ class TestScalarSpecialFunctions:
         with mpmath.workdps(40):
             want = mpmath.gamma(m + mpmath.mpf(1) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(m + 1))
             assert abs(_u_float(m) / want - 1) < 1e-15
+
+    def test_u_series_is_the_loop_that_squares_each_pass(self):
+        # the loop before x * x was taken out of it: the same double each pass
+        def each_pass(x):
+            series = 0.0
+            for c in return_laws._U_SERIES:
+                series = (series + c) / (x * x)
+            return 1.0 + series
+
+        xs = np.concatenate(([8.25, 8.5, 9.0, 1e3, 1e15, 1e30], np.geomspace(8.25, 1e30, 4001)))
+        assert np.array_equal(_u_series(xs), each_pass(xs))
+        for x in xs.tolist():
+            assert _u_series(x) == each_pass(x)
 
     def test_survival_matches_product_series(self):
         # 80-bit running product of (2m - 1) / 2m
