@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import json
 import logging
@@ -73,7 +74,6 @@ def _write_table(path: Path, config: dict, columns: list[str], rows) -> None:
     """Write the header, then the already formatted CSV rows, an iterable,
     joined and written _WRITE_CHUNK at a time, so that a long table is
     never held whole."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     rows = iter(rows)
     with open(path, "w") as f:
         f.write(f"# {OUTPUT_FORMAT_VERSION}\n")
@@ -166,7 +166,7 @@ def cmd_lll(parser: _Parser, args) -> int:
         "position law (lmax=%d, kmax=%d): cache %s in %.2fs, error bound %.3g, tail mass %.3g",
         lmax, kmax, "hit" if hit else "miss", time.perf_counter() - t0, law.error_bound, law.leaked,
     )
-    scale = np.pi * return_laws.tail_limit(law, ms=_ladder(lmax)).sigma
+    scale = np.pi * return_laws.tail_limit(law, ms=_ladder(lmax))
     base = return_laws.LatticeLaw.from_position_law(law)
     rows = []
     errors = []
@@ -207,7 +207,6 @@ def cmd_classify(parser: _Parser, args) -> int:
         "reports": [r.to_json_dict() for r in reports],
     }
     with _usable(parser, "--out", args.out):
-        args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n")
     log.info("classify finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
     for r in reports:
@@ -346,6 +345,10 @@ def main(argv=None) -> int:
             parser.error(f"--{attr.replace('_', '-')} must be positive")
     if not 0 <= args.seed < 1 << 64:  # the range of the stream keys, for every command
         parser.error(f"--seed must lie in [0, 2^64), got {args.seed}")
+    with _usable(parser, "--out", args.out):  # refused before any computation
+        args.out.parent.mkdir(parents=True, exist_ok=True)
+        if args.out.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(args.out))
     try:
         return args.func(parser, args)
     except ValueError as exc:  # a library check refused the configuration

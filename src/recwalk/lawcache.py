@@ -62,8 +62,8 @@ def save_position_law(law: ReturnPositionLaw, cache_dir) -> Path:
 
 
 def load_position_law(path) -> ReturnPositionLaw:
-    """Read a cache file, whose rows must be l = 0, 2, ..., lmax in order,
-    and mirror them onto -lmax..lmax."""
+    """Read a cache file, whose rows must be l = 0, 2, ..., lmax in order and,
+    like the tail mass, finite and >= 0, and mirror them onto -lmax..lmax."""
     path = Path(path)
     try:
         lines = path.read_text().strip().splitlines()
@@ -82,9 +82,11 @@ def load_position_law(path) -> ReturnPositionLaw:
             if int(idx) != 2 * t:
                 raise ValueError(f"row {t + 1} is l = {idx}, expected l = {2 * t}")
             half[t] = LONG(prob)
+        masses = np.append(half, LONG(fields["tail"]))
+        if not np.all((masses >= 0) & (masses < np.inf)):  # a nan fails both
+            raise ValueError("an entry or the tail mass is not finite and >= 0")
         return ReturnPositionLaw(
-            -lmax, 2, np.concatenate((half[:0:-1], half)), float(LONG(fields["tail"])),
-            kmax=kmax,
+            -lmax, np.concatenate((half[:0:-1], half)), float(masses[-1]), kmax=kmax
         )
     except (ValueError, KeyError, IndexError) as exc:
         raise _corrupted(path, exc) from exc

@@ -30,14 +30,14 @@ LONG = np.longdouble
 
 @dataclass(frozen=True)
 class LatticeLaw:
-    """Law on the lattice lo, lo + span, lo + 2 span, ..., hi.
+    """Law on the points lo, lo + 2, ..., hi of one coset of 2Z, the even
+    lattice itself for return times and positions.
 
-    entries[i] = P(lo + i span), zeros allowed; leaked is the mass missing
+    entries[i] = P(lo + 2 i), zeros allowed; leaked is the mass missing
     from the entries, so entries.sum() + leaked == 1 up to rounding.
     """
 
     lo: int
-    span: int
     entries: np.ndarray
     leaked: float = 0.0
 
@@ -48,18 +48,18 @@ class LatticeLaw:
         half = law.entries[law.hi // 2 :]
         entries = law.entries.astype(np.float64)
         entries /= float(2 * np.sum(half) - half[0])
-        return cls(law.lo, law.span, entries)
+        return cls(law.lo, entries)
 
     @property
     def hi(self) -> int:
-        return self.lo + self.span * (len(self.entries) - 1)
+        return self.lo + 2 * (len(self.entries) - 1)
 
     def support(self) -> np.ndarray:
-        """The lattice points lo, lo + span, ..., hi, in increasing order."""
-        return self.lo + self.span * np.arange(len(self.entries))
+        """The lattice points lo, lo + 2, ..., hi, in increasing order."""
+        return self.lo + 2 * np.arange(len(self.entries))
 
     def prob(self, k: int) -> float:
-        i, off = divmod(k - self.lo, self.span)
+        i, off = divmod(k - self.lo, 2)
         if off or not 0 <= i < len(self.entries):
             return 0.0
         return float(self.entries[i])
@@ -134,7 +134,7 @@ def first_return_law(nmax: int) -> LatticeLaw:
     probs = np.empty(nmax // 2)
     for m, u in _survival_blocks(nmax // 2):
         probs[int(m[0]) - 1 : int(m[-1])] = u / (2 * m - 1)
-    return LatticeLaw(2, 2, probs, float(u[-1]))
+    return LatticeLaw(2, probs, float(u[-1]))
 
 
 @dataclass
@@ -244,7 +244,7 @@ def return_position_law(lmax: int, kmax: int) -> ReturnPositionLaw:
     acc += tail_in
     covered += LONG(tail_covered)
     return ReturnPositionLaw(
-        -lmax, 2, np.concatenate((acc[:0:-1], acc)), float(1 - covered), kmax=kmax
+        -lmax, np.concatenate((acc[:0:-1], acc)), float(1 - covered), kmax=kmax
     )
 
 
@@ -378,21 +378,11 @@ def _median(values: np.ndarray) -> float:
     return (0.0 + float(ordered[mid - 1]) + float(ordered[mid])) / 2
 
 
-@dataclass
-class TailLimit:
-    """Extrapolated limit of m * P(pos >= m) over a ladder of m values."""
-
-    sigma: float
-    values: dict[int, float]
-
-
-def tail_limit(law: ReturnPositionLaw, ms) -> TailLimit:
-    """Least-squares extrapolation of the tail functional in powers of 1/m."""
-    vals = {m: tail_functional(law, m) for m in ms}
+def tail_limit(law: ReturnPositionLaw, ms) -> float:
+    """Limit of m * P(pos >= m): the intercept of its least-squares line in 1/m over ms."""
     x = np.array([1.0 / m for m in ms])
-    y = np.array([vals[m] for m in ms])
-    coef = np.polyfit(x, y, 1)
-    return TailLimit(float(coef[1]), vals)
+    y = np.array([tail_functional(law, m) for m in ms])
+    return float(np.polyfit(x, y, 1)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Stable-law numerics on integer lattices.
+"""Stable-law numerics on the even lattice.
 
 The limit law of the experiments is the symmetric exponent-1 law with
 density g(s) = scale / (pi (s^2 + scale^2)).  Provides dense float
@@ -8,15 +8,12 @@ error functional sup over even k of |n/2 P(Z_n = k) - g(k/n)|.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .return_laws import LatticeLaw
-
-log = logging.getLogger(__name__)
 
 
 def cauchy_density(s, scale: float):
@@ -35,8 +32,6 @@ def convolve_dists(a: LatticeLaw, b: LatticeLaw) -> LatticeLaw:
     against.  The mass missing from either input is carried into the
     leaked account.
     """
-    if a.span != b.span:
-        raise ValueError(f"lattice spans differ: {a.span} and {b.span}")
     conv = np.convolve(a.entries, b.entries)
     if a.is_symmetric() and b.is_symmetric():
         # float convolution can lose the exact l <-> -l symmetry at roundoff
@@ -44,7 +39,7 @@ def convolve_dists(a: LatticeLaw, b: LatticeLaw) -> LatticeLaw:
     la, lb = a.leaked, b.leaked
     # absorb float rounding into the leak account so mass stays conserved
     leaked = max(la + lb - la * lb, 1.0 - float(conv.sum()))
-    return LatticeLaw(a.lo + b.lo, a.span, conv, leaked)
+    return LatticeLaw(a.lo + b.lo, conv, leaked)
 
 
 #: longest transform self_convolve may take: each array of it holds 128 MB,
@@ -83,7 +78,7 @@ def self_convolve(d: LatticeLaw, n: int) -> LatticeLaw:
         mean *= 0.5
         front[...] = back[...] = mean
     leaked = max(1.0 - (1.0 - d.leaked) ** n, 1.0 - float(conv.sum()))
-    return LatticeLaw(n * d.lo, d.span, conv, leaked)
+    return LatticeLaw(n * d.lo, conv, leaked)
 
 
 # ---------------------------------------------------------------------------
@@ -94,27 +89,20 @@ def self_convolve(d: LatticeLaw, n: int) -> LatticeLaw:
 class LLTError:
     """sup over lattice points of the local-limit discrepancy at one n."""
 
-    n: int
     sup_error: float
     argmax_point: int
     prob_at_zero: float
-    truncation_warning: bool
 
 
 def lll_error(dn: LatticeLaw, scale: float, n: int) -> LLTError:
     """Local-limit error of the law of an n-fold sum on the even lattice.
 
     The sup over the even integers k of |n/2 P(Z_n = k) - g(k/n)|, g the
-    Cauchy density of the given scale, with the first point on ties.  A
-    law with more than one entry must have span 2: a law of span 4 would
-    be compared at points its sums never reach.  Off the support P = 0
-    and the error is g(k/n), which falls away from k = 0, so there only
-    the even integers outside the support nearest 0 are evaluated: 0
-    itself when the support misses it, else lo - 2 and hi + 2.  Warns
-    when the leaked mass of dn could move the sup by more than 10%.
+    Cauchy density of the given scale, with the first point on ties.  Off
+    the support P = 0 and the error is g(k/n), which falls away from k = 0,
+    so there only the even integers outside the support nearest 0 are
+    evaluated: 0 itself when the support misses it, else lo - 2 and hi + 2.
     """
-    if len(dn.entries) > 1 and dn.span != 2:
-        raise ValueError(f"law span {dn.span} differs from the lattice span 2")
     if dn.lo % 2:
         raise ValueError("support does not lie on the stated lattice")
     lo, hi = dn.lo, dn.hi
@@ -122,14 +110,7 @@ def lll_error(dn: LatticeLaw, scale: float, n: int) -> LLTError:
     best = [_support_sup(dn.entries, lo, n, scale)]
     best += [(cauchy_density(k / n, scale), k) for k in outside]
     sup, point = max(best, key=lambda b: (b[0], -b[1]))
-    warn = dn.leaked * n / 2 > 0.1 * sup
-    if warn:
-        log.warning(
-            "leaked mass %.3g could shift the local-limit sup %.3g by more than 10%%",
-            dn.leaked,
-            sup,
-        )
-    return LLTError(n, sup, point, dn.prob(0), warn)
+    return LLTError(sup, point, dn.prob(0))
 
 
 #: support points that lll_error evaluates at once (256 KB per array)

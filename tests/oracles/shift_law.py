@@ -4,8 +4,9 @@ At a visit to the translated half-axis the walk makes a burst of
 consecutive a-moves, each shifting it by +2: the shift is 2m with
 probability 4 / 5^(m+1).  The auxiliary Green walk of
 `recwalk.branched_walk` draws these shifts directly; the exact law, the
-exact tail of the shift sums, their sampled large deviations and the
-exact first Green term are the oracles it is checked against.
+exact tail of the shift sums, their sampled large deviations, the
+exact first Green term and the exact partial Green sums are the oracles
+it is checked against.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from recwalk.return_laws import ReturnPositionLaw
 from recwalk.rng import DEFAULT_SEED, SHIFT_LANE, stream
@@ -114,3 +117,29 @@ def first_term_exact(pos_law: ReturnPositionLaw, shift_law: ExcursionShiftLaw) -
     for m in range(shift_law.mmax + 1):
         total += pos_law.prob(2 * m) * float(shift_law.probs[2 * m])
     return total
+
+
+def auxiliary_green_integrand(t, n: int):
+    """Re[(1 - psi^(n+1)) / (1 - psi)] at t, elementwise on arrays, for
+    psi(t) = (1 - |sin t|) (4/5) / (1 - e^(2it) / 5): the characteristic
+    function of one auxiliary step, a return-position draw plus a shift burst."""
+    psi = (1 - np.abs(np.sin(t))) * 0.8 / (1 - np.exp(2j * t) / 5)
+    return ((1 - psi ** (n + 1)) / (1 - psi)).real
+
+
+def auxiliary_green_exact(n: int) -> float:
+    """G_N, the expected number of hits among returns 0..N of the auxiliary
+    walk, for N = n >= 1.
+
+    P(S_k = 0) on 2Z is (1/pi) times the integral of psi^k over [-pi/2, pi/2],
+    so G_N = (1/pi) times the integral of auxiliary_green_integrand, which is
+    even in t.  Near t = 0 psi^N varies on the scale 1/N, so [0, pi/2] is cut
+    into the geometric panels [b/2, b], b = pi/2, pi/4, ..., down to below
+    1e-3 / N, and [0, b], each taken with 24-point Gauss-Legendre.
+    """
+    x, w = np.polynomial.legendre.leggauss(24)
+    halvings = math.ceil(math.log2(math.pi / 2 * n / 1e-3))
+    edges = np.concatenate(([0.0], math.pi / 2 * 2.0 ** -np.arange(halvings, -1, -1.0)))
+    a, b = edges[:-1, None], edges[1:, None]
+    t = (a + b) / 2 + (b - a) / 2 * x
+    return 2 / math.pi * float(np.sum((b - a) / 2 * w * auxiliary_green_integrand(t, n)))

@@ -24,7 +24,7 @@ def dense_lll_error(dn: LatticeLaw, scale: float, n: int) -> LLTError:
     """Oracle for lll_error: the error at every even integer from MARGIN
     points below min(lo, 0) to MARGIN points above max(hi, 0), with
     probability zero off the support, and the first point on ties."""
-    support = dn.lo + dn.span * np.arange(len(dn.entries), dtype=np.int64)
+    support = dn.lo + 2 * np.arange(len(dn.entries), dtype=np.int64)
     assert not np.any(support % 2)
     lo = min(dn.lo, 0) - 2 * MARGIN
     pts = np.arange(lo, max(dn.hi, 0) + 2 * MARGIN + 1, 2, dtype=np.int64)
@@ -33,7 +33,7 @@ def dense_lll_error(dn: LatticeLaw, scale: float, n: int) -> LLTError:
     err = np.abs(n / 2 * probs - cauchy_density(pts / n, scale))
     i = int(np.argmax(err))
     sup = float(err[i])
-    return LLTError(n, sup, int(pts[i]), dn.prob(0), dn.leaked * n / 2 > 0.1 * sup)
+    return LLTError(sup, int(pts[i]), dn.prob(0))
 
 
 @dataclass
@@ -76,7 +76,7 @@ def one_shot_self_convolve(d: LatticeLaw, n: int) -> LatticeLaw:
     if d.is_symmetric():
         conv = 0.5 * (conv + conv[::-1])
     leaked = max(1.0 - (1.0 - d.leaked) ** n, 1.0 - float(conv.sum()))
-    return LatticeLaw(n * d.lo, d.span, conv, leaked)
+    return LatticeLaw(n * d.lo, conv, leaked)
 
 
 def zero_mass_exact(n: int) -> mpmath.mpf:

@@ -16,7 +16,12 @@ import pytest
 
 from oracles.finite_chain import random_chain, verify_equivalences
 from oracles.return_laws import enumerate_first_returns
-from oracles.shift_law import excursion_shift_law, large_deviation_check, shift_sum_tail_exact
+from oracles.shift_law import (
+    auxiliary_green_exact,
+    excursion_shift_law,
+    large_deviation_check,
+    shift_sum_tail_exact,
+)
 from oracles.stable_laws import dense_lll_error, lower_bound_check, zero_mass_exact
 from recwalk.cli import main
 from recwalk.branched_walk import (
@@ -31,6 +36,7 @@ from recwalk.return_laws import (
     first_return_law,
     fit_tail_exponent,
     return_position_law,
+    tail_functional,
     tail_limit,
 )
 from recwalk.rng import DEFAULT_SEED
@@ -126,15 +132,16 @@ def test_criterion_02_tail_exponent():
 
 def test_criterion_03_tail_functional_limit(big_position_law):
     t0 = time.perf_counter()
-    res = tail_limit(big_position_law, ms=(100, 200, 400))
-    within = all(abs(v - res.sigma) <= 0.15 * res.sigma for v in res.values.values())
-    in_band = 0.29 <= res.sigma <= 0.35
+    sigma = tail_limit(big_position_law, ms=(100, 200, 400))
+    values = [tail_functional(big_position_law, m) for m in (100, 200, 400)]
+    within = all(abs(v - sigma) <= 0.15 * sigma for v in values)
+    in_band = 0.29 <= sigma <= 0.35
     elapsed = time.perf_counter() - t0 + _charge_law_build()
     report(
         3,
         within and in_band,
-        f"m*tail(m) = {['%.4f' % res.values[m] for m in (100, 200, 400)]} "
-        f"all within 15% of limit {res.sigma:.4f} in [0.29, 0.35]",
+        f"m*tail(m) = {['%.4f' % v for v in values]} "
+        f"all within 15% of limit {sigma:.4f} in [0.29, 0.35]",
         elapsed,
         120.0,
     )
@@ -142,7 +149,7 @@ def test_criterion_03_tail_functional_limit(big_position_law):
 
 def test_criterion_04_local_limit_errors(big_position_law, convolutions):
     t0 = time.perf_counter()
-    sigma = tail_limit(big_position_law, ms=(100, 200, 400)).sigma
+    sigma = tail_limit(big_position_law, ms=(100, 200, 400))
     errs = [lll_error(convolutions[n], math.pi * sigma, n).sup_error for n in (8, 16, 32, 64)]
     decreasing = all(b < a for a, b in zip(errs, errs[1:]))
     ok = decreasing and errs[-1] < 0.05
@@ -159,7 +166,7 @@ def test_criterion_04_local_limit_errors(big_position_law, convolutions):
 
 def test_lll_error_matches_dense_oracle(big_position_law, convolutions):
     # the CLI's laws and target: the support-only sup equals the dense one
-    scale = math.pi * tail_limit(big_position_law, ms=(100, 200, 400)).sigma
+    scale = math.pi * tail_limit(big_position_law, ms=(100, 200, 400))
     for n in (8, 16, 32, 64):
         assert lll_error(convolutions[n], scale, n) == dense_lll_error(convolutions[n], scale, n)
 
@@ -261,6 +268,10 @@ def test_criterion_08_green_divergence():
     nondecreasing = bool(np.all(np.diff(sums) >= 0))
     g1, g2, g3 = (sums[n - 1] for n in (100, 1000, 10_000))
     growth_ok = (g3 - g2) > 0.5 * (g2 - g1)
+    # each checkpoint against the exact partial sum, in standard errors
+    z = {n: (aux.checkpoint_stats[n][0] - auxiliary_green_exact(n)) / aux.checkpoint_stats[n][1]
+         for n in (100, 1000, 10_000)}
+    exact_ok = all(abs(v) <= 4 for v in z.values())
 
     horizon = 4_000_000
     direct = shifted_green_sum(
@@ -278,7 +289,9 @@ def test_criterion_08_green_divergence():
     reported = math.isfinite(gap) and math.isfinite(sigma) and sigma > 0
     detail = (
         f"G_100..G_1e4 = {g1:.3f}/{g2:.3f}/{g3:.3f}, growth "
-        f"{g3 - g2:.3f} > {0.5 * (g2 - g1):.3f}; cross-method at N=1e3: "
+        f"{g3 - g2:.3f} > {0.5 * (g2 - g1):.3f}, "
+        f"{', '.join(f'{v:+.2f}' for v in z.values())} sigma from the exact sums; "
+        "cross-method at N=1e3: "
         f"direct {direct.checkpoint_stats[1000][0]:.3f} vs auxiliary "
         f"{auxc.checkpoint_stats[1000][0]:.3f}, "
     )
@@ -289,7 +302,7 @@ def test_criterion_08_green_divergence():
     )
     report(
         8,
-        nondecreasing and growth_ok and (agreement or reported),
+        nondecreasing and growth_ok and exact_ok and (agreement or reported),
         detail,
         time.perf_counter() - t0,
         300.0,

@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from oracles.engine import SparseDist, iterate_push_forward, observe_returns, sample_path
 from oracles.shift_law import (
+    auxiliary_green_exact,
+    auxiliary_green_integrand,
     excursion_shift_law,
     first_term_exact,
     large_deviation_check,
@@ -223,9 +226,6 @@ class TestEntryRule:
 # frozen characteristic-function oracle values for the auxiliary model
 AUX_T1 = 0.326147
 AUX_T2 = 0.197163
-AUX_G100 = 3.3030
-AUX_G1000 = 4.4717
-AUX_G10000 = 5.6455
 
 # derived exact first terms of the direct walk: with q the return-position
 # law, t1 = (4/5) q(0) and t2 = (4/25) q(2) + (16/25) (q*q)(0)
@@ -269,8 +269,8 @@ class TestGreenSumAuxiliary:
         est = shifted_green_sum(1000, 900, seed=14, method="auxiliary", checkpoints=(100, 1000))
         m100, s100 = est.checkpoint_stats[100]
         m1000, s1000 = est.checkpoint_stats[1000]
-        assert abs(m100 - AUX_G100) < 4 * s100
-        assert abs(m1000 - AUX_G1000) < 4 * s1000
+        assert abs(m100 - auxiliary_green_exact(100)) < 4 * s100
+        assert abs(m1000 - auxiliary_green_exact(1000)) < 4 * s1000
 
     def test_shift_stream_independence(self, pos_law_small, monkeypatch):
         # swapping the shift seed changes individual indicators but not the
@@ -292,6 +292,23 @@ class TestGreenSumAuxiliary:
         a = shifted_green_sum(50, 200, seed=16, method="auxiliary", checkpoints=every(50))
         b = shifted_green_sum(50, 200, seed=16, method="auxiliary", checkpoints=every(50))
         assert a.checkpoint_stats == b.checkpoint_stats
+
+
+class TestAuxiliaryGreenExact:
+    @pytest.mark.parametrize("n, want", [(100, 3.30304), (1000, 4.47171), (10_000, 5.64401)])
+    def test_pinned_values_match_adaptive_quadrature(self, n, want):
+        value = auxiliary_green_exact(n)
+        assert abs(value - want) < 5e-6
+        # a second rule: adaptive Gauss-Kronrod, with breakpoints at the scale 1/n
+        points = [c / n for c in (0.1, 1, 10, 100) if c < n]
+        adaptive, _ = quad(auxiliary_green_integrand, 0, math.pi / 2, args=(n,),
+                           points=points, limit=2000, epsabs=1e-13, epsrel=1e-13)
+        assert abs(value - 2 / math.pi * adaptive) < 1e-12
+
+    def test_first_terms(self, pos_law_small):
+        g1, g2 = auxiliary_green_exact(1), auxiliary_green_exact(2)
+        assert abs(g1 - 1 - first_term_exact(pos_law_small, excursion_shift_law(40))) < 1e-4
+        assert abs(g2 - g1 - AUX_T2) < 1e-6
 
 
 class TestGreenSumDirect:

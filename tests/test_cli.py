@@ -32,7 +32,7 @@ class TestLawCache:
         law = return_position_law(100, 10_000)
         save_position_law(law, tmp_path)
         back = load_position_law(position_law_path(tmp_path, 100, 10_000))
-        assert (back.lo, back.span, back.kmax) == (law.lo, law.span, law.kmax)
+        assert (back.lo, back.kmax) == (law.lo, law.kmax)
         assert np.array_equal(back.entries, law.entries)
         assert back.error_bound == law.error_bound
         assert back.leaked == law.leaked
@@ -278,6 +278,30 @@ def test_unusable_path_is_usage_error(tmp_path, capsys, case):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+#: each command with a small configuration, and the entry point of its computation
+ENTRY_POINTS = {
+    "return-law": (["--n-max", 200], return_laws, "first_return_law"),
+    "lll": (["--l-max", 40, "--schedule", "2,4"], lawcache, "load_or_compute_position_law"),
+    "classify": (["--samples", 10, "--horizon", 10], branched_walk, "classify_standard_points"),
+    "green": (["--samples", 2, "--direct-samples", 2, "--schedule", "1,2,3"],
+              branched_walk, "shifted_green_sum"),
+}
+
+
+@pytest.mark.parametrize("command", ENTRY_POINTS)
+def test_out_directory_refused_before_computing(tmp_path, capsys, monkeypatch, command):
+    options, module, name = ENTRY_POINTS[command]
+    entry = mock.Mock(side_effect=AssertionError(f"{name} called"))
+    monkeypatch.setattr(module, name, entry)
+    with pytest.raises(SystemExit) as exc:
+        run([command, *options, "--out", tmp_path, "--cache-dir", tmp_path / "cache"])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"recwalk: error: --out: cannot use {tmp_path} (" in err and "Is a directory" in err
+    entry.assert_not_called()
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestLllScheduleBound:
     """--schedule is refused before the law is built when its largest
     n-fold law needs a transform above stable_laws.MAX_TRANSFORM points."""
@@ -520,6 +544,30 @@ class TestLllCommand:
         err = capsys.readouterr().err
         assert f"recwalk: error: law cache {path} is corrupted" in err
         assert "delete the file and rerun" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("damage", ["nan", "negative", "tail-nan"])
+    def test_nonfinite_or_negative_cache_mass_reported(self, tmp_path, capsys, damage):
+        # the l = 4 row reads nan or -1e-3, or the header's tail mass reads nan
+        cache, out = tmp_path / "cache", tmp_path / "b.csv"
+        args = ["lll", "--l-max", 200, "--schedule", "8,16", "--cache-dir", cache]
+        assert run(args + ["--out", tmp_path / "a.csv"]) == 0
+        path = cache / "return_position_L200_K40000.csv"
+        lines = path.read_text().splitlines()
+        assert lines[3].startswith("4,") and ";tail=" in lines[0]
+        if damage == "tail-nan":
+            head, _, rest = lines[0].partition(";tail=")
+            lines[0] = f"{head};tail=nan;{rest.partition(';')[2]}"
+        else:
+            lines[3] = {"nan": "4,nan", "negative": "4,-1e-3"}[damage]
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run(args + ["--out", out])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"recwalk: error: law cache {path} is corrupted" in err
+        assert "delete the file and rerun" in err and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestClassifyCommand:

@@ -244,7 +244,7 @@ class TestFirstReturnLaw:
         exact = [float(first_return_prob_exact(n)) for n in range(2, 65, 2)]
         assert ns[:32].tolist() == list(range(2, 65, 2))
         assert ps[:32].tolist() == exact
-        assert (return_law_2000.lo, return_law_2000.span, return_law_2000.hi) == (2, 2, 2000)
+        assert (return_law_2000.lo, return_law_2000.hi) == (2, 2000)
         assert abs(return_law_2000.prob(66) - float(first_return_prob_exact(66))) < 1e-18
         assert return_law_2000.prob(65) == return_law_2000.prob(2002) == 0.0
 
@@ -263,7 +263,7 @@ class TestTailExponentFit:
 
     def test_planted_exponent_recovered(self):
         planted = np.arange(2, 2001, 2, dtype=float) ** -1.5
-        law = LatticeLaw(2, 2, planted / planted.sum())
+        law = LatticeLaw(2, planted / planted.sum())
         fit = fit_tail_exponent(law, 100, 1000)
         assert abs(fit.slope + 1.5) < 1e-6
 
@@ -349,7 +349,7 @@ class TestTelescoping:
     def test_matches_marching_oracle(self, lmax, kmax, k_tail):
         law = return_position_law(lmax, kmax) if k_tail else telescoped(lmax, kmax)
         want, tail_mass = marching_oracle(lmax, kmax, k_tail)
-        assert law.is_symmetric() and (law.lo, law.span) == (-lmax, 2)
+        assert law.is_symmetric() and law.lo == -lmax
         diff = np.abs(nonnegative_half(law) - want)
         assert np.all(diff <= 1e-15)
         big = want > 1e-12
@@ -466,8 +466,7 @@ class TestTailFunctional:
         assert vals == sorted(vals, reverse=True)
 
     def test_limit_extrapolation(self, pos_law_small):
-        res = tail_limit(pos_law_small, ms=(50, 100, 200))
-        assert abs(res.sigma - 1 / math.pi) < 0.01
+        assert abs(tail_limit(pos_law_small, ms=(50, 100, 200)) - 1 / math.pi) < 0.01
 
     def test_refuses_near_window_edge(self, pos_law_small):
         with pytest.raises(ValueError):

@@ -25,7 +25,7 @@ from recwalk.stable_laws import (
 
 
 def pm_one() -> LatticeLaw:
-    return LatticeLaw(-1, 2, np.array([0.5, 0.5]))
+    return LatticeLaw(-1, np.array([0.5, 0.5]))
 
 
 def sequential_fold(d: LatticeLaw, n: int) -> LatticeLaw:
@@ -37,12 +37,12 @@ def sequential_fold(d: LatticeLaw, n: int) -> LatticeLaw:
 
 
 @st.composite
-def lattice_laws(draw, span: int) -> LatticeLaw:
-    """A small law on the given span whose entries plus leaked mass are one."""
+def lattice_laws(draw) -> LatticeLaw:
+    """A small law on 2Z whose entries plus leaked mass are one."""
     weights = draw(st.lists(st.floats(0, 1), min_size=1, max_size=40).filter(lambda w: sum(w) > 0))
     leaked = draw(st.floats(0, 0.5))
     entries = np.array(weights) / sum(weights) * (1.0 - leaked)
-    return LatticeLaw(draw(st.integers(-30, 30)), span, entries, leaked)
+    return LatticeLaw(2 * draw(st.integers(-15, 15)), entries, leaked)
 
 
 class TestDensities:
@@ -60,12 +60,12 @@ class TestDensities:
 
 class TestSelfConvolve:
     def test_point_mass(self):
-        out = self_convolve(LatticeLaw(0, 1, np.array([1.0])), 17)
+        out = self_convolve(LatticeLaw(0, np.array([1.0])), 17)
         assert (out.lo, out.entries.tolist()) == (0, [1.0])
 
     def test_hand_convolution(self):
         out = self_convolve(pm_one(), 2)
-        assert (out.lo, out.span, out.entries.tolist()) == (-2, 2, [0.25, 0.5, 0.25])
+        assert (out.lo, out.entries.tolist()) == (-2, [0.25, 0.5, 0.25])
 
     def test_pm_one_fold_matches_binomial(self):
         # independent oracle: P(S_n = 2k - n) = C(n, k) / 2^n
@@ -76,14 +76,10 @@ class TestSelfConvolve:
             assert np.max(np.abs(out.entries - exact)) < 1e-15
 
     def test_mass_accounting_with_leaked_input(self):
-        d = LatticeLaw(-1, 2, np.array([0.45, 0.45]), leaked=0.1)
+        d = LatticeLaw(-1, np.array([0.45, 0.45]), leaked=0.1)
         out = self_convolve(d, 64)
         assert abs(out.leaked - (1 - 0.9**64)) < 1e-12
         assert abs(out.entries.sum() + out.leaked - 1.0) < 1e-10
-
-    def test_mismatched_spans_rejected(self):
-        with pytest.raises(ValueError, match="spans"):
-            convolve_dists(pm_one(), LatticeLaw(0, 1, np.array([0.5, 0.5])))
 
     def test_position_law_convolution_mass(self, pos_law_small):
         out = self_convolve(LatticeLaw.from_position_law(pos_law_small), 8)
@@ -102,18 +98,18 @@ class TestSelfConvolve:
 
 class TestMassAccountingProperty:
     @settings(max_examples=80, deadline=None)
-    @given(data=st.data(), span=st.sampled_from([1, 2, 3]))
-    def test_convolve_conserves_mass(self, data, span):
-        a, b = data.draw(lattice_laws(span)), data.draw(lattice_laws(span))
+    @given(data=st.data())
+    def test_convolve_conserves_mass(self, data):
+        a, b = data.draw(lattice_laws()), data.draw(lattice_laws())
         out = convolve_dists(a, b)
-        assert (out.lo, out.span) == (a.lo + b.lo, span)
+        assert out.lo == a.lo + b.lo
         assert abs(out.entries.sum() + out.leaked - 1.0) < 1e-12
         assert out.leaked >= a.leaked + b.leaked - a.leaked * b.leaked - 1e-15
 
     @settings(max_examples=60, deadline=None)
-    @given(data=st.data(), span=st.sampled_from([1, 2, 3]), n=st.integers(1, 40))
-    def test_self_convolve_conserves_mass(self, data, span, n):
-        d = data.draw(lattice_laws(span))
+    @given(data=st.data(), n=st.integers(1, 40))
+    def test_self_convolve_conserves_mass(self, data, n):
+        d = data.draw(lattice_laws())
         out = self_convolve(d, n)
         assert out.lo == n * d.lo
         assert abs(out.entries.sum() + out.leaked - 1.0) < 1e-12
@@ -125,22 +121,19 @@ def mirrored(d: LatticeLaw) -> LatticeLaw:
     mass and leak."""
     entries = np.concatenate((d.entries[:0:-1], d.entries))
     entries *= (1.0 - d.leaked) / entries.sum()
-    return LatticeLaw(-d.span * (len(d.entries) - 1), d.span, entries, d.leaked)
+    return LatticeLaw(-2 * (len(d.entries) - 1), entries, d.leaked)
 
 
 class TestTransformPath:
     @settings(max_examples=80, deadline=None)
-    @given(
-        data=st.data(), span=st.sampled_from([1, 2, 3]), n=st.integers(1, 64),
-        symmetric=st.booleans(),
-    )
-    def test_matches_sequential_fold(self, data, span, n, symmetric):
-        d = data.draw(lattice_laws(span))
+    @given(data=st.data(), n=st.integers(1, 64), symmetric=st.booleans())
+    def test_matches_sequential_fold(self, data, n, symmetric):
+        d = data.draw(lattice_laws())
         if symmetric:
             d = mirrored(d)
         fold = sequential_fold(d, n)
         out = self_convolve(d, n)
-        assert (out.lo, out.span, len(out.entries)) == (fold.lo, span, len(fold.entries))
+        assert (out.lo, len(out.entries)) == (fold.lo, len(fold.entries))
         assert np.max(np.abs(out.entries - fold.entries)) < 1e-12
         assert abs(out.leaked - fold.leaked) < 1e-12
         assert np.all(out.entries >= 0.0)
@@ -148,17 +141,14 @@ class TestTransformPath:
             assert out.is_symmetric()
 
     @settings(max_examples=80, deadline=None)
-    @given(
-        data=st.data(), span=st.sampled_from([1, 2]), n=st.integers(1, 80) | st.just(4096),
-        symmetric=st.booleans(),
-    )
-    def test_bit_identical_to_one_shot(self, data, span, n, symmetric):
+    @given(data=st.data(), n=st.integers(1, 80) | st.just(4096), symmetric=st.booleans())
+    def test_bit_identical_to_one_shot(self, data, n, symmetric):
         # the in-place power and the half-length symmetrisation change no bit
-        d = data.draw(lattice_laws(span))
+        d = data.draw(lattice_laws())
         if symmetric:
             d = mirrored(d)
         out, want = self_convolve(d, n), one_shot_self_convolve(d, n)
-        assert (out.lo, out.span, out.leaked) == (want.lo, want.span, want.leaked)
+        assert (out.lo, out.leaked) == (want.lo, want.leaked)
         assert np.array_equal(out.entries, want.entries)
 
     def test_position_law_bit_identical_to_one_shot(self, pos_law_small):
@@ -192,7 +182,7 @@ def lll_cases(draw):
     scale = draw(st.sampled_from([0.05, 0.3, 1.0, 3.0, 100.0]))
     weights = np.array(draw(st.lists(st.floats(0, 1), min_size=1, max_size=30)))
     lo = 2 * draw(st.integers(-40, 40))
-    law = LatticeLaw(lo, 2, weights * 10 ** draw(st.floats(-6, 0)), draw(st.floats(0, 0.5)))
+    law = LatticeLaw(lo, weights * 10 ** draw(st.floats(-6, 0)), draw(st.floats(0, 0.5)))
     return law, scale, n
 
 
@@ -211,7 +201,7 @@ class TestLLTError:
 
     def test_tie_across_blocks_takes_first_point(self):
         # equal errors n/2 P - g at -2 and 2, in different blocks of one point each
-        law = LatticeLaw(-2, 2, np.array([0.25, 0.0, 0.25]))
+        law = LatticeLaw(-2, np.array([0.25, 0.0, 0.25]))
         with mock.patch.object(sl, "_SUPPORT_BLOCK", 1):
             rep = lll_error(law, 100.0, 1)
         assert rep == dense_lll_error(law, 100.0, 1)
@@ -221,7 +211,7 @@ class TestLLTError:
     def matched_law(lo: int, hi: int) -> LatticeLaw:
         """A law with n/2 P = g exactly on [lo, hi], at n = 4 and scale 3."""
         pts = np.arange(lo, hi + 1, 2)
-        return LatticeLaw(lo, 2, 2 / 4 * cauchy_density(pts / 4, 3.0))
+        return LatticeLaw(lo, 2 / 4 * cauchy_density(pts / 4, 3.0))
 
     def test_off_support_sup_takes_first_point(self):
         # on [-40, 40] the error is 0, so the sup is g off the support, at
@@ -253,20 +243,8 @@ class TestLLTError:
         assert errs[-1] < 0.05
 
     def test_off_lattice_support_rejected(self):
-        with pytest.raises(ValueError, match="span 1 differs from the lattice span 2"):
-            lll_error(LatticeLaw(1, 1, np.array([0.5, 0.5])), 1.0, 1)
         with pytest.raises(ValueError, match="support does not lie on the stated lattice"):
-            lll_error(LatticeLaw(1, 2, np.array([0.5, 0.5])), 1.0, 1)
-
-    def test_span_multiple_of_lattice_rejected(self):
-        d = LatticeLaw(-4, 4, np.array([0.25, 0.5, 0.25]))
-        with pytest.raises(ValueError, match="span 4 differs from the lattice span 2"):
-            lll_error(d, 1.0, 1)
-
-    def test_truncation_warning(self):
-        d = LatticeLaw(-2, 2, np.array([0.1, 0.6, 0.2]), leaked=0.1)
-        rep = lll_error(d, 1.0, 1)
-        assert rep.truncation_warning
+            lll_error(LatticeLaw(1, np.array([0.5, 0.5])), 1.0, 1)
 
 
 class TestLowerBound:
