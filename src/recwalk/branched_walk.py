@@ -256,12 +256,11 @@ def classify_point(
     """Combine the exact absorption split with a Monte Carlo estimate of
     lattice entry before the horizon.
 
-    The verdict comes from the exact probabilities alone: lattice entry
-    implies recurrent behaviour (the lattice carries divergent expected
-    return counts, see shifted_green_sum), escape along the tail leaves
-    every finite set.  The Monte Carlo run is a consistency check and is
-    flagged when it strays more than 4 sigma from the exact probability of
-    entry by the horizon.
+    The verdict comes from absorption_probabilities alone: P(lattice entry)
+    = 1 gives "Recurrent", as at lattice(0,0), with no return count behind
+    it; escape along the tail leaves every finite set.  The Monte Carlo run
+    is a consistency check and is flagged when it strays more than 4 sigma
+    from the exact probability of entry by the horizon.
     """
     p_lat, p_esc = absorption_probabilities(s)
     verdict = _verdict(p_lat)

@@ -58,26 +58,24 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17e}"
 
 
-def _config_dict(args, command: str) -> dict:
-    """The arguments of the run, for the output's config; the paths among
-    them are written as text by `json.dumps(..., default=str)`."""
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None}
-    cfg["command"] = command
-    return cfg
+def _config(args) -> dict:
+    """The arguments of the run, the command among them, for the output's
+    config; the paths are written as text by `json.dumps(..., default=str)`."""
+    return {k: v for k, v in vars(args).items() if k != "func" and v is not None}
 
 
 #: rows that _write_table joins and writes at once
 _WRITE_CHUNK = 1 << 14
 
 
-def _write_table(path: Path, config: dict, columns: list[str], rows) -> None:
-    """Write the header, then the already formatted CSV rows, an iterable,
-    joined and written _WRITE_CHUNK at a time, so that a long table is
-    never held whole."""
+def _write_table(parser: _Parser, args, columns: list[str], rows) -> None:
+    """Write --out: the header, then the already formatted CSV rows, an
+    iterable, joined and written _WRITE_CHUNK at a time, so that a long
+    table is never held whole."""
     rows = iter(rows)
-    with open(path, "w") as f:
+    with _open_out(parser, args.out) as f:
         f.write(f"# {OUTPUT_FORMAT_VERSION}\n")
-        f.write("# config: " + json.dumps(config, sort_keys=True, default=str) + "\n")
+        f.write("# config: " + json.dumps(_config(args), sort_keys=True, default=str) + "\n")
         f.write(",".join(columns) + "\n")
         while chunk := list(itertools.islice(rows, _WRITE_CHUNK)):
             chunk.append("")
@@ -94,35 +92,30 @@ def _usable(parser: _Parser, option: str, path: Path):
         parser.error(f"{option}: cannot use {path} ({exc})")
 
 
-def _even(parser: _Parser, value: int, name: str) -> int:
-    if value < 2 or value % 2:
-        parser.error(f"{name} must be an even integer >= 2")
-    return value
+@contextlib.contextmanager
+def _open_out(parser: _Parser, path: Path):
+    """--out opened for writing, its missing parents made first; an OS error
+    in the block is a usage error naming it."""
+    with _usable(parser, "--out", path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w") as f:
+            yield f
 
 
 # ---------------------------------------------------------------------------
 
 
 def cmd_return_law(parser: _Parser, args) -> int:
-    nmax = _even(parser, args.n_max, "--n-max")
-    if nmax > MAX_RETURN_TIME:
-        parser.error(f"--n-max must be <= {MAX_RETURN_TIME}")
-    m_hi = min(1000, nmax)
+    m_hi = min(1000, args.n_max)
     m_lo = max(100, m_hi // 10)
-    if (m_hi - m_lo) // 2 + 1 < 10:  # the fit needs 10 even return times
-        parser.error("--n-max must be >= 118 to fit the tail exponent")
     t0 = time.perf_counter()
-    law = return_laws.first_return_law(nmax)
+    law = return_laws.first_return_law(args.n_max)
     fit = return_laws.fit_tail_exponent(law, m_lo, m_hi)
     fit_rows = [
         f"slope,{_fmt(fit.slope)},window={fit.window[0]}..{fit.window[1]}",
         f"prefactor,{_fmt(fit.prefactor)},npoints={fit.npoints}",
     ]
-    with _usable(parser, "--out", args.out):
-        _write_table(
-            args.out, _config_dict(args, "return-law"),
-            ["n", "prob", "n32_prob"], itertools.chain(_law_rows(law), fit_rows),
-        )
+    _write_table(parser, args, ["n", "prob", "n32_prob"], itertools.chain(_law_rows(law), fit_rows))
     log.info("return-law finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
     if not SLOPE_BAND[0] <= fit.slope <= SLOPE_BAND[1]:
         log.error("fitted slope %.4f outside %s", fit.slope, SLOPE_BAND)
@@ -141,10 +134,8 @@ def _law_rows(law: return_laws.LatticeLaw):
 
 
 def cmd_lll(parser: _Parser, args) -> int:
-    lmax = _even(parser, args.l_max, "--l-max")
-    if _ladder(lmax)[0] < 2:
-        parser.error("--l-max must be >= 40 to fit the tail limit")
-    kmax = _even(parser, lmax * lmax if args.k_max is None else args.k_max, "--k-max")
+    lmax = args.l_max
+    kmax = lmax * lmax if args.k_max is None else args.k_max
     column = return_laws.column_length(lmax, kmax)
     if column > return_laws.MAX_COLUMN:
         parser.error(
@@ -175,11 +166,7 @@ def cmd_lll(parser: _Parser, args) -> int:
         rep = stable_laws.lll_error(stable_laws.self_convolve(base, n), scale, n)
         errors.append(rep.sup_error)
         rows.append(f"{n},{_fmt(rep.sup_error)},{rep.argmax_point},{_fmt(n * rep.prob_at_zero)}")
-    with _usable(parser, "--out", args.out):
-        _write_table(
-            args.out, _config_dict(args, "lll"),
-            ["n", "sup_error", "argmax_k", "n_times_p0"], rows,
-        )
+    _write_table(parser, args, ["n", "sup_error", "argmax_k", "n_times_p0"], rows)
     log.info("lll finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
     if any(b >= a for a, b in zip(errors, errors[1:])):
         log.error("sup errors not strictly decreasing: %s", errors)
@@ -203,11 +190,11 @@ def cmd_classify(parser: _Parser, args) -> int:
     )
     payload = {
         "format": OUTPUT_FORMAT_VERSION,
-        "config": _config_dict(args, "classify"),
+        "config": _config(args),
         "reports": [r.to_json_dict() for r in reports],
     }
-    with _usable(parser, "--out", args.out):
-        args.out.write_text(json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n")
+    with _open_out(parser, args.out) as f:
+        f.write(json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n")
     log.info("classify finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
     for r in reports:
         width = r.ci[1] - r.ci[0]
@@ -224,15 +211,8 @@ def cmd_classify(parser: _Parser, args) -> int:
 
 
 def cmd_green(parser: _Parser, args) -> int:
-    for value, name in ((args.samples, "--samples"), (args.direct_samples, "--direct-samples")):
-        if value < 2:
-            parser.error(f"{name} must be >= 2 for a standard error")
-        if value > MAX_GREEN_SAMPLES:
-            parser.error(f"{name} must be <= {MAX_GREEN_SAMPLES}")
     schedule = args.schedule
     n_top = schedule[-1]
-    if n_top > MAX_GREEN_RETURNS:
-        parser.error(f"--schedule must end at or below {MAX_GREEN_RETURNS} returns")
     t0 = time.perf_counter()
     aux = branched_walk.shifted_green_sum(
         n_top, args.samples, seed=args.seed, method="auxiliary",
@@ -258,11 +238,7 @@ def cmd_green(parser: _Parser, args) -> int:
         rows.append(f"growth-ratio,{a}->{b},{_fmt(gb / ga)},,")
     gap, sigma = branched_walk.cross_method_gap(direct, aux_capped, n_direct)
     rows.append(f"cross-method-gap,{n_direct},{_fmt(gap)},{_fmt(sigma)},")
-    with _usable(parser, "--out", args.out):
-        _write_table(
-            args.out, _config_dict(args, "green"),
-            ["method", "n", "value", "stderr", "exhausted_frac"], rows,
-        )
+    _write_table(parser, args, ["method", "n", "value", "stderr", "exhausted_frac"], rows)
     log.info("green finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
     for est, name in ((direct, "direct"), (aux_capped, "auxiliary-capped")):
         frac = est.exhausted / est.nsamples
@@ -282,51 +258,74 @@ def cmd_green(parser: _Parser, args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _int_list(text: str) -> list[int]:
-    try:
-        vals = [int(t) for t in text.split(",") if t.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}")
-    if not vals or vals[0] < 1 or any(b <= a for a, b in zip(vals, vals[1:])):
-        raise argparse.ArgumentTypeError("schedule must be strictly increasing positive integers")
-    return vals
+def _integer(lo: int, hi: int | None = None, even: bool = False):
+    """The argparse type of an integer option: an integer in [lo, hi], or
+    >= lo if hi is None, and even if `even`."""
+    kind = "an even integer" if even else "an integer"
+    bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+
+    def integer(text: str) -> int:
+        value = int(text)  # a ValueError reads "invalid integer value: …"
+        if value < lo or (hi is not None and value > hi) or (even and value % 2):
+            raise argparse.ArgumentTypeError(f"must be {kind} {bounds}, got {value}")
+        return value
+
+    return integer
+
+
+def _schedule(hi: int | None = None):
+    """The argparse type of --schedule: a comma-separated, strictly
+    increasing list of integers in [1, hi]."""
+    entry = _integer(1, hi)
+
+    def schedule(text: str) -> list[int]:
+        vals = [entry(t) for t in text.split(",") if t.strip()]
+        if not vals or any(b <= a for a, b in zip(vals, vals[1:])):
+            raise argparse.ArgumentTypeError(f"not a strictly increasing list: {text!r}")
+        return vals
+
+    return schedule
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="recwalk", description=__doc__)
-    parser.add_argument("--verbose", action="store_true", help="log at DEBUG level")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, out_name):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        # the range of the stream keys
+        p.add_argument("--seed", type=_integer(0, (1 << 64) - 1), default=DEFAULT_SEED)
         p.add_argument("--out", type=Path, default=Path(out_name))
         p.add_argument("--cache-dir", type=Path, default=Path(DEFAULT_CACHE_DIR))
 
     p = sub.add_parser("return-law", help="first-return-time law and its tail fit")
-    common(p, "recwalk_return_law.csv")
-    p.add_argument("--n-max", type=int, default=2000)
+    p.add_argument("--out", type=Path, default=Path("recwalk_return_law.csv"))
+    # from 118 on, the fit window [100, n_max] holds 10 even return times
+    p.add_argument("--n-max", type=_integer(118, MAX_RETURN_TIME, even=True), default=2000)
     p.set_defaults(func=cmd_return_law)
 
     p = sub.add_parser("lll", help="local-limit error curve for the return-position law")
     common(p, "recwalk_lll.csv")
-    p.add_argument("--l-max", type=int, default=2000)
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--schedule", type=_int_list, default=[8, 16, 32, 64])
+    # from 40 on, the tail-limit ladder starts at m >= 2
+    p.add_argument("--l-max", type=_integer(40, even=True), default=2000)
+    p.add_argument("--k-max", type=_integer(2, even=True), default=None)
+    p.add_argument("--schedule", type=_schedule(), default=[8, 16, 32, 64])
     p.set_defaults(func=cmd_lll)
 
     p = sub.add_parser("classify", help="classify the six reference points")
     common(p, "recwalk_classify.json")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--horizon", type=int, default=10_000)
+    p.add_argument("--samples", type=_integer(1), default=100_000)
+    p.add_argument("--horizon", type=_integer(1), default=10_000)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("green", help="shifted-walk green partial sums, both methods")
     common(p, "recwalk_green.csv")
-    p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--direct-samples", type=int, default=100)
-    p.add_argument("--direct-returns", type=int, default=1000)
-    p.add_argument("--horizon", type=int, default=DEFAULT_DIRECT_HORIZON)
-    p.add_argument("--schedule", type=_int_list, default=[100, 1000, 10000])
+    # two samples at least, for a standard error
+    samples = _integer(2, MAX_GREEN_SAMPLES)
+    p.add_argument("--samples", type=samples, default=400)
+    p.add_argument("--direct-samples", type=samples, default=100)
+    p.add_argument("--direct-returns", type=_integer(1), default=1000)
+    p.add_argument("--horizon", type=_integer(1), default=DEFAULT_DIRECT_HORIZON)
+    p.add_argument("--schedule", type=_schedule(MAX_GREEN_RETURNS), default=[100, 1000, 10000])
     p.set_defaults(func=cmd_green)
 
     return parser
@@ -336,19 +335,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    for attr in ("samples", "horizon", "n_max", "l_max", "direct_samples", "direct_returns"):
-        if getattr(args, attr, None) is not None and getattr(args, attr) < 1:
-            parser.error(f"--{attr.replace('_', '-')} must be positive")
-    if not 0 <= args.seed < 1 << 64:  # the range of the stream keys, for every command
-        parser.error(f"--seed must lie in [0, 2^64), got {args.seed}")
-    with _usable(parser, "--out", args.out):  # refused before any computation
-        args.out.parent.mkdir(parents=True, exist_ok=True)
+    # refused before any computation, and creating nothing: a run that a
+    # library check refuses later leaves nothing behind, since --out's
+    # missing parents are made only when it is written
+    with _usable(parser, "--out", args.out):
         if args.out.is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", str(args.out))
+        if any(p.exists() and not p.is_dir() for p in args.out.parents):
+            raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(args.out))
     try:
         return args.func(parser, args)
     except ValueError as exc:  # a library check refused the configuration

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import recwalk
 from oracles import samplers as one_shot
-from recwalk import branched_walk, cli, lawcache, return_laws, rng, stable_laws
+from recwalk import branched_walk, cli, lawcache, return_laws, stable_laws
 from recwalk.cli import main
 from recwalk.lawcache import (
     CacheCorruptionError,
@@ -98,6 +99,11 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def cache_dir(argv, path) -> list:
+    """--cache-dir path, for the commands that take it: not return-law."""
+    return [] if argv[0] == "return-law" else ["--cache-dir", path]
+
+
 @pytest.mark.parametrize("argv", [
     ["return-law", "--n-max", 100],
     ["lll", "--l-max", 4],
@@ -115,22 +121,43 @@ def run(args):
     ["lll", "--l-max", 400_000, "--schedule", "1,2"],  # the same, by the default --k-max = l_max^2
     ["green", "--samples", 1_000_001],  # above cli.MAX_GREEN_SAMPLES
     ["green", "--direct-samples", 1_000_001],
+    ["--verbose", "lll"],  # removed options
+    ["return-law", "--seed", 1],
 ])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv):
-    out = tmp_path / "out.csv"
+    # --out lies below two new directories, which a refused run must not make
     with pytest.raises(SystemExit) as exc:
-        run(argv + ["--cache-dir", tmp_path / "cache", "--out", out])
+        run(argv + cache_dir(argv, tmp_path / "cache") + ["--out", tmp_path / "new/dir/out.csv"])
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err.startswith("usage: recwalk")
     assert "recwalk: error: " in err and "Traceback" not in err
-    assert not out.exists()
+    assert not (tmp_path / "new").exists()
+
+
+def test_option_surface():
+    # the options of each subcommand, read from the parser; --verbose,
+    # return-law --seed and return-law --cache-dir set nothing and are gone
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+
+    def strings(p):
+        return [s for a in p._actions for s in a.option_strings if s not in ("-h", "--help")]
+
+    assert strings(parser) == []
+    assert {name: strings(p) for name, p in commands.choices.items()} == {
+        "return-law": ["--out", "--n-max"],
+        "lll": ["--seed", "--out", "--cache-dir", "--l-max", "--k-max", "--schedule"],
+        "classify": ["--seed", "--out", "--cache-dir", "--samples", "--horizon"],
+        "green": ["--seed", "--out", "--cache-dir", "--samples", "--direct-samples",
+                  "--direct-returns", "--horizon", "--schedule"],
+    }
 
 
 #: the integer options of each command, and those of them that must be
 #: positive or even (--seed only has to fit the stream keys)
 INT_OPTIONS = {
-    "return-law": ("--seed", "--n-max"),
+    "return-law": ("--n-max",),
     "lll": ("--seed", "--l-max", "--k-max"),
     "classify": ("--seed", "--samples", "--horizon"),
     "green": ("--seed", "--samples", "--direct-samples", "--direct-returns", "--horizon"),
@@ -163,7 +190,7 @@ def _even_above(lo: int, hi: int) -> st.SearchStrategy:
 
 
 NON_INTEGERS = st.floats().map(repr) | st.text(alphabet="ab.+-_ e", max_size=4)
-POSITIVE = {c: opts[1:] for c, opts in INT_OPTIONS.items()}
+POSITIVE = {c: tuple(o for o in opts if o != "--seed") for c, opts in INT_OPTIONS.items()}
 SCHEDULED = ("lll", "green")
 
 #: argv that must be refused, each with exactly one bad argument
@@ -195,13 +222,12 @@ TWO_BAD_ARGV = st.tuples(INVALID_ARGV, INVALID_ARGV).filter(lambda ab: ab[0][0] 
     lambda ab: [*ab[0], *ab[1][1:]]
 )
 #: a --seed outside [0, 2^64), the range of the stream keys, which every
-#: command refuses when it parses its arguments, lll and return-law too,
-#: though they draw nothing with it; with small configurations
+#: command that takes it refuses when it parses its arguments, lll too,
+#: though it draws nothing with it; with small configurations
 BAD_SEED_ARGV = st.tuples(
     st.sampled_from([["classify", "--samples", "10", "--horizon", "10"],
                      ["green", "--samples", "2", "--direct-samples", "2", "--schedule", "1,2,3"],
-                     ["lll", "--l-max", "40", "--schedule", "2,4"],
-                     ["return-law", "--n-max", "200"]]),
+                     ["lll", "--l-max", "40", "--schedule", "2,4"]]),
     st.integers(max_value=-1) | st.integers(min_value=1 << 64),
 ).map(lambda cv: [*cv[0], "--seed", str(cv[1])])
 
@@ -210,23 +236,18 @@ BAD_SEED_ARGV = st.tuples(
 @given(argv=INVALID_ARGV | TWO_BAD_ARGV | BAD_SEED_ARGV)
 def test_invalid_argv_is_usage_error(argv):
     # each command's computation is stubbed out at its law build or its
-    # first random stream, which is built for real so that a bad seed is
-    # refused as in a run: an argv that got past the checks would fail here
-    # instead of computing
+    # first random stream: an argv that got past the checks would fail here
+    # instead of computing, and one refused creates nothing, not even the
+    # two directories above --out
     started = AssertionError(f"computation started for {argv}")
-
-    def first_stream(*key):
-        rng.stream(*key)
-        raise started
-
-    stubs = [(lawcache, "load_or_compute_position_law"), (return_laws, "first_return_law")]
+    stubs = [(lawcache, "load_or_compute_position_law"), (return_laws, "first_return_law"),
+             (branched_walk, "stream")]
     with contextlib.ExitStack() as stack, tempfile.TemporaryDirectory() as tmp:
         for module, name in stubs:
             stack.enter_context(mock.patch.object(module, name, side_effect=started))
-        stack.enter_context(mock.patch.object(branched_walk, "stream", side_effect=first_stream))
         err = stack.enter_context(contextlib.redirect_stderr(io.StringIO()))
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--out", f"{tmp}/out", "--cache-dir", f"{tmp}/cache"])
+            main([*argv, "--out", f"{tmp}/new/dir/out", *cache_dir(argv, f"{tmp}/cache")])
         assert os.listdir(tmp) == []
     assert exc.value.code == 1
     text = err.getvalue()
@@ -234,7 +255,7 @@ def test_invalid_argv_is_usage_error(argv):
     assert "recwalk: error: " in text and "Traceback" not in text
 
 
-@pytest.mark.parametrize("command", ["return-law", "lll", "classify", "green"])
+@pytest.mark.parametrize("command", ["lll", "classify", "green"])
 @pytest.mark.parametrize("seed", [-1, 1 << 64])
 def test_seed_out_of_range_is_named(tmp_path, capsys, command, seed):
     with pytest.raises(SystemExit) as exc:
@@ -242,7 +263,8 @@ def test_seed_out_of_range_is_named(tmp_path, capsys, command, seed):
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert err.startswith("usage: recwalk")
-    assert f"recwalk: error: --seed must lie in [0, 2^64), got {seed}" in err
+    bounds = f"in [0, {(1 << 64) - 1}]"  # the range of the stream keys
+    assert f"recwalk: error: argument --seed: must be an integer {bounds}, got {seed}" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -254,7 +276,7 @@ UNUSABLE_PATHS = {
                                 "--cache-dir: cannot use {file}", "File exists"),
     "classify-out-below-a-file": (["classify", "--samples", 10, "--horizon", 10,
                                    "--out", "{file}/x.json"],
-                                  "--out: cannot use {file}/x.json", "File exists"),
+                                  "--out: cannot use {file}/x.json", "Not a directory"),
     "return-law-out-is-a-directory": (["return-law", "--n-max", 200, "--out", "{dir}"],
                                       "--out: cannot use {dir}", "Is a directory"),
     "green-out-is-a-directory": (["green", "--samples", 2, "--direct-samples", 2,
@@ -294,7 +316,7 @@ def test_out_directory_refused_before_computing(tmp_path, capsys, monkeypatch, c
     entry = mock.Mock(side_effect=AssertionError(f"{name} called"))
     monkeypatch.setattr(module, name, entry)
     with pytest.raises(SystemExit) as exc:
-        run([command, *options, "--out", tmp_path, "--cache-dir", tmp_path / "cache"])
+        run([command, *options, "--out", tmp_path, *cache_dir([command], tmp_path / "cache")])
     assert exc.value.code == 1
     err = capsys.readouterr().err
     assert f"recwalk: error: --out: cannot use {tmp_path} (" in err and "Is a directory" in err
