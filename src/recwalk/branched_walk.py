@@ -38,7 +38,7 @@ from typing import Union
 
 import numpy as np
 
-from .return_laws import sample_first_return, sample_position_at
+from .return_laws import _SAMPLE_CHUNK, sample_first_return, sample_position_at
 from .rng import DIRECT_LANE, POSITION_LANE, RETURN_LANE, SHIFT_LANE, WALK_LANE, stream
 
 
@@ -377,14 +377,19 @@ def _auxiliary_returns(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(hit, time) at returns 1..n_returns of auxiliary sample i; the
     times only when `timed`.  Positions and shifts are integers far below
-    2^53, so their float running sum is exact, in any order."""
+    2^53, so their float running sum is exact, in any order.  The shifts
+    are drawn and added _SAMPLE_CHUNK at a time, the draws of one call in
+    pieces, and the return times are summed in place, so that the sample
+    holds two arrays of n_returns and a chunk."""
     r = sample_first_return(stream(seed, i, RETURN_LANE), n_returns)
     z = sample_position_at(stream(seed, i, POSITION_LANE), r)
-    eta = stream(seed, i, SHIFT_LANE).geometric(0.8, n_returns)
-    eta -= 1
-    eta *= 2
-    z += eta
-    return np.cumsum(z, out=z) == 0, np.cumsum(r) if timed else None
+    shifts = stream(seed, i, SHIFT_LANE)
+    for lo in range(0, n_returns, _SAMPLE_CHUNK):
+        eta = shifts.geometric(0.8, min(_SAMPLE_CHUNK, n_returns - lo))
+        eta -= 1
+        eta *= 2
+        z[lo : lo + len(eta)] += eta
+    return np.cumsum(z, out=z) == 0, np.cumsum(r, out=r) if timed else None
 
 
 def _direct_returns(

@@ -35,8 +35,9 @@ DEFAULT_CACHE_DIR = "recwalk-cache"
 #: largest `return-law --n-max`; the law is held in memory and its rows
 #: are written in chunks, and n_max = 2*10^6 already takes seconds
 MAX_RETURN_TIME = 2_000_000
-#: largest `green --schedule` entry; each estimate holds arrays of this
-#: many returns, and 10^7 already takes hundreds of MB
+#: largest `green --schedule` entry; an auxiliary sample holds two arrays of
+#: this many returns (the return times and the positions) and a fixed chunk
+#: of temporaries, so a run at 10^7 peaks at about 210 MB
 MAX_GREEN_RETURNS = 10_000_000
 #: largest `green --samples` and `--direct-samples`; each sample costs about
 #: 0.1 ms per method even at `--schedule 1,2,3` (60-100 us auxiliary, 100-115 us
@@ -158,6 +159,9 @@ def cmd_lll(parser: _Parser, args) -> int:
         lmax, kmax, "hit" if hit else "miss", time.perf_counter() - t0, law.error_bound, law.leaked,
     )
     scale = np.pi * return_laws.tail_limit(law, ms=_ladder(lmax))
+    if not hit:  # saved only once tail_limit has accepted it
+        with _usable(parser, "--cache-dir", args.cache_dir):
+            lawcache.save_position_law(law, args.cache_dir)  # replaces a former format
     base = return_laws.LatticeLaw.from_position_law(law)
     rows = []
     errors = []

@@ -22,7 +22,7 @@ FORMAT_VERSION = "recwalk-law-4"
 #: version 1 printed 18 digits, too few to read back exactly, version 2
 #: repeated the error bound as a third header field, and version 3 stored
 #: the error bound and the k-tail flag, which kmax alone fixes; a lookup
-#: rebuilds such a file, and load_position_law refuses it
+#: takes such a file for a miss, and load_position_law refuses it
 FORMER_VERSIONS = ("recwalk-law-1", "recwalk-law-2", "recwalk-law-3")
 
 
@@ -101,9 +101,10 @@ def _corrupted(path, reason) -> CacheCorruptionError:
 def load_or_compute_position_law(cache_dir, lmax: int, kmax: int) -> tuple[ReturnPositionLaw, bool]:
     """Return (law, cache_hit).
 
-    A freshly computed law is written to the cache and returned as built:
-    the file reads back to the same law, so downstream output is
-    byte-identical whether or not the cache was warm.
+    A freshly computed law is returned as built and not saved: the caller
+    saves it once it has accepted it, and the file reads back to the same
+    law, so downstream output is byte-identical whether or not the cache
+    was warm.
     """
     path = position_law_path(cache_dir, lmax, kmax)
     if path.exists() and not _in_former_format(path):
@@ -111,9 +112,7 @@ def load_or_compute_position_law(cache_dir, lmax: int, kmax: int) -> tuple[Retur
         if (law.hi, law.kmax) != (lmax, kmax):  # a file stored under another key
             raise _corrupted(path, f"it holds lmax={law.hi}, kmax={law.kmax}")
         return law, True
-    law = return_position_law(lmax, kmax)
-    save_position_law(law, cache_dir)  # replaces a file in a former format
-    return law, False
+    return return_position_law(lmax, kmax), False
 
 
 def _in_former_format(path: Path) -> bool:

@@ -187,8 +187,8 @@ class ReturnPositionLaw(LatticeLaw):
 
 
 #: largest boundary column that `lll` asks return_position_law to hold: 2^22
-#: 80-bit entries are 64 MB per array, and at that length the build already
-#: holds about 330 MB
+#: 80-bit entries are 64 MB per array, and at that length the build holds
+#: three such arrays, about 190 MB
 MAX_COLUMN = 1 << 22
 
 
@@ -230,15 +230,35 @@ def return_position_law(lmax: int, kmax: int) -> ReturnPositionLaw:
     nl = lmax // 2 + 1
     ls = np.arange(0, lmax + 1, 2, dtype=np.float64)
     m1 = kmax // 2 + 1  # M + 1
-    s = np.arange(column_length(lmax, kmax), dtype=LONG)
-    u = LONG(survival(2 * m1))
-    steps = (m1 - s[:-1]) / (m1 + s[:-1] + 1)
-    column = u * u / (2 * m1 - 1) * np.cumprod(np.concatenate(([LONG(1)], steps)))
-    tails = np.cumsum((4 * (2 * s + 1) * (m1 - s) * column)[::-1])[::-1]
     top = min(nl, m1)  # S(t) = 0 for t > M
     acc = np.zeros(nl, dtype=LONG)
+    # the column is built in place, in at most three arrays of its length
+    # (s, the column and one more), each operation in the order of
+    # F(M + 1, s) = u^2 / (2M + 1) prod over r < s of (M + 1 - r) / (M + r + 2)
+    # and of the sums above; acc[1:top] holds 4 t^2 - 1 until they divide it
+    s = np.arange(column_length(lmax, kmax), dtype=LONG)
+    acc[1:top] = 4 * s[1:top] ** 2 - 1
+    u = LONG(survival(2 * m1))
+    column = np.empty_like(s)
+    column[0] = 1
+    np.subtract(m1, s[:-1], out=column[1:])
+    den = s[:-1] + m1
+    den += 1
+    column[1:] /= den
+    del den
+    np.cumprod(column, out=column)
+    column *= u * u / (2 * m1 - 1)
     acc[0] = 1 - 4 * LONG(m1) ** 2 * column[0]
-    acc[1:top] = tails[1:top] / (4 * s[1:top] ** 2 - 1)
+    tails = 2 * s
+    tails += 1
+    tails *= 4
+    np.subtract(m1, s, out=s)
+    tails *= s
+    tails *= column
+    del s, column
+    np.cumsum(tails[::-1], out=tails[::-1])
+    np.divide(tails[1:top], acc[1:top], out=acc[1:top])
+    del tails
     covered = 2 * np.sum(acc) - acc[0]
     tail_in, tail_covered = _k_tail_completion(kmax, ls)
     acc += tail_in
@@ -403,6 +423,12 @@ def _survival_table() -> np.ndarray:
     return table
 
 
+#: draws that a sampler works on at once, so that its temporaries take a
+#: fixed 512 KB per array whatever the number of draws; the draws and their
+#: order are those of one call over all of them
+_SAMPLE_CHUNK = 1 << 16
+
+
 def sample_first_return(rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n first-return times by inversion of the survival function.
 
@@ -413,35 +439,38 @@ def sample_first_return(rng: np.random.Generator, n: int) -> np.ndarray:
     in the table of u_m, or two series evaluations for the ~0.2% of draws
     past it.  Values are even and float64: beyond 2^53 the integer grid is
     no longer exact, but such draws occur with probability < 1e-8 each and
-    only their magnitude matters downstream.  The arrays are worked on in
-    place, each operation in the order of the formulas above.
+    only their magnitude matters downstream.  The uniforms are drawn and
+    worked on in place _SAMPLE_CHUNK at a time, each operation in the order
+    of the formulas above.
     """
-    w = rng.random(n)
-    np.subtract(1.0, w, out=w)
-    c = np.multiply(np.pi, w)
-    c *= w
-    np.divide(1.0, c, out=c)
-    c -= 0.25
-    np.floor(c, out=c)
-    np.maximum(c, 2.0, out=c)
-    k = np.minimum(c, _TABLE_M).astype(np.intp)
+    out = np.empty(n)
     table = _survival_table()
-    u_at = table.take(k)
-    k -= 1
-    u_below = table.take(k)
-    far = np.flatnonzero(c > _TABLE_M)
-    if far.size:
-        m = c.take(far)
-        x = np.concatenate((m - 1.0, m))  # both neighbours in one series call
-        x += 0.25
-        u = _u_series(x) / np.sqrt(np.pi * x)
-        u_below[far] = u[: far.size]
-        u_at[far] = u[far.size :]
-    c -= 1.0
-    c += u_below > w
-    c += u_at > w
-    c *= 2.0
-    return c
+    for lo in range(0, n, _SAMPLE_CHUNK):
+        w = rng.random(min(_SAMPLE_CHUNK, n - lo))
+        np.subtract(1.0, w, out=w)
+        c = np.multiply(np.pi, w)
+        c *= w
+        np.divide(1.0, c, out=c)
+        c -= 0.25
+        np.floor(c, out=c)
+        np.maximum(c, 2.0, out=c)
+        k = np.minimum(c, _TABLE_M).astype(np.intp)
+        u_at = table.take(k)
+        k -= 1
+        u_below = table.take(k)
+        far = np.flatnonzero(c > _TABLE_M)
+        if far.size:
+            m = c.take(far)
+            x = np.concatenate((m - 1.0, m))  # both neighbours in one series call
+            x += 0.25
+            u = _u_series(x) / np.sqrt(np.pi * x)
+            u_below[far] = u[: far.size]
+            u_at[far] = u[far.size :]
+        c -= 1.0
+        c += u_below > w
+        c += u_at > w
+        np.multiply(c, 2.0, out=out[lo : lo + len(c)])
+    return out
 
 
 _BINOM_LIMIT = float(1 << 62)
@@ -454,28 +483,37 @@ def sample_position_at(rng: np.random.Generator, lengths: np.ndarray) -> np.ndar
     A walk of r <= 64 steps reads one raw 64-bit word: its top r bits are
     r fair +-1 steps, so the position is 2 popcount - r.  Longer walks draw
     a binomial, and from 2^62 steps on a normal rounded to the lattice of
-    even integers, beyond the integer range of the binomial.  The words go
-    into a zero-filled array, so one bit count covers every walk, and the
-    longer walks overwrite their entries afterwards.
+    even integers, beyond the integer range of the binomial.  Every word is
+    read before any binomial, and every binomial drawn before any normal,
+    each in the order of the walks; each of the three passes goes over the
+    walks _SAMPLE_CHUNK at a time.  The words of a chunk go into a
+    zero-filled array, so one bit count covers its every walk, and the
+    longer walks overwrite their entries in the later passes.
     """
-    short = np.flatnonzero(lengths <= 64)
-    shift = lengths.take(short)
-    np.subtract(64.0, shift, out=shift)
-    words = rng.bit_generator.random_raw(short.size)
-    words >>= shift.astype(np.uint64)
-    bits = np.zeros(len(lengths), dtype=np.uint64)
-    bits[short] = words
-    out = np.multiply(np.bitwise_count(bits), 2.0)
-    out -= lengths
-    long = np.flatnonzero(lengths > 64)
-    if long.size:
-        ns = lengths.take(long)
-        mid = ns < _BINOM_LIMIT
-        if mid.any():
-            k = ns[mid].astype(np.int64)
-            out[long[mid]] = 2.0 * rng.binomial(k, 0.5) - k.astype(np.float64)
-        big = ~mid
-        if big.any():
-            k = ns[big]
-            out[long[big]] = 2.0 * np.round(np.sqrt(k) * rng.standard_normal(len(k)) / 2.0)
+    out = np.empty(len(lengths))
+    chunks = range(0, len(lengths), _SAMPLE_CHUNK)
+    for lo in chunks:
+        r = lengths[lo : lo + _SAMPLE_CHUNK]
+        short = np.flatnonzero(r <= 64)
+        shift = r.take(short)
+        np.subtract(64.0, shift, out=shift)
+        words = rng.bit_generator.random_raw(short.size)
+        words >>= shift.astype(np.uint64)
+        bits = np.zeros(len(r), dtype=np.uint64)
+        bits[short] = words
+        part = out[lo : lo + len(r)]
+        np.multiply(np.bitwise_count(bits), 2.0, out=part)
+        part -= r
+    for lo in chunks:
+        r = lengths[lo : lo + _SAMPLE_CHUNK]
+        mid = np.flatnonzero((r > 64) & (r < _BINOM_LIMIT))
+        if mid.size:
+            k = r.take(mid).astype(np.int64)
+            out[lo + mid] = 2.0 * rng.binomial(k, 0.5) - k.astype(np.float64)
+    for lo in chunks:
+        r = lengths[lo : lo + _SAMPLE_CHUNK]
+        big = np.flatnonzero(r >= _BINOM_LIMIT)
+        if big.size:
+            k = r.take(big)
+            out[lo + big] = 2.0 * np.round(np.sqrt(k) * rng.standard_normal(big.size) / 2.0)
     return out

@@ -10,6 +10,7 @@ reruns — produce bit-identical results.
 from __future__ import annotations
 
 import functools
+import sys
 
 import numpy as np
 
@@ -37,8 +38,9 @@ def stream(seed: int, index: int = 0, lane: int = 0) -> np.random.Generator:
         raise ValueError(f"stream key out of range: seed {seed}, index {index}, lane {lane}")
     # a uint64 array, because numpy would pass a Python list holding a
     # value >= 2**63 through float64 and round distinct keys together
-    key = np.array([seed, (lane << 56) | index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(_philox_key()(key)))
+    key = _philox_key()(np.array([seed, (lane << 56) | index], dtype=np.uint64))
+    # np.random is looked up only now, after _philox_key has imported it
+    return np.random.Generator(np.random.Philox(key))
 
 
 @functools.cache
@@ -51,8 +53,21 @@ def _philox_key() -> type:
     first, which reads OS entropy on every stream.  The class is made on
     the first stream, so that importing recwalk leaves `numpy.random`
     unloaded.
+
+    numpy.random imports `secrets`, for SeedSequence's entropy, and through
+    it `hmac`, which loads OpenSSL's `_hashlib` (3.4 MB resident).  Nothing
+    here hashes or reads entropy, so unless `_hashlib` is loaded already it
+    is masked for this one import: `hashlib` and `hmac` fall back on their
+    builtin digests, and a later `import _hashlib` still loads it.
     """
-    from numpy.random.bit_generator import ISeedSequence
+    masked = "_hashlib" not in sys.modules
+    if masked:
+        sys.modules["_hashlib"] = None
+    try:
+        from numpy.random.bit_generator import ISeedSequence
+    finally:
+        if masked:
+            del sys.modules["_hashlib"]
 
     class PhiloxKey(ISeedSequence):
         __slots__ = ("key",)

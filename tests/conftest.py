@@ -1,6 +1,19 @@
+import tracemalloc
+
 import pytest
 
 from recwalk.return_laws import first_return_law, return_position_law
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc traces while fn() runs; memory allocated
+    before the call is not counted."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

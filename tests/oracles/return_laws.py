@@ -41,3 +41,25 @@ def survival_series(mmax: int) -> np.ndarray:
     as one 80-bit running product."""
     m = np.arange(1, mmax + 1, dtype=np.longdouble)
     return np.cumprod((2 * m - 1) / (2 * m))
+
+
+def telescoped_sums(lmax: int, kmax: int) -> np.ndarray:
+    """S(0), S(1), ..., S(lmax / 2), the sums over return times up to kmax
+    that `recwalk.return_laws.return_position_law` telescopes onto the
+    boundary column F(M + 1, .), by its formulas in one-shot array form:
+    the bit-identity oracle for its in-place build."""
+    from recwalk.return_laws import column_length, survival
+
+    LONG = np.longdouble
+    nl = lmax // 2 + 1
+    m1 = kmax // 2 + 1
+    s = np.arange(column_length(lmax, kmax), dtype=LONG)
+    u = LONG(survival(2 * m1))
+    steps = (m1 - s[:-1]) / (m1 + s[:-1] + 1)
+    column = u * u / (2 * m1 - 1) * np.cumprod(np.concatenate(([LONG(1)], steps)))
+    tails = np.cumsum((4 * (2 * s + 1) * (m1 - s) * column)[::-1])[::-1]
+    top = min(nl, m1)
+    acc = np.zeros(nl, dtype=LONG)
+    acc[0] = 1 - 4 * LONG(m1) ** 2 * column[0]
+    acc[1:top] = tails[1:top] / (4 * s[1:top] ** 2 - 1)
+    return acc

@@ -1,10 +1,13 @@
 """The Green-sum samplers and the stream constructor in their one-shot
-form, the bit-identity oracles for the in-place versions in `recwalk`.
+form, the bit-identity oracles for the in-place, chunked versions in
+`recwalk`.
 
 `sample_first_return`, `sample_position_at` and `survival_table` read
-fresh arrays through boolean masks and build the 2^16-entry table from one
-80-bit product over all of it; `stream` keys Philox through `key=`.  The
-`recwalk` versions must return the same arrays and the same streams.
+fresh arrays through boolean masks, all draws in one call, and build the
+2^16-entry table from one 80-bit product over all of it; `stream` keys
+Philox through `key=`; `auxiliary_returns` draws a sample's shifts in one
+call.  The `recwalk` versions must return the same arrays and the same
+streams.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import functools
 import numpy as np
 
 from recwalk.return_laws import _BINOM_LIMIT, _TABLE_M, _u_series
+from recwalk.rng import POSITION_LANE, RETURN_LANE, SHIFT_LANE
 
 from .return_laws import survival_series
 
@@ -91,3 +95,12 @@ def sample_position_at(rng: np.random.Generator, lengths: np.ndarray) -> np.ndar
         ns = lengths[big]
         out[big] = 2.0 * np.round(np.sqrt(ns) * rng.standard_normal(len(ns)) / 2.0)
     return out
+
+
+def auxiliary_returns(seed: int, i: int, n_returns: int, timed: bool):
+    """(hit, time) at returns 1..n_returns of auxiliary sample i, as
+    `recwalk.branched_walk._auxiliary_returns` returns them."""
+    r = sample_first_return(stream(seed, i, RETURN_LANE), n_returns)
+    z = sample_position_at(stream(seed, i, POSITION_LANE), r)
+    z += 2 * (stream(seed, i, SHIFT_LANE).geometric(0.8, n_returns) - 1)
+    return np.cumsum(z) == 0, np.cumsum(r) if timed else None

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from conftest import traced_peak
+from oracles import samplers as one_shot
 from oracles.engine import SparseDist, iterate_push_forward, observe_returns, sample_path
 from oracles.shift_law import (
     auxiliary_green_exact,
@@ -18,7 +20,7 @@ from oracles.shift_law import (
     shift_sum_tail_exact,
 )
 from oracles.spaces import Generator, branched_apply, uniform_five
-from recwalk import branched_walk
+from recwalk import branched_walk, return_laws
 from recwalk.branched_walk import (
     CLASSIFY_BLOCK,
     Inlet,
@@ -292,6 +294,28 @@ class TestGreenSumAuxiliary:
         a = shifted_green_sum(50, 200, seed=16, method="auxiliary", checkpoints=every(50))
         b = shifted_green_sum(50, 200, seed=16, method="auxiliary", checkpoints=every(50))
         assert a.checkpoint_stats == b.checkpoint_stats
+
+
+class TestAuxiliaryReturns:
+    """One auxiliary sample's hits and times, drawn and summed in chunks."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096, return_laws._SAMPLE_CHUNK])
+    @pytest.mark.parametrize("timed", [False, True])
+    def test_chunked_matches_one_shot(self, monkeypatch, chunk, timed):
+        n = 3 * chunk + 5 if chunk > 1 else 500  # several chunks and a part
+        monkeypatch.setattr(return_laws, "_SAMPLE_CHUNK", chunk)
+        monkeypatch.setattr(branched_walk, "_SAMPLE_CHUNK", chunk)
+        hit, times = branched_walk._auxiliary_returns(2**63 + 9, 4, n, timed)
+        want_hit, want_times = one_shot.auxiliary_returns(2**63 + 9, 4, n, timed)
+        assert hit.any() and np.array_equal(hit, want_hit)
+        assert (times is None) == (not timed) and np.array_equal(times, want_times)
+
+    def test_memory_of_one_sample(self):
+        # r, the positions and a chunk of temporaries: 6.2 arrays of n when
+        # every draw of a sampler was worked on at once
+        n = 10**6
+        peak = traced_peak(lambda: branched_walk._auxiliary_returns(7, 3, n, False))
+        assert peak <= 3.5 * 8 * n
 
 
 class TestAuxiliaryGreenExact:

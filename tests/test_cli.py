@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -51,7 +52,8 @@ class TestLawCache:
 
     def test_derived_quantities_stable_across_reload(self, tmp_path):
         law, hit = load_or_compute_position_law(tmp_path, 100, 10_000)
-        assert not hit
+        assert not hit and list(tmp_path.iterdir()) == []  # a lookup saves nothing
+        save_position_law(law, tmp_path)
         again, hit2 = load_or_compute_position_law(tmp_path, 100, 10_000)
         assert hit2
         assert np.array_equal(law.entries, again.entries)
@@ -527,6 +529,18 @@ class TestLllCommand:
         assert "(lmax=400, kmax=160000): cache miss in " in caplog.text
         assert path.read_bytes() == current and out.read_bytes() == cold
 
+    def test_refused_law_is_not_cached(self, tmp_path, capsys, caplog, monkeypatch):
+        # tail_limit refuses the law at kmax = 2, after it is built
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):  # and a rerun is a miss, refused again
+            caplog.clear()
+            with caplog.at_level("INFO", logger="recwalk"), pytest.raises(SystemExit) as exc:
+                run(["lll", "--l-max", 40, "--k-max", 2, "--cache-dir", "cc"])
+            assert exc.value.code == 1
+            assert "(lmax=40, kmax=2): cache miss in " in caplog.text
+            assert "recwalk: error: certified truncation error" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
+
     def test_miskeyed_cache_reported(self, tmp_path, capsys):
         # a file stored under another kmax's name holds another law
         cache, out = tmp_path / "cache", tmp_path / "b.csv"
@@ -680,8 +694,9 @@ def test_package_imports_without_scipy():
 
 
 #: the numpy submodules that each command loads after `import recwalk.cli`, at
-#: a small configuration.  numpy.random costs about 13 ms and 6.1 MB to import,
-#: so only the commands that draw load it, on their first stream; numpy.fft
+#: a small configuration.  numpy.random costs about 11 ms and 2.7 MB to import
+#: with OpenSSL's _hashlib masked (14 ms and 6.1 MB without), so only the
+#: commands that draw load it, on their first stream; numpy.fft
 #: only lll, for its convolutions; and no command loads scipy or numpy.ma,
 #: which np.median imports on its first call (about 13 ms and 1.3 MB)
 NUMPY_SUBMODULES = {
@@ -712,3 +727,48 @@ def test_numpy_submodules_per_command(tmp_path, command):
         check=True,
     )
     assert out.stdout.splitlines() == [repr(loaded)]
+
+
+@pytest.mark.parametrize("command", ["classify", "green"])
+def test_streams_leave_openssl_unloaded(tmp_path, command):
+    # numpy.random's import of secrets and hmac finds no _hashlib, and
+    # hashlib falls back on its builtin digests without a word on stderr;
+    # OpenSSL's module stays importable
+    argv = NUMPY_SUBMODULES[command][0]
+    code = (
+        "import contextlib, io, sys\n"
+        "from recwalk.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main({argv!r})\n"
+        "print('_hashlib' in sys.modules)\n"
+        "import hashlib\n"
+        "print(hashlib.sha256(b'recwalk').hexdigest())\n"
+        "import _hashlib\n"
+        "print(_hashlib.openssl_sha256(b'recwalk').hexdigest())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(recwalk.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True,
+        check=True,
+    )
+    digest = hashlib.sha256(b"recwalk").hexdigest()
+    assert out.stdout.splitlines() == ["False", digest, digest]
+    assert "code for hash" not in out.stderr
+
+
+@pytest.mark.parametrize("preload", [False, True])
+def test_streams_equal_with_openssl_loaded_or_not(preload):
+    # with _hashlib loaded first, as under pytest, nothing is masked
+    code = (
+        "import sys\n"
+        + ("import _hashlib\n" if preload else "")
+        + "from recwalk.rng import stream\n"
+        "print('_hashlib' in sys.modules)\n"
+        "print(stream(2**63 + 5, 7, 3).bit_generator.random_raw(8).tolist())\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(recwalk.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    words = one_shot.stream(2**63 + 5, 7, 3).bit_generator.random_raw(8).tolist()
+    assert out.stdout.splitlines() == [str(preload), str(words)]

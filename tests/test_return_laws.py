@@ -1,6 +1,5 @@
 import functools
 import math
-import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -11,8 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, polygamma
 
+from conftest import traced_peak
 from oracles import samplers as one_shot
-from oracles.return_laws import enumerate_first_returns, first_return_prob_exact, survival_series
+from oracles.return_laws import (
+    enumerate_first_returns,
+    first_return_prob_exact,
+    survival_series,
+    telescoped_sums,
+)
 from recwalk import return_laws
 from recwalk.return_laws import (
     LONG,
@@ -161,7 +166,7 @@ def former_inversion(w: np.ndarray) -> np.ndarray:
 class StubGenerator:
     """Stands in for a Generator, handing the samplers fixed draws: the
     uniforms for `random` and the 64-bit words for `bit_generator.random_raw`,
-    all of them in one call."""
+    in order, in calls of any size, as a Generator does."""
 
     def __init__(self, uniforms=(), words=()):
         self.uniforms = np.asarray(uniforms, dtype=np.float64)
@@ -169,12 +174,14 @@ class StubGenerator:
         self.bit_generator = self
 
     def random(self, n):
-        assert n == len(self.uniforms)
-        return self.uniforms
+        assert n <= len(self.uniforms)
+        head, self.uniforms = self.uniforms[:n].copy(), self.uniforms[n:]
+        return head
 
     def random_raw(self, n):
-        assert n == len(self.words)
-        return self.words
+        assert n <= len(self.words)
+        head, self.words = self.words[:n].copy(), self.words[n:]
+        return head
 
 
 def first_returns_at(w) -> np.ndarray:
@@ -357,6 +364,19 @@ class TestTelescoping:
         assert abs(law.leaked - tail_mass) < 1e-14
 
     @settings(max_examples=60, deadline=None)
+    @given(half_l=st.integers(1, 2000), half_k=st.integers(1, 10**8))
+    def test_in_place_column_matches_one_shot(self, half_l, half_k):
+        # columns shorter and longer than the window, and S(t) = 0 past M
+        got = nonnegative_half(telescoped(2 * half_l, 2 * half_k))
+        assert np.array_equal(got, telescoped_sums(2 * half_l, 2 * half_k))
+
+    def test_column_held_in_three_arrays(self):
+        # about 1.06e6 entries of 16 bytes; the one-shot form holds five
+        entries = return_laws.column_length(2000, 10**10)
+        assert entries > 10**6
+        assert traced_peak(lambda: return_position_law(2000, 10**10)) < 3.2 * 16 * entries
+
+    @settings(max_examples=60, deadline=None)
     @given(
         half_l=st.integers(1, 80), half_k=st.integers(1, 600), k_tail=st.booleans(),
         half_n=st.integers(1, 10**5),
@@ -425,13 +445,7 @@ class TestKTailCompletion:
     @pytest.mark.parametrize("lmax", [2000, 20_000])
     def test_peak_memory_does_not_grow_with_the_window(self, lmax):
         # a dense grid x window matrix would be 41 MB per copy at lmax = 2000
-        tracemalloc.start()
-        try:
-            return_position_law(lmax, 4_000_000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8_000_000
+        assert traced_peak(lambda: return_position_law(lmax, 4_000_000)) < 8_000_000
 
     @pytest.mark.parametrize("lmax,kmax,far", [
         (200, 40_000, 4_000_000),
@@ -631,6 +645,14 @@ class TestSamplers:
 #: float lengths on both sides of the bit-count and binomial seams
 SEAM_LENGTHS = [63.0, 64.0, 65.0, 66.0, 2.0**62 - 1024, 2.0**62, 2.0**62 + 1024, 2.0**80]
 
+#: k with w = k 2^-53 at and just below u_m, for m on both sides of the table's
+#: end: the guess c and its two neighbours move from the table to the series
+TABLE_SEAM_KS = [
+    int(k) + d
+    for k in np.ceil(one_shot.survival_table()[_TABLE_M - 3 :] * 2.0**53)
+    for d in (-1, 0)
+] + [int(np.ceil(u * 2.0**53)) + d for u in (_u_float(_TABLE_M + 1), _u_float(_TABLE_M + 2)) for d in (-1, 0)]
+
 
 class TestBitIdenticalToOneShot:
     """The blocked table, the in-place samplers and the key-only streams
@@ -695,6 +717,50 @@ class TestBitIdenticalToOneShot:
         w = np.concatenate((k, k - 1.0)) * 2.0**-53
         got = sample_first_return(StubGenerator(1.0 - w), len(w))
         assert np.array_equal(got, one_shot.sample_first_return(StubGenerator(1.0 - w), len(w)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        chunk_n=st.sampled_from([1, 7, 4096]).flatmap(
+            lambda c: st.tuples(st.just(c), st.integers(1, 400 * min(c, 30)))
+        ),
+        seams=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(SEAM_LENGTHS)), max_size=40),
+    )
+    def test_chunked_samplers_on_streams(self, seed, chunk_n, seams):
+        # n up to 400 chunks of 1 and 7 and 3 of 4096, with lengths at the
+        # 64 and 2^62 seams put in among the drawn return times
+        chunk, n = chunk_n
+        with mock.patch.object(return_laws, "_SAMPLE_CHUNK", chunk):
+            r = sample_first_return(stream(seed, 5, RETURN_LANE), n)
+            lengths = r.copy()
+            for at, length in seams:
+                lengths[at % n] = length
+            z = sample_position_at(stream(seed, 5, POSITION_LANE), lengths)
+        assert np.array_equal(r, one_shot.sample_first_return(one_shot.stream(seed, 5, RETURN_LANE), n))
+        want = one_shot.sample_position_at(one_shot.stream(seed, 5, POSITION_LANE), lengths)
+        assert np.array_equal(z, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        chunk=st.sampled_from([1, 7, 4096]),
+        ks=st.lists(
+            st.integers(1, 2**53) | st.sampled_from(TABLE_SEAM_KS) | st.integers(1, 2**30),
+            min_size=1, max_size=300,
+        ),
+    )
+    def test_chunked_first_return_across_the_table_seam(self, chunk, ks):
+        w = np.array(ks, dtype=np.float64) * 2.0**-53
+        with mock.patch.object(return_laws, "_SAMPLE_CHUNK", chunk):
+            got = sample_first_return(StubGenerator(1.0 - w), len(w))
+        assert np.array_equal(got, one_shot.sample_first_return(StubGenerator(1.0 - w), len(w)))
+
+    @pytest.mark.parametrize("n", [return_laws._SAMPLE_CHUNK, 3 * return_laws._SAMPLE_CHUNK + 5])
+    def test_several_chunks_at_the_default_size(self, n):
+        r = sample_first_return(stream(11, 2, RETURN_LANE), n)
+        assert np.array_equal(r, one_shot.sample_first_return(one_shot.stream(11, 2, RETURN_LANE), n))
+        r[::1000] = 2.0**62
+        z = sample_position_at(stream(11, 2, POSITION_LANE), r)
+        assert np.array_equal(z, one_shot.sample_position_at(one_shot.stream(11, 2, POSITION_LANE), r))
 
 
 class TestPositionSampler:
