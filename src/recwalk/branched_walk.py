@@ -364,6 +364,7 @@ def shifted_green_sum(
             idx = idx[times[idx] <= horizon]
             exhausted += int(times[-1] > horizon)
         cp_vals[i] = 1.0 + np.searchsorted(idx, cp_index, "right")
+        del hit, times  # not held while the next sample is drawn
     # column by column: an axis=0 reduction sums in another order (stderr bits)
     stats = {
         cp: (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(nsamples)))
@@ -404,18 +405,28 @@ def _direct_returns(
     R a first return time, over which j takes R independent +-1 steps and
     the a-moves, idle off the half-axis, add NegBin(R - 1, 4/5) steps to
     the clock.  R is heavy-tailed and nothing past the horizon is
-    observed, so it is clipped to horizon + 1.
+    observed, so it is clipped to horizon + 1.  The idle steps are drawn
+    and added to r, and the walk of j reads the pauses and steps as lists,
+    one _SAMPLE_CHUNK at a time, the draws of one call in pieces; the times
+    are summed in place over r.  So the sample holds r, the steps, the
+    pauses and the hits, and a chunk.
     """
     pause = rng.random(n_returns) < 0.2
     r = np.minimum(sample_first_return(rng, n_returns), horizon + 1)
     dj = sample_position_at(rng, r)
-    idle = rng.negative_binomial(r - 1, 0.8)
-    times = np.cumsum(np.where(pause, 1.0, r + idle))
-    hit = np.zeros(n_returns, dtype=bool)
+    chunks = [slice(lo, lo + _SAMPLE_CHUNK) for lo in range(0, n_returns, _SAMPLE_CHUNK)]
+    for c in chunks:
+        r[c] += rng.negative_binomial(r[c] - 1, 0.8)
+    r[pause] = 1.0
+    times = np.cumsum(r, out=r)
+    hit = np.empty(n_returns, dtype=bool)
     j = 0.0
-    for n, (p, d) in enumerate(zip(pause.tolist(), dj.tolist())):
-        j += (2.0 if j >= 0 else 0.0) if p else d
-        hit[n] = j == 0
+    for c in chunks:
+        hits = []
+        for p, d in zip(pause[c].tolist(), dj[c].tolist()):
+            j += (2.0 if j >= 0 else 0.0) if p else d
+            hits.append(j == 0)
+        hit[c] = hits
     return hit, times
 
 

@@ -37,7 +37,9 @@ DEFAULT_CACHE_DIR = "recwalk-cache"
 MAX_RETURN_TIME = 2_000_000
 #: largest `green --schedule` entry; an auxiliary sample holds two arrays of
 #: this many returns (the return times and the positions) and a fixed chunk
-#: of temporaries, so a run at 10^7 peaks at about 210 MB
+#: of temporaries, 172 MB traced at 10^7, and a direct sample of as many
+#: returns (`--direct-returns`) its times, steps, pauses and hits, 185 MB;
+#: either way a run at 10^7 peaks at about 210 MB
 MAX_GREEN_RETURNS = 10_000_000
 #: largest `green --samples` and `--direct-samples`; each sample costs about
 #: 0.1 ms per method even at `--schedule 1,2,3` (60-100 us auxiliary, 100-115 us

@@ -6,8 +6,9 @@ form, the bit-identity oracles for the in-place, chunked versions in
 fresh arrays through boolean masks, all draws in one call, and build the
 2^16-entry table from one 80-bit product over all of it; `stream` keys
 Philox through `key=`; `auxiliary_returns` draws a sample's shifts in one
-call.  The `recwalk` versions must return the same arrays and the same
-streams.
+call; `direct_returns` draws its idle steps in one call and walks j over
+lists of all the returns.  The `recwalk` versions must return the same
+arrays and the same streams.
 """
 
 from __future__ import annotations
@@ -104,3 +105,19 @@ def auxiliary_returns(seed: int, i: int, n_returns: int, timed: bool):
     z = sample_position_at(stream(seed, i, POSITION_LANE), r)
     z += 2 * (stream(seed, i, SHIFT_LANE).geometric(0.8, n_returns) - 1)
     return np.cumsum(z) == 0, np.cumsum(r) if timed else None
+
+
+def direct_returns(rng: np.random.Generator, n_returns: int, horizon: int):
+    """(hit, time) at returns 1..n_returns of the direct walk, as
+    `recwalk.branched_walk._direct_returns` returns them."""
+    pause = rng.random(n_returns) < 0.2
+    r = np.minimum(sample_first_return(rng, n_returns), horizon + 1)
+    dj = sample_position_at(rng, r)
+    idle = rng.negative_binomial(r - 1, 0.8)
+    times = np.cumsum(np.where(pause, 1.0, r + idle))
+    hit = np.zeros(n_returns, dtype=bool)
+    j = 0.0
+    for n, (p, d) in enumerate(zip(pause.tolist(), dj.tolist())):
+        j += (2.0 if j >= 0 else 0.0) if p else d
+        hit[n] = j == 0
+    return hit, times

@@ -317,6 +317,52 @@ class TestAuxiliaryReturns:
         peak = traced_peak(lambda: branched_walk._auxiliary_returns(7, 3, n, False))
         assert peak <= 3.5 * 8 * n
 
+    def test_one_sample_held_at_a_time(self):
+        # a sample's hits and times are dropped before the next one is
+        # drawn: 3.6 arrays of n when they were held over
+        n = 10**6
+        peak = traced_peak(
+            lambda: shifted_green_sum(n, 2, seed=1, method="auxiliary", horizon=4_000_000)
+        )
+        assert peak <= 3 * 8 * n
+
+
+class TestDirectReturns:
+    """One direct sample's hits and times: the idle steps drawn and the walk
+    of j taken in chunks, j carried from chunk to chunk."""
+
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16, 2**16 + 1, 2 * 2**16 + 3])
+    def test_matches_one_shot(self, n):
+        assert return_laws._SAMPLE_CHUNK == 2**16
+        for horizon in (1000, 4_000_000):
+            hit, times = branched_walk._direct_returns(stream(7, 3, DIRECT_LANE), n, horizon)
+            want_hit, want_times = one_shot.direct_returns(stream(7, 3, DIRECT_LANE), n, horizon)
+            assert np.array_equal(hit, want_hit)
+            assert times.tobytes() == want_times.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    def test_hits_across_chunk_seams(self, monkeypatch, chunk):
+        # a short horizon keeps the steps of j small, so hits come in
+        # several chunks
+        n = 3 * chunk + 5 if chunk > 1 else 40
+        monkeypatch.setattr(branched_walk, "_SAMPLE_CHUNK", chunk)
+        hits = 0
+        for i in range(10):
+            hit, times = branched_walk._direct_returns(stream(2**63 + 9, i, DIRECT_LANE), n, 50)
+            want = one_shot.direct_returns(stream(2**63 + 9, i, DIRECT_LANE), n, 50)
+            assert np.array_equal(hit, want[0]) and times.tobytes() == want[1].tobytes()
+            hits += int(hit.sum())
+        assert hits >= 10
+
+    def test_memory_of_one_sample(self):
+        # r, the steps, the pauses, the hits and a chunk of temporaries:
+        # 9.25 arrays of n when the walk of j read lists of every return
+        n = 10**6
+        peak = traced_peak(
+            lambda: branched_walk._direct_returns(stream(7, 3, DIRECT_LANE), n, 4_000_000)
+        )
+        assert peak <= 3.5 * 8 * n
+
 
 class TestAuxiliaryGreenExact:
     @pytest.mark.parametrize("n, want", [(100, 3.30304), (1000, 4.47171), (10_000, 5.64401)])

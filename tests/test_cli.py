@@ -729,6 +729,36 @@ def test_numpy_submodules_per_command(tmp_path, command):
     assert out.stdout.splitlines() == [repr(loaded)]
 
 
+def test_no_command_calls_lapack(tmp_path):
+    # np.polyfit solves through LAPACK's SVD, whose first call maps about
+    # 1.6 MB of BLAS code into a run that otherwise uses none; lll (cold,
+    # then warm) and return-law fit their lines in closed form instead
+    argvs = [
+        ["lll", "--l-max", "200", "--schedule", "8,16", "--cache-dir", "cc"],
+        ["lll", "--l-max", "200", "--schedule", "8,16", "--cache-dir", "cc"],
+        ["return-law", "--n-max", "200"],
+    ]
+    code = (
+        "import os\n"
+        "import numpy as np\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise RuntimeError('LAPACK called')\n"
+        "np.polyfit = np.linalg.lstsq = np.linalg.svd = refuse\n"
+        "from recwalk.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    cached = os.listdir('cc') if os.path.isdir('cc') else []\n"
+        "    print(main(argv), len(cached))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(recwalk.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    # each run exits 0; the second lll finds the law that the first cached
+    assert out.stdout.splitlines() == ["0 0", "0 1", "0 1"]
+    assert "cache miss" in out.stderr and "cache hit" in out.stderr
+
+
 @pytest.mark.parametrize("command", ["classify", "green"])
 def test_streams_leave_openssl_unloaded(tmp_path, command):
     # numpy.random's import of secrets and hmac finds no _hashlib, and

@@ -6,7 +6,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, polygamma
 
@@ -25,6 +25,7 @@ from recwalk.return_laws import (
     _inverse_square_tail,
     _k_tail_completion,
     _k_tail_grid,
+    _line,
     _TABLE_M,
     _median,
     _survival_table,
@@ -279,6 +280,61 @@ class TestTailExponentFit:
             fit_tail_exponent(return_law_2000, 100, 112)
 
 
+class TestLeastSquaresLine:
+    """_line, the closed-form fit behind tail_limit and fit_tail_exponent,
+    against np.polyfit, which solves the same problem through LAPACK."""
+
+    # coordinates below 1e-100 are 0: LAPACK's scaled arithmetic loses
+    # digits to underflow there, and the fits made here never come near it
+    coordinates = st.floats(-100, 100).map(lambda v: 0.0 if abs(v) < 1e-100 else v)
+
+    @settings(max_examples=200, deadline=None)
+    @given(points=st.lists(st.tuples(coordinates, coordinates), min_size=3, max_size=500))
+    def test_matches_polyfit(self, points):
+        x, y = (list(v) for v in zip(*points))
+        spread, reach = max(x) - min(x), max(abs(v) for v in x)
+        assume(spread >= 1.0)
+        slope, intercept = _line(x, y)
+        want_slope, want_intercept = np.polyfit(x, y, 1)
+        # relative to the data's own scale, since either value may be near
+        # 0; an intercept far from the data carries the slope's error there
+        scale = max(abs(v) for v in y)
+        assert abs(slope - want_slope) <= 1e-12 * (abs(want_slope) + scale / spread)
+        assert abs(intercept - want_intercept) <= 1e-12 * (
+            abs(want_intercept) + scale * (1 + reach / spread)
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        centre=st.integers(-1000, 1000),
+        offsets=st.lists(st.integers(1, 1000), min_size=1, max_size=50),
+        slope=st.integers(-1000, 1000),
+        intercept=st.integers(-1000, 1000),
+    )
+    def test_exact_line_recovered(self, centre, offsets, slope, intercept):
+        # integer points placed symmetrically about an integer: every mean,
+        # difference and product is exact, so the line comes back exactly
+        x = [float(centre + s * d) for d in offsets for s in (-1, 1)]
+        y = [slope * v + intercept for v in x]
+        assert _line(x, y) == (slope, intercept)
+
+    def test_tail_limit_at_lll_defaults_is_polyfit_bit_for_bit(self):
+        # so `lll` at its defaults keeps its output bytes
+        law = return_position_law(2000, 4_000_000)
+        ms = (100, 200, 400)
+        x = np.array([1.0 / m for m in ms])
+        y = np.array([tail_functional(law, m) for m in ms])
+        assert tail_limit(law, ms) == float(np.polyfit(x, y, 1)[1])
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [([], []), ([1.0], [2.0]), ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])],
+    )
+    def test_refuses_what_fixes_no_line(self, x, y):
+        with pytest.raises(ValueError):
+            _line(x, y)
+
+
 class TestReturnPositionLaw:
     def test_symmetry_and_parity(self, pos_law_small):
         assert pos_law_small.prob(10) == pos_law_small.prob(-10)
@@ -510,9 +566,15 @@ class TestTailFunctional:
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0, 1.0]),
                            min_size=1, max_size=40))
+    @example(values=[0.0, 8.98846567431158e307, 8.98846567431158e307, 8.98846567431158e307])
+    @example(values=[-math.inf, math.inf])
     def test_median_is_np_median_bit_for_bit(self, values):
         values = np.array(values)
-        want = np.median(values)
+        # the reference's mean of the two middle values warns when it
+        # overflows to inf or meets inf - inf; _median gives the same inf
+        # or nan without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.median(values)
         if np.isnan(want):
             assert math.isnan(_median(values))
         else:

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles.spaces import (
     Generator,
@@ -16,6 +18,14 @@ from oracles.spaces import (
 from recwalk.branched_walk import Inlet, Lattice, Tail, standard_points
 
 A, B, BINV, C, CINV = Generator.A, Generator.B, Generator.BINV, Generator.C, Generator.CINV
+INVERTIBLE = (B, BINV, C, CINV)
+
+lattice_points = st.builds(
+    lambda i, j: Lattice(i, j + (i + j) % 2), st.integers(-50, 50), st.integers(-50, 50)
+)
+ray_points = st.builds(Tail, st.integers(-50, 50)) | st.builds(Inlet, st.integers(-50, 0))
+states = lattice_points | ray_points
+words = st.lists(st.sampled_from(list(Generator)), max_size=30)
 
 
 class TestBranchedAction:
@@ -84,6 +94,53 @@ class TestBranchedAction:
     def test_determinism(self):
         s = Lattice(4, -2)
         assert branched_apply(C, s) == branched_apply(C, s)
+
+
+class TestGeneratorActionProperties:
+    """The branched action of the five generators, over random points and
+    words."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(start=lattice_points, word=words)
+    def test_parity_preserved(self, start, word):
+        s, p = start, (start.i, start.j)
+        for g in word:
+            s = branched_apply(g, s)
+            assert isinstance(s, Lattice) and (s.i + s.j) % 2 == 0
+            if g is not A:
+                p = diagonal_apply(g, p)
+                assert (p[0] + p[1]) % 2 == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=st.sampled_from(INVERTIBLE), s=ray_points)
+    def test_invertible_generators_swap_the_junctions(self, g, s):
+        swapped = {Tail(0): Inlet(0), Inlet(0): Tail(0)}
+        assert branched_apply(g, s) == swapped.get(s, s)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=st.sampled_from(INVERTIBLE), s=states)
+    def test_inverse_undoes(self, g, s):
+        assert branched_apply(g.inverse(), branched_apply(g, s)) == s
+        assert branched_apply(g, branched_apply(g.inverse(), s)) == s
+
+    @settings(max_examples=50, deadline=None)
+    @given(start=states, radius=st.integers(0, 6))
+    def test_a_is_injective_on_a_ball(self, start, radius):
+        points = ball(branched_apply, start, radius)
+        assert len({branched_apply(A, s) for s in points}) == len(points)
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=states)
+    def test_step_law_never_undoes_a(self, s):
+        # a has no inverse here, and no step of the five-generator law
+        # leads back from a point that a moved
+        law = uniform_five()
+        assert set(law.generators()) == set(Generator)
+        with pytest.raises(ValueError):
+            A.inverse()
+        moved = branched_apply(A, s)
+        if moved != s:
+            assert all(branched_apply(g, moved) != s for g in law.generators())
 
 
 class TestDiagonalAndLine:
