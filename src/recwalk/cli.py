@@ -29,7 +29,6 @@ from .rng import DEFAULT_SEED
 log = logging.getLogger("recwalk")
 
 OUTPUT_FORMAT_VERSION = "recwalk-output-1"
-SLOPE_BAND = (-1.55, -1.45)
 ZERO_MASS_BAND = (0.55, 0.72)
 DEFAULT_CACHE_DIR = "recwalk-cache"
 #: largest `return-law --n-max`; the law is held in memory and its rows
@@ -109,20 +108,15 @@ def _open_out(parser: _Parser, path: Path):
 
 
 def cmd_return_law(parser: _Parser, args) -> int:
-    m_hi = min(1000, args.n_max)
-    m_lo = max(100, m_hi // 10)
     t0 = time.perf_counter()
     law = return_laws.first_return_law(args.n_max)
-    fit = return_laws.fit_tail_exponent(law, m_lo, m_hi)
-    fit_rows = [
-        f"slope,{_fmt(fit.slope)},window={fit.window[0]}..{fit.window[1]}",
-        f"prefactor,{_fmt(fit.prefactor)},npoints={fit.npoints}",
-    ]
-    _write_table(parser, args, ["n", "prob", "n32_prob"], itertools.chain(_law_rows(law), fit_rows))
+    _write_table(parser, args, ["n", "prob", "n32_prob"], _law_rows(law))
     log.info("return-law finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
-    if not SLOPE_BAND[0] <= fit.slope <= SLOPE_BAND[1]:
-        log.error("fitted slope %.4f outside %s", fit.slope, SLOPE_BAND)
+    margin, n = return_laws.bracket_margin(law)
+    if margin <= 0:
+        log.error("P(return = %d) lies outside Wallis's bracket (relative margin %.3g)", n, margin)
         return 2
+    log.info("every row inside Wallis's bracket; smallest relative margin %.3g at n = %d", margin, n)
     return 0
 
 
@@ -303,10 +297,9 @@ def build_parser() -> _Parser:
         p.add_argument("--out", type=Path, default=Path(out_name))
         p.add_argument("--cache-dir", type=Path, default=Path(DEFAULT_CACHE_DIR))
 
-    p = sub.add_parser("return-law", help="first-return-time law and its tail fit")
+    p = sub.add_parser("return-law", help="first-return-time law, checked against a bracket")
     p.add_argument("--out", type=Path, default=Path("recwalk_return_law.csv"))
-    # from 118 on, the fit window [100, n_max] holds 10 even return times
-    p.add_argument("--n-max", type=_integer(118, MAX_RETURN_TIME, even=True), default=2000)
+    p.add_argument("--n-max", type=_integer(2, MAX_RETURN_TIME, even=True), default=2000)
     p.set_defaults(func=cmd_return_law)
 
     p = sub.add_parser("lll", help="local-limit error curve for the return-position law")

@@ -1,8 +1,10 @@
-"""Exact and brute-force oracles for the first-return law of the +-1 walk."""
+"""Exact and brute-force oracles for the first-return law of the +-1 walk,
+and a least-squares fit of its power-law tail."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -34,6 +36,32 @@ def enumerate_first_returns(nmax: int) -> dict[int, Fraction]:
     for t in range(2, n + 1, 2):
         counts[t] = Fraction(int((first_zero == t).sum()), 1 << n)
     return counts
+
+
+@dataclass
+class TailExponentFit:
+    """Least-squares fit of log P(return = n) against log n."""
+
+    slope: float
+    prefactor: float  # exp(mean(log P + 1.5 log n)): the n^{-3/2} coefficient
+    npoints: int
+    window: tuple[int, int]
+
+
+def fit_tail_exponent(law, m_lo: int, m_hi: int) -> TailExponentFit:
+    """Fit the power-law tail of a return-time law over even n in [m_lo, m_hi],
+    by np.polyfit."""
+    if m_lo < 2 or m_hi > law.hi:
+        raise ValueError("fit window must lie within the computed law")
+    ns, ps = law.support(), law.entries
+    mask = (ns >= m_lo) & (ns <= m_hi) & (ps > 0)
+    if mask.sum() < 10:
+        raise ValueError(f"need at least 10 points to fit, have {int(mask.sum())}")
+    x = np.log(ns[mask].astype(float))
+    y = np.log(ps[mask])
+    slope, _ = np.polyfit(x, y, 1)
+    prefactor = float(np.exp(np.mean(y + 1.5 * x)))
+    return TailExponentFit(float(slope), prefactor, int(mask.sum()), (m_lo, m_hi))
 
 
 def survival_series(mmax: int) -> np.ndarray:

@@ -1,7 +1,7 @@
 """Stable-law oracles: the lattice lower bound on n P(Z_n = 0), the dense
 local-limit error that `lll_error` must equal, the one-shot n-fold law
-that `self_convolve` must equal bit for bit, and P(Z_n = 0) for the
-untruncated law in exact form."""
+that `self_convolve` must equal bit for bit, and, for the untruncated law,
+P(Z_n = 0) in exact form and the local-limit error of the wrapped law."""
 
 from __future__ import annotations
 
@@ -102,3 +102,29 @@ def zero_mass_exact(n: int) -> mpmath.mpf:
     with mpmath.workdps(n // 3 + 40):
         return (mpmath.mpf(a.numerator) / a.denominator
                 + mpmath.mpf(b.numerator) / b.denominator / mpmath.pi)
+
+
+def wrapped_lll_error(n: int, m: int) -> tuple[float, int]:
+    """(sup error, argmax s) of the local limit theorem for the sum Z_n of n
+    independent draws of the untruncated return-position law nu, on the
+    circle of m points of 2Z.
+
+    nu has characteristic function phi(theta) = 1 - |sin theta|, so the
+    inverse real transform of phi(pi k / m)^n, k = 0..m/2, is the law of
+    Z_n wrapped mod 2m, P(Z_n = 2s mod 2m) for s = 0..m-1.  n/2 times it is
+    compared with the Cauchy density of scale 1 wrapped with the same period
+    L = 2m / n, at the point x = 2s / n:
+    (1/L) sinh(a) / (cosh(a) - cos(2 pi s / m)), a = 2 pi / L.  The
+    aliasing of the one cancels that of the other.  The denominator is
+    taken as 2 sinh^2(a/2) + 2 sin^2(pi s / m): cosh(a) - cos(.) loses
+    about six digits to cancellation when a is small.
+    """
+    theta = np.pi * np.arange(m // 2 + 1) / m
+    law = np.fft.irfft((1.0 - np.sin(theta)) ** n, m)
+    period = 2 * m / n
+    a = 2 * np.pi / period
+    s = np.arange(m)
+    density = np.sinh(a) / (2 * np.sinh(a / 2) ** 2 + 2 * np.sin(np.pi * s / m) ** 2) / period
+    err = np.abs(n / 2 * law - density)
+    i = int(np.argmax(err))
+    return float(err[i]), i

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from oracles.finite_chain import random_chain, verify_equivalences
-from oracles.return_laws import enumerate_first_returns
+from oracles.return_laws import enumerate_first_returns, fit_tail_exponent
 from oracles.shift_law import (
     auxiliary_green_exact,
     excursion_shift_law,
@@ -34,7 +34,6 @@ from recwalk.branched_walk import (
 )
 from recwalk.return_laws import (
     first_return_law,
-    fit_tail_exponent,
     return_position_law,
     tail_functional,
     tail_limit,

@@ -1,8 +1,10 @@
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -107,7 +109,7 @@ def cache_dir(argv, path) -> list:
 
 
 @pytest.mark.parametrize("argv", [
-    ["return-law", "--n-max", 100],
+    ["return-law", "--n-max", 0],
     ["lll", "--l-max", 4],
     ["lll", "--l-max", 40, "--k-max", 2],  # refused inside the library
     ["green", "--direct-returns", 0],
@@ -326,6 +328,94 @@ def test_out_directory_refused_before_computing(tmp_path, capsys, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
+def planted_return_law(n_max: int) -> return_laws.LatticeLaw:
+    """The first-return law up to n_max from exact binomials, C(2m, m) /
+    ((2m - 1) 4^m), with P(return = 100) a relative 1e-9 above the upper end
+    of Wallis's bracket, 1 / ((2m - 1) sqrt(pi (m + 1/4))) at m = 50."""
+    entries = [math.comb(2 * m, m) / 4**m / (2 * m - 1) for m in range(1, n_max // 2 + 1)]
+    entries[49] = (1 + 1e-9) / (99 * math.sqrt(math.pi * 50.25))
+    return return_laws.LatticeLaw(2, np.array(entries))
+
+
+def planted_lll_errors(sup: dict, p0: dict):
+    """An lll_error that reports the planted sup error and P(Z_n = 0) at each n."""
+    return lambda dn, scale, n: stable_laws.LLTError(sup[n], 0, p0[n])
+
+
+def planted_classify(index: int, **change):
+    """A classify_standard_points that changes the given fields of one
+    report of the real one."""
+    real = branched_walk.classify_standard_points
+    return lambda **kw: [dataclasses.replace(r, **change) if i == index else r
+                         for i, r in enumerate(real(**kw))]
+
+
+def planted_green(means: dict):
+    """A shifted_green_sum whose every checkpoint reports the planted mean."""
+    def shifted_green_sum(n_returns, nsamples, seed, method, horizon=None, checkpoints=()):
+        stats = {c: (means[c], 0.1) for c in {*checkpoints, n_returns}}
+        return branched_walk.GreenSumEstimate(method, nsamples, stats, 0)
+
+    return shifted_green_sum
+
+
+#: the six points of classify's report, in order
+POINTS = ["lattice(0,0)", "tail(1)", "tail(0)", "inlet(0)", "tail(-3)", "inlet(-3)"]
+#: the row kinds of green's table at --schedule 1,2,3, in order
+GREEN_ROWS = (["auxiliary"] * 3 + ["direct"] * 3 + ["auxiliary-capped"]
+              + ["growth-ratio"] * 2 + ["cross-method-gap"])
+#: each documented numerical-check failure: (argv, the library call replaced
+#: and its replacement, exit code, what the log names, the row keys of --out)
+FAILED_CHECKS = {
+    "return-law-bracket": (
+        ["return-law", "--n-max", 200], (return_laws, "first_return_law", planted_return_law),
+        2, "P(return = 100) lies outside Wallis's bracket", [str(n) for n in range(2, 201, 2)]),
+    "lll-not-decreasing": (
+        ["lll", "--l-max", 40, "--schedule", "2,4"],
+        (stable_laws, "lll_error", planted_lll_errors({2: 0.1, 4: 0.2}, {2: 0.3, 4: 0.16})),
+        2, "sup errors not strictly decreasing", ["2", "4"]),
+    "lll-zero-mass": (
+        ["lll", "--l-max", 40, "--schedule", "2,4"],
+        (stable_laws, "lll_error", planted_lll_errors({2: 0.2, 4: 0.1}, {2: 0.3, 4: 0.1})),
+        2, "final n*P(Z_n=0) = 0.4000 outside (0.55, 0.72)", ["2", "4"]),
+    "classify-flagged": (
+        ["classify", "--samples", 10, "--horizon", 10],
+        (branched_walk, "classify_standard_points", planted_classify(2, flagged=True)),
+        3, "Monte Carlo contradicts the exact oracle", POINTS),
+    "classify-verdict-missing": (
+        ["classify", "--samples", 10, "--horizon", 10],
+        (branched_walk, "classify_standard_points", planted_classify(1, verdict="Neither")),
+        2, "expected all three verdict kinds, got ['Neither', 'Recurrent']", POINTS),
+    "green-decreasing": (
+        ["green", "--samples", 2, "--direct-samples", 2, "--schedule", "1,2,3"],
+        (branched_walk, "shifted_green_sum", planted_green({1: 2.0, 2: 1.5, 3: 3.0})),
+        2, "partial sums are not nondecreasing", GREEN_ROWS),
+    "green-growth": (
+        ["green", "--samples", 2, "--direct-samples", 2, "--schedule", "1,2,3"],
+        (branched_walk, "shifted_green_sum", planted_green({1: 1.0, 2: 2.0, 3: 2.1})),
+        2, "growth criterion failed: 0.1000 vs 0.5000", GREEN_ROWS),
+}
+
+
+@pytest.mark.parametrize("case", FAILED_CHECKS)
+def test_failed_check_exit_code(tmp_path, caplog, monkeypatch, case):
+    # each numerical check that the module docstring's exit 2 and 3 stand
+    # for, made to fail by a planted library result: --out is still
+    # written in full, and the log names the check
+    argv, (module, name, planted), code, named, keys = FAILED_CHECKS[case]
+    monkeypatch.setattr(module, name, planted)
+    out = tmp_path / "out"
+    with caplog.at_level("INFO", logger="recwalk"):
+        assert run([*argv, "--out", out, *cache_dir(argv, tmp_path / "cache")]) == code
+    assert any(r.levelname == "ERROR" and named in r.getMessage() for r in caplog.records)
+    text = out.read_text()
+    if argv[0] == "classify":
+        assert [r["point"] for r in json.loads(text)["reports"]] == keys
+    else:
+        assert text.endswith("\n")
+        assert [row.split(",")[0] for row in text.splitlines()[3:]] == keys
+
+
 class TestLllScheduleBound:
     """--schedule is refused before the law is built when its largest
     n-fold law needs a transform above stable_laws.MAX_TRANSFORM points."""
@@ -421,6 +511,12 @@ class TestReturnLawCommand:
         assert first[0] == "2"
         assert abs(float(first[1]) - 0.5) < 1e-15
 
+    def test_smallest_nmax(self, tmp_path):
+        # --n-max 2, the lower bound, writes the one row P(return = 2) = 1/2
+        out = tmp_path / "rl.csv"
+        assert run(["return-law", "--n-max", 2, "--out", out]) == 0
+        assert out.read_text().splitlines()[3:] == [f"2,{cli._fmt(0.5)},{cli._fmt(2**0.5)}"]
+
     def test_odd_nmax_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["return-law", "--n-max", 3, "--out", tmp_path / "x.csv"])
@@ -434,8 +530,8 @@ class TestReturnLawCommand:
         assert out.read_bytes() == first
 
     def test_chunked_write_matches_one_join(self, tmp_path, monkeypatch):
-        # 1,000 law rows and two fit rows, written in chunks that divide
-        # them, that do not, and that hold them all
+        # 1,000 law rows, written in chunks that divide them, that do not,
+        # and that hold them all
         out = tmp_path / "a.csv"
         texts = []
         for chunk in (1, 7, 1000, 1002, 1 << 14):
@@ -444,9 +540,8 @@ class TestReturnLawCommand:
             texts.append(out.read_bytes())
         assert texts.count(texts[0]) == len(texts)
         lines = texts[0].decode().split("\n")
-        assert len(lines) == 3 + 1000 + 2 + 1 and lines[-1] == ""
-        assert lines[-3].startswith("slope,") and lines[-2].startswith("prefactor,")
-        assert lines[-4].startswith("2000,")
+        assert len(lines) == 3 + 1000 + 1 and lines[-1] == ""
+        assert lines[-2].startswith("2000,")
 
 
 class TestLllCommand:
@@ -732,7 +827,7 @@ def test_numpy_submodules_per_command(tmp_path, command):
 def test_no_command_calls_lapack(tmp_path):
     # np.polyfit solves through LAPACK's SVD, whose first call maps about
     # 1.6 MB of BLAS code into a run that otherwise uses none; lll (cold,
-    # then warm) and return-law fit their lines in closed form instead
+    # then warm) fits its line in closed form instead, and return-law fits none
     argvs = [
         ["lll", "--l-max", "200", "--schedule", "8,16", "--cache-dir", "cc"],
         ["lll", "--l-max", "200", "--schedule", "8,16", "--cache-dir", "cc"],

@@ -15,10 +15,11 @@ from oracles import samplers as one_shot
 from oracles.return_laws import (
     enumerate_first_returns,
     first_return_prob_exact,
+    fit_tail_exponent,
     survival_series,
     telescoped_sums,
 )
-from recwalk import return_laws
+from recwalk import cli, return_laws
 from recwalk.return_laws import (
     LONG,
     LatticeLaw,
@@ -31,8 +32,8 @@ from recwalk.return_laws import (
     _survival_table,
     _u_float,
     _u_series,
+    bracket_margin,
     first_return_law,
-    fit_tail_exponent,
     fit_tail_scale,
     return_position_law,
     sample_first_return,
@@ -280,9 +281,88 @@ class TestTailExponentFit:
             fit_tail_exponent(return_law_2000, 100, 112)
 
 
+@functools.cache
+def wallis_bracket() -> dict[int, tuple[float, float, float]]:
+    """m -> (1 / sqrt(pi (m + 1/2)), 1 / sqrt(pi (m + 1/4)), margin): the ends of
+    Kazarinoff's bracket on u_2m = C(2m, m) / 4^m, and the smallest relative
+    margin of u_2m to them, min(u_2m / lower - 1, 1 - u_2m / upper), all taken
+    at 30 digits and rounded to float64; u_2m is the running product of
+    (2k - 1) / 2k for every m <= 10^4, and the binomial itself at the
+    decades 10^5, ..., MAX_RETURN_TIME / 2."""
+    out = {}
+    decades = [10**k for k in range(5, 7)]
+    assert decades[-1] == cli.MAX_RETURN_TIME // 2
+    with mpmath.workdps(30):
+        u, pi = mpmath.mpf(1), +mpmath.pi
+        for m in [*range(1, 10**4 + 1), *decades]:
+            if m <= 10**4:
+                u = u * (2 * m - 1) / (2 * m)
+            else:
+                u = mpmath.binomial(2 * m, m) / mpmath.mpf(4) ** m
+            lower = 1 / mpmath.sqrt(pi * (m + 0.5))
+            upper = 1 / mpmath.sqrt(pi * (m + 0.25))
+            out[m] = (float(lower), float(upper), float(min(u / lower - 1, 1 - u / upper)))
+    return out
+
+
+class TestWallisBracket:
+    """Kazarinoff's bracket on Wallis's ratio, 1 / sqrt(pi (m + 1/2)) < u_2m
+    < 1 / sqrt(pi (m + 1/4)) with u_2m = (2m - 1) P(return = 2m): the exact
+    values lie inside it, and so does the program's law."""
+
+    def test_exact_values_inside_by_more_than_rounding(self):
+        # the upper margin, about 1 / (64 m^2), is the tighter one; at the
+        # largest --n-max it is still above 64 ulps, far above the few ulps
+        # of a float64 entry, of bracket_margin's evaluation and of the
+        # float64 comparisons below
+        margins = [margin for _, _, margin in wallis_bracket().values()]
+        assert min(margins) > 64 * np.finfo(float).eps
+
+    def test_printed_rows_inside(self, tmp_path):
+        # every row of return-law up to m = 10^4, both columns
+        out = tmp_path / "rl.csv"
+        assert cli.main(["return-law", "--n-max", "20000", "--out", str(out)]) == 0
+        n, prob, n32 = np.loadtxt(out, delimiter=",", skiprows=3, unpack=True)
+        m = np.arange(1, 10**4 + 1)
+        assert np.array_equal(n, 2 * m)
+        lower, upper, _ = np.array([wallis_bracket()[k] for k in m.tolist()]).T
+        for u in (prob * (2 * m - 1), n32 * (2 * m - 1) / n**1.5):
+            assert np.all((lower < u) & (u < upper))
+
+    def test_law_at_the_decades_inside(self):
+        law = first_return_law(cli.MAX_RETURN_TIME)
+        for m in (10**5, 10**6):
+            lower, upper, _ = wallis_bracket()[m]
+            assert lower < law.prob(2 * m) * (2 * m - 1) < upper, m
+
+    def test_margin_matches_exact(self):
+        # the smallest margin up to m = 10^4 is the upper one at the last m
+        margin, n = bracket_margin(first_return_law(20_000))
+        exact = min(wallis_bracket()[m][2] for m in range(1, 10**4 + 1))
+        assert n == 20_000
+        assert abs(margin - exact) < 1e-15
+
+    @pytest.mark.parametrize("block", [1, 7, 4096])
+    def test_planted_entries_outside(self, monkeypatch, block):
+        # n = 60 just above the upper end, n = 100 far below the lower one:
+        # the margin is the lower one, and the row named the first outside
+        monkeypatch.setattr(return_laws, "_SURVIVAL_BLOCK", block)
+        entries = first_return_law(200).entries.copy()
+        entries[29] = wallis_bracket()[30][1] * (1 + 1e-9) / 59
+        entries[49] = wallis_bracket()[50][0] * (1 - 1e-3) / 99
+        margin, n = bracket_margin(LatticeLaw(2, entries))
+        assert n == 60 and abs(margin + 1e-3) < 1e-12
+
+    @pytest.mark.parametrize("block", [1, 7, 300])
+    def test_blocks_give_one_answer(self, monkeypatch, return_law_2000, block):
+        whole = bracket_margin(return_law_2000)
+        monkeypatch.setattr(return_laws, "_SURVIVAL_BLOCK", block)
+        assert bracket_margin(return_law_2000) == whole
+
+
 class TestLeastSquaresLine:
-    """_line, the closed-form fit behind tail_limit and fit_tail_exponent,
-    against np.polyfit, which solves the same problem through LAPACK."""
+    """_line, the closed-form fit behind tail_limit, against np.polyfit,
+    which solves the same problem through LAPACK."""
 
     # coordinates below 1e-100 are 0: LAPACK's scaled arithmetic loses
     # digits to underflow there, and the fits made here never come near it

@@ -13,6 +13,7 @@ from oracles.stable_laws import (
     dense_lll_error,
     lower_bound_check,
     one_shot_self_convolve,
+    wrapped_lll_error,
     zero_mass_exact,
 )
 from recwalk.stable_laws import (
@@ -291,3 +292,20 @@ class TestZeroMassExact:
     ])
     def test_known_values(self, n, want):
         assert abs(float(n * zero_mass_exact(n)) - want) < 1e-12
+
+
+class TestWrappedLllError:
+    """The local-limit error of the untruncated law, by the wrapped transform."""
+
+    @pytest.mark.parametrize("n, want", [
+        (8, 3.262522727e-2), (16, 1.782834461e-2), (32, 9.384589435e-3), (64, 4.826062725e-3),
+    ])
+    def test_sup_sits_at_zero(self, n, want):
+        # the sup error is at s = 0, where the Cauchy density is 1/pi, so it
+        # is (2/pi - n P(Z_n = 0)) / 2 by the exact P(Z_n = 0)
+        sup, argmax = wrapped_lll_error(n, 1 << 17)
+        assert argmax == 0
+        with mpmath.workdps(30):
+            exact = float((2 / mpmath.pi - n * zero_mass_exact(n)) / 2)
+        assert abs(sup - exact) <= 1e-12 * exact
+        assert abs(sup - want) <= 5e-10 * want
