@@ -31,8 +31,9 @@ log = logging.getLogger("recwalk")
 OUTPUT_FORMAT_VERSION = "recwalk-output-1"
 ZERO_MASS_BAND = (0.55, 0.72)
 DEFAULT_CACHE_DIR = "recwalk-cache"
-#: largest `return-law --n-max`; the law is held in memory and its rows
-#: are written in chunks, and n_max = 2*10^6 already takes seconds
+#: largest `return-law --n-max`; the law is streamed in blocks and its rows
+#: written in chunks, so memory does not grow with it, but n_max = 2*10^6
+#: already takes seconds
 MAX_RETURN_TIME = 2_000_000
 #: largest `green --schedule` entry; an auxiliary sample holds two arrays of
 #: this many returns (the return times and the positions) and a fixed chunk
@@ -67,7 +68,7 @@ def _config(args) -> dict:
 
 
 #: rows that _write_table joins and writes at once
-_WRITE_CHUNK = 1 << 14
+_WRITE_CHUNK = 1 << 12
 
 
 def _write_table(parser: _Parser, args, columns: list[str], rows) -> None:
@@ -109,10 +110,11 @@ def _open_out(parser: _Parser, path: Path):
 
 def cmd_return_law(parser: _Parser, args) -> int:
     t0 = time.perf_counter()
-    law = return_laws.first_return_law(args.n_max)
-    _write_table(parser, args, ["n", "prob", "n32_prob"], _law_rows(law))
+    rows = _law_rows(return_laws.first_return_blocks(args.n_max))
+    _write_table(parser, args, ["n", "prob", "n32_prob"], rows)
     log.info("return-law finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
-    margin, n = return_laws.bracket_margin(law)
+    # streamed again, not held: the product is cheap next to the formatting
+    margin, n = return_laws.bracket_margin(return_laws.first_return_blocks(args.n_max))
     if margin <= 0:
         log.error("P(return = %d) lies outside Wallis's bracket (relative margin %.3g)", n, margin)
         return 2
@@ -120,14 +122,13 @@ def cmd_return_law(parser: _Parser, args) -> int:
     return 0
 
 
-def _law_rows(law: return_laws.LatticeLaw):
-    """The rows n, P(return = n), n^(3/2) P(return = n), made _WRITE_CHUNK
-    at a time."""
-    ns, ps = law.support(), law.entries
-    for lo in range(0, len(ns), _WRITE_CHUNK):
-        chunk = zip(ns[lo : lo + _WRITE_CHUNK].tolist(), ps[lo : lo + _WRITE_CHUNK].tolist())
+def _law_rows(blocks):
+    """The rows n, P(return = n), n^(3/2) P(return = n) of a first-return
+    law streamed as blocks (m, P(return = 2m)), made a block at a time."""
+    for m, p in blocks:
         # n**1.5 by Python's pow: numpy's SIMD power differs in the last bit
-        yield from (f"{n},{_fmt(p)},{_fmt(p * n**1.5)}" for n, p in chunk)
+        for n, q in zip((2 * m).tolist(), p.tolist()):
+            yield f"{n},{_fmt(q)},{_fmt(q * n**1.5)}"
 
 
 def cmd_lll(parser: _Parser, args) -> int:

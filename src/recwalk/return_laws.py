@@ -11,9 +11,11 @@ truncation bounds elsewhere:
   functional m * P(pos >= m), whose limit is the scale constant of the
   heavy tail.
 
-Both laws are LatticeLaws on the even lattice: the first-return law holds
-80-bit products rounded once to float64, and the return-position law is
-evaluated in 80-bit floats through two telescoping identities (see
+Both laws live on the even lattice.  The first-return law is streamed in
+blocks of 80-bit products rounded once to float64 (first_return_blocks),
+so no caller holds it whole; its survival function has one float64
+evaluator (survival).  The return-position law is a LatticeLaw evaluated
+in 80-bit floats through two telescoping identities (see
 return_position_law).
 """
 
@@ -54,10 +56,6 @@ class LatticeLaw:
     def hi(self) -> int:
         return self.lo + 2 * (len(self.entries) - 1)
 
-    def support(self) -> np.ndarray:
-        """The lattice points lo, lo + 2, ..., hi, in increasing order."""
-        return self.lo + 2 * np.arange(len(self.entries))
-
     def prob(self, k: int) -> float:
         i, off = divmod(k - self.lo, 2)
         if off or not 0 <= i < len(self.entries):
@@ -69,7 +67,7 @@ class LatticeLaw:
 
 
 #: entries of the running product that _survival_blocks holds at once (64 KB),
-#: and of a law that bracket_margin reads at once
+#: and of the first-return law that first_return_blocks yields at once
 _SURVIVAL_BLOCK = 1 << 12
 
 
@@ -89,22 +87,25 @@ def _survival_blocks(mmax: int):
         yield m, u
 
 
+#: u_m comes from a table up to this m and from _u_series beyond
+_TABLE_M = 1 << 16
+
+
+@functools.cache
+def _survival_table() -> np.ndarray:
+    """u_m = C(2m, m) / 4^m for m = 0.._TABLE_M: the 80-bit running product
+    rounded to float64, 512 KB, built on first use one block at a time."""
+    table = np.empty(_TABLE_M + 1)
+    table[0] = 1.0
+    for m, u in _survival_blocks(_TABLE_M):
+        table[int(m[0]) : int(m[-1]) + 1] = u
+    return table
+
+
 #: coefficients of sqrt(pi x) Gamma(x + 1/4) / Gamma(x + 3/4) - 1 in 1/x^2, highest
 #: order first, as exact dyadic rationals
 _U_SERIES = (5099063967524835 / 2**55, -1874409467055 / 2**46, 7426362705 / 2**40,
              -20898423 / 2**33, 180323 / 2**27, -671 / 2**19, 21 / 2**13, -1 / 2**6)
-
-
-def _u_float(m: float) -> float:
-    """C(2m, m) / 4^m = Gamma(m + 1/2) / (sqrt(pi) Gamma(m + 1)) for real m >= 1,
-    to a few ulps: u(m) = u(m + 1) (2m + 2) / (2m + 1) up to m >= 8, then
-    _u_series at x = m + 1/4."""
-    m = float(m)
-    num = den = 1.0
-    while m < 8.0:
-        num, den, m = num * (2 * m + 2), den * (2 * m + 1), m + 1.0
-    x = m + 0.25
-    return num / den * _u_series(x) / math.sqrt(math.pi * x)
 
 
 def _u_series(x):
@@ -117,46 +118,55 @@ def _u_series(x):
     return 1.0 + series
 
 
-def survival(n) -> float:
-    """P(first return time > n) for even n >= 0."""
-    if n <= 0:
-        return 1.0
-    if n % 2 == 1:
+def survival(n):
+    """P(first return time > n) = u_m = C(2m, m) / 4^m at m = n / 2, for
+    even n, a number or an array (n <= 0 reads 1): the _survival_table
+    entry, exactly rounded, for m <= _TABLE_M, and to a few ulps
+    _u_series(x) / sqrt(pi x) at x = m + 1/4 beyond.  The table is built
+    only when such an m is asked for."""
+    n = np.asarray(n)
+    if np.any(n % 2 == 1):
         raise ValueError("survival is defined on even times")
-    return _u_float(n // 2)
+    m = np.maximum(n, 0) // 2
+    x = m + 0.25
+    u = _u_series(x) / np.sqrt(np.pi * x)
+    near = m <= _TABLE_M
+    if near.any():
+        u = np.where(near, _survival_table().take(np.minimum(m, _TABLE_M).astype(np.intp)), u)
+    return u[()]
 
 
-def first_return_law(nmax: int) -> LatticeLaw:
-    """Law of the first return to 0 of the +-1 walk on 2, 4, ..., nmax: the
-    80-bit survival product over 2m - 1, rounded once to float64; leaked is
-    P(return time > nmax)."""
+def first_return_blocks(nmax: int):
+    """Law of the first return to 0 of the +-1 walk on 2, 4, ..., nmax,
+    yielded as (m, P(return = 2m)), an int64 and a float64 array, in the
+    consecutive blocks of _survival_blocks: the 80-bit survival product
+    over 2m - 1, rounded once to float64.  The mass beyond nmax is
+    survival(nmax)."""
     if nmax < 2 or nmax % 2 == 1:
         raise ValueError("nmax must be an even integer >= 2")
-    probs = np.empty(nmax // 2)
     for m, u in _survival_blocks(nmax // 2):
-        probs[int(m[0]) - 1 : int(m[-1])] = u / (2 * m - 1)
-    return LatticeLaw(2, probs, float(u[-1]))
+        yield m.astype(np.int64), (u / (2 * m - 1)).astype(np.float64)
 
 
-def bracket_margin(law: LatticeLaw) -> tuple[float, int]:
-    """Smallest relative margin of a first-return law to Kazarinoff's bracket
-    on Wallis's ratio ("On Wallis' formula", 1956): for m >= 1,
+def bracket_margin(blocks) -> tuple[float, int]:
+    """Smallest relative margin of a first-return law, given as blocks
+    (m, P(return = 2m)) as first_return_blocks yields them, to Kazarinoff's
+    bracket on Wallis's ratio ("On Wallis' formula", 1956): for m >= 1,
     1 / sqrt(pi (m + 1/2)) < u < 1 / sqrt(pi (m + 1/4)), u = (2m - 1) P(return = 2m).
-    The margin is negative when an entry lies outside; the row returned with
-    it is the first n outside, or else the n of the smallest margin.  The
-    upper margin, about 1 / (64 m^2), is still 1.5e-14 or 70 ulps at
-    n = 2*10^6, far above the few ulps of rounding in the law and in this
-    evaluation.  Reads the law _SURVIVAL_BLOCK entries at a time."""
-    worst, row = math.inf, law.lo
-    for lo in range(0, len(law.entries), _SURVIVAL_BLOCK):
-        p = law.entries[lo : lo + _SURVIVAL_BLOCK]
-        m = law.lo // 2 + lo + np.arange(len(p), dtype=np.float64)
+    The margin is negative when an entry lies outside, and a nan entry lies
+    outside; the row returned with it is the first n outside, or else the n
+    of the smallest margin.  The upper margin, about 1 / (64 m^2), is still
+    1.5e-14 or 70 ulps at n = 2*10^6, far above the few ulps of rounding in
+    the law and in this evaluation."""
+    worst, row = math.inf, 0
+    for m, p in blocks:
         u = p * (2 * m - 1)
         margin = np.minimum(u * np.sqrt(np.pi * (m + 0.5)) - 1, 1 - u * np.sqrt(np.pi * (m + 0.25)))
+        margin[np.isnan(margin)] = -math.inf
         i = int(np.argmin(margin))
         if worst > 0 and margin[i] < worst:
             first = int(np.argmax(margin <= 0)) if margin[i] <= 0 else i
-            row = law.lo + 2 * (lo + first)
+            row = 2 * int(m[first])
         worst = min(worst, float(margin[i]))
     return worst, row
 
@@ -289,10 +299,7 @@ def _k_tail_grid(kmax: int) -> tuple[np.ndarray, np.ndarray]:
     lift = 2 * np.rint(k / 2).astype(np.int64) - 2 * np.arange(steps + 1)
     lift[0] = kmax
     edges = np.maximum.accumulate(lift) + 2 * np.arange(steps + 1)
-    # survival as _u_float evaluates it: the series from m = 8 on
-    x = edges // 2 + 0.25
-    surv = _u_series(x) / np.sqrt(np.pi * x)
-    surv[edges < 16] = [survival(int(e)) for e in edges[edges < 16]]
+    surv = survival(edges)
     end = 2 + int(np.argmax(surv[1:] * np.sqrt(2 / (np.pi * edges[1:])) < 1e-18))
     edges, surv = edges[:end].astype(float), surv[:end]
     return surv[:-1] - surv[1:], np.sqrt(edges[:-1] * edges[1:])
@@ -419,21 +426,6 @@ def _line(x: list[float], y: list[float]) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Samplers used by the Monte Carlo green-sum estimators.
 
-#: u_m comes from a table up to this m and from _u_series beyond
-_TABLE_M = 1 << 16
-
-
-@functools.cache
-def _survival_table() -> np.ndarray:
-    """u_m = C(2m, m) / 4^m for m = 0.._TABLE_M: the 80-bit running product
-    rounded to float64, 512 KB, built on first use one block at a time."""
-    table = np.empty(_TABLE_M + 1)
-    table[0] = 1.0
-    for m, u in _survival_blocks(_TABLE_M):
-        table[int(m[0]) : int(m[-1]) + 1] = u
-    return table
-
-
 #: draws that a sampler works on at once, so that its temporaries take a
 #: fixed 512 KB per array whatever the number of draws; the draws and their
 #: order are those of one call over all of them
@@ -447,12 +439,12 @@ def sample_first_return(rng: np.random.Generator, n: int) -> np.ndarray:
     u_m <= w.  Since u_m = (1 - 1/(64 x^2) + O(x^-4)) / sqrt(pi x) at
     x = m + 1/4, the guess c = floor(1 / (pi w^2) - 1/4), raised to 2, is
     within one of m, so m = c - 1 + [u_(c-1) > w] + [u_c > w]: two lookups
-    in the table of u_m, or two series evaluations for the ~0.2% of draws
-    past it.  Values are even and float64: beyond 2^53 the integer grid is
-    no longer exact, but such draws occur with probability < 1e-8 each and
-    only their magnitude matters downstream.  The uniforms are drawn and
-    worked on in place _SAMPLE_CHUNK at a time, each operation in the order
-    of the formulas above.
+    in the table of u_m, or one survival call for both neighbours of the
+    ~0.2% of draws past it.  Values are even and float64: beyond 2^53 the
+    integer grid is no longer exact, but such draws occur with probability
+    < 1e-8 each and only their magnitude matters downstream.  The uniforms
+    are drawn and worked on in place _SAMPLE_CHUNK at a time, each
+    operation in the order of the formulas above.
     """
     out = np.empty(n)
     table = _survival_table()
@@ -472,9 +464,7 @@ def sample_first_return(rng: np.random.Generator, n: int) -> np.ndarray:
         far = np.flatnonzero(c > _TABLE_M)
         if far.size:
             m = c.take(far)
-            x = np.concatenate((m - 1.0, m))  # both neighbours in one series call
-            x += 0.25
-            u = _u_series(x) / np.sqrt(np.pi * x)
+            u = survival(np.concatenate((2 * m - 2, 2 * m)))  # both neighbours in one call
             u_below[far] = u[: far.size]
             u_at[far] = u[far.size :]
         c -= 1.0

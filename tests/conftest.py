@@ -2,7 +2,8 @@ import tracemalloc
 
 import pytest
 
-from recwalk.return_laws import first_return_law, return_position_law
+from oracles.return_laws import first_return_law
+from recwalk.return_laws import return_position_law
 
 
 def traced_peak(fn) -> int:

@@ -1,5 +1,6 @@
 """Exact and brute-force oracles for the first-return law of the +-1 walk,
-and a least-squares fit of its power-law tail."""
+the law whole as one array, a least-squares fit of its power-law tail,
+and the return-position law's completion beyond k_max in closed form."""
 
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ def fit_tail_exponent(law, m_lo: int, m_hi: int) -> TailExponentFit:
     by np.polyfit."""
     if m_lo < 2 or m_hi > law.hi:
         raise ValueError("fit window must lie within the computed law")
-    ns, ps = law.support(), law.entries
+    ns, ps = law.lo + 2 * np.arange(len(law.entries)), law.entries
     mask = (ns >= m_lo) & (ns <= m_hi) & (ps > 0)
     if mask.sum() < 10:
         raise ValueError(f"need at least 10 points to fit, have {int(mask.sum())}")
@@ -62,6 +63,16 @@ def fit_tail_exponent(law, m_lo: int, m_hi: int) -> TailExponentFit:
     slope, _ = np.polyfit(x, y, 1)
     prefactor = float(np.exp(np.mean(y + 1.5 * x)))
     return TailExponentFit(float(slope), prefactor, int(mask.sum()), (m_lo, m_hi))
+
+
+def first_return_law(nmax: int):
+    """The first-return law on 2, 4, ..., nmax held whole, as one
+    LatticeLaw: the blocks of `recwalk.return_laws.first_return_blocks`
+    concatenated, with leaked = survival(nmax)."""
+    from recwalk.return_laws import LatticeLaw, first_return_blocks, survival
+
+    probs = np.concatenate([p for _, p in first_return_blocks(nmax)])
+    return LatticeLaw(2, probs, float(survival(nmax)))
 
 
 def survival_series(mmax: int) -> np.ndarray:
@@ -91,3 +102,55 @@ def telescoped_sums(lmax: int, kmax: int) -> np.ndarray:
     acc[0] = 1 - 4 * LONG(m1) ** 2 * column[0]
     acc[1:top] = tails[1:top] / (4 * s[1:top] ** 2 - 1)
     return acc
+
+
+#: (n, c_n): u_m / ((2m - 1) sqrt(pi m)) = (1 / 2 pi) sum c_n m^-n + O(m^-6), from
+#: (1 - 1/8m + 1/128m^2 + 5/1024m^3) (1 + 1/2m + 1/4m^2 + 1/8m^3) / 2m^2
+_K_TAIL_TERMS = ((2, 1.0), (3, 3 / 8), (4, 25 / 128), (5, 105 / 1024))
+
+
+def _lower_gamma_scaled(k: int, a: np.ndarray) -> np.ndarray:
+    """gamma(k, a) / a^k for an integer k >= 1: the series sum over j >= 0 of
+    (-a)^j / (j! (k + j)) for a < 1, where 1 - e^-a sum_{i<k} a^i / i!
+    cancels, and (k - 1)! times that difference over a^k beyond, with
+    1 - e^-a as -expm1(-a); 1 / k at a = 0."""
+    out = np.empty_like(a)
+    small = a < 1.0
+    x = a[small]
+    term, total = np.ones_like(x), np.zeros_like(x)
+    for j in range(30):  # 1 / 30! < 1e-32
+        total += term / (k + j)
+        term *= -x / (j + 1)
+    out[small] = total
+    x = a[~small]
+    term, partial = np.ones_like(x), np.zeros_like(x)
+    for i in range(k):
+        partial += term
+        term *= x / (i + 1)
+    head = -np.expm1(-x) if k == 1 else 1.0 - np.exp(-x) * partial
+    out[~small] = math.factorial(k - 1) * head / x**k
+    return out
+
+
+def k_tail_closed_form(kmax: int, ls) -> np.ndarray:
+    """The completion beyond kmax of the return-position law at each even l
+    of ls: the sum over m > M of f(m) = u_m / (2m - 1) (pi m)^(-1/2) e^(-t^2 / m),
+    t = l / 2, M = kmax / 2, which is P(return = 2m) times the normal local
+    approximation of P(S_2m = l) that `_k_tail_completion` sums on its grid.
+
+    The midpoint form of Euler-Maclaurin gives the sum as the integral of f
+    from Y = M + 1/2 plus f'(Y) / 24.  By _K_TAIL_TERMS the integral is
+    (1 / 2 pi) [I_2 + (3/8) I_3 + (25/128) I_4 + (105/1024) I_5], where
+    I_n = int_Y^inf y^-n e^(-t^2 / y) dy = gamma(n - 1, a) / t^(2(n - 1)),
+    a = t^2 / Y, that is Y^(1 - n) gamma(n - 1, a) / a^(n - 1): 1 / Y and
+    1 / (2 Y^2) at t = 0 for n = 2 and 3.  What is left out, the O(m^-6)
+    terms of f and (7 / 5760) f^(3)(Y), is below 1e-13 relative for M >= 10^3."""
+    t2 = (np.asarray(ls, dtype=np.float64) / 2) ** 2
+    y = kmax / 2 + 0.5
+    a = t2 / y
+    integral = np.zeros_like(t2)
+    slope = np.zeros_like(t2)  # f'(Y) (2 pi) e^a
+    for n, c in _K_TAIL_TERMS:
+        integral += c * y ** (1 - n) * _lower_gamma_scaled(n - 1, a)
+        slope += c * (t2 * y ** (-n - 2) - n * y ** (-n - 1))
+    return (integral + np.exp(-a) * slope / 24) / (2 * math.pi)

@@ -6,7 +6,9 @@ probability 4 / 5^(m+1).  The auxiliary Green walk of
 `recwalk.branched_walk` draws these shifts directly; the exact law, the
 exact tail of the shift sums, their sampled large deviations, the
 exact first Green term and the exact partial Green sums are the oracles
-it is checked against.
+it is checked against.  The direct Green walk shifts only on j >= 0; its
+exact partial sums come from the push-forward of its embedded chain
+(direct_green_exact).
 """
 
 from __future__ import annotations
@@ -143,3 +145,30 @@ def auxiliary_green_exact(n: int) -> float:
     a, b = edges[:-1, None], edges[1:, None]
     t = (a + b) / 2 + (b - a) / 2 * x
     return 2 / math.pi * float(np.sum((b - a) / 2 * w * auxiliary_green_integrand(t, n)))
+
+
+def direct_green_exact(n: int, points: int) -> float:
+    """G_N = sum over n = 0..N of P(j_n = 0), N = n, for the direct walk's
+    embedded chain: j at the n-th return of i to 0, from j_0 = 0.  Each step
+    is a pause with probability 1/5, +2 on j >= 0 and 0 on j < 0, and
+    otherwise a draw from nu, the return-position law.
+
+    The law of j_n is pushed forward on `points` (even) points of 2Z, j = 2k
+    for k in [-points/2, points/2), periodically: index k mod points, a
+    pause moving the indices of k >= 0 up by one, the last of them onto
+    -points/2.  nu's part is a product of the rfft with its characteristic
+    function phi(theta) = 1 - |sin theta| at theta = pi q / points, which is
+    nu wrapped on the period.  Mass that crosses the period wraps round
+    instead of leaving, so the window must be wide against N; at N = 100,
+    2^14 points give G_100 = 2.83878."""
+    p = np.zeros(points)
+    p[0] = 1.0
+    phi = 1 - np.abs(np.sin(np.pi * np.arange(points // 2 + 1) / points))
+    nonnegative = np.arange(points) < points // 2
+    total = 1.0
+    for _ in range(n):
+        paused = np.where(nonnegative, 0.0, p)
+        paused += np.roll(np.where(nonnegative, p, 0.0), 1)
+        p = 0.2 * paused + 0.8 * np.fft.irfft(np.fft.rfft(p) * phi, points)
+        total += p[0]
+    return total

@@ -61,6 +61,18 @@ CHECKS = {
         "test_branched_walk.py::TestGreenSumAuxiliary::test_growth_against_frozen_oracle":
             "within 4 sigma of the exact G_N at N = 10^2 and 10^3",
     },
+    ("green", "direct"): {
+        "test_branched_walk.py::TestDirectGreenExact::test_direct_method_within_4_sigma":
+            "the method behind the rows, at a horizon no walk reaches, within 4 sigma of the "
+            "exact G_100 of the embedded chain (push-forward); the rows drop returns past "
+            "--horizon",
+        "test_branched_walk.py::TestGreenSumDirect::test_matches_step_level_oracle":
+            "within 4 sigma of the step-level walk, 20 returns at a horizon of 400",
+    },
+    ("green", "growth-ratio"): {
+        "test_cli.py::TestGreenCommand::test_growth_ratio_within_4_sigma":
+            "within 4 sigma (delta method) of the exact G_1000 / G_100",
+    },
 }
 
 #: (command, kind) -> why no test checks it against an independent value
@@ -69,11 +81,8 @@ UNCHECKED = {
                           "window, which lies outside the exact values",
     ("lll", "argmax_k"): "as sup_error",
     ("lll", "n_times_p0"): "as sup_error; the exact bracket of criterion 5 excludes it",
-    ("green", "direct"): "no exact value: the step-level walk checks it only at 20 returns "
-                         "and a horizon of 400",
     ("green", "auxiliary-capped"): "no exact value for the horizon-capped sum; it is compared "
                                    "only with the direct rows, by a check that cannot fail",
-    ("green", "growth-ratio"): "no exact value",
     ("green", "cross-method-gap"): "no exact value",
     ("green", "exhausted_frac"): "no exact value",
 }

@@ -14,6 +14,7 @@ from oracles.engine import SparseDist, iterate_push_forward, observe_returns, sa
 from oracles.shift_law import (
     auxiliary_green_exact,
     auxiliary_green_integrand,
+    direct_green_exact,
     excursion_shift_law,
     first_term_exact,
     large_deviation_check,
@@ -379,6 +380,52 @@ class TestAuxiliaryGreenExact:
         g1, g2 = auxiliary_green_exact(1), auxiliary_green_exact(2)
         assert abs(g1 - 1 - first_term_exact(pos_law_small, excursion_shift_law(40))) < 1e-4
         assert abs(g2 - g1 - AUX_T2) < 1e-6
+
+
+def dense_direct_green(n: int, points: int) -> float:
+    """Oracle for direct_green_exact: the same chain pushed forward by a
+    dense points x points kernel, with nu wrapped on the period in closed
+    form, no transform: nu(2j) = [j = 0] + (1 / 2 pi) / (j^2 - 1/4), and
+    sum over r of 1 / (x + r L) = (pi / L) cot(pi x / L) gives the wrapped
+    nu_L(k) = [k = 0] + (1 / 2L) [cot(pi (k - 1/2) / L) - cot(pi (k + 1/2) / L)]."""
+    k = np.arange(points)
+    signed = np.where(k < points // 2, k, k - points)
+    cot = 1 / np.tan(np.pi * (signed[:, None] + np.array([-0.5, 0.5])) / points)
+    nu = (signed == 0) + (cot[:, 0] - cot[:, 1]) / (2 * points)
+    kernel = 0.8 * nu[(k[:, None] - k[None, :]) % points]
+    # a pause: +1 index from k >= 0, the last onto -points / 2; else stay
+    kernel[np.where(signed >= 0, (k + 1) % points, k), k] += 0.2
+    p = np.zeros(points)
+    p[0] = total = 1.0
+    for _ in range(n):
+        p = kernel @ p
+        total += p[0]
+    return total
+
+
+class TestDirectGreenExact:
+    """The push-forward of the direct walk's embedded chain j_n, the exact
+    G_N of the walk that green's direct rows sample."""
+
+    @pytest.mark.parametrize("n, points", [(1, 64), (2, 64), (10, 128), (30, 256)])
+    def test_matches_dense_push_forward(self, n, points):
+        assert abs(direct_green_exact(n, points) - dense_direct_green(n, points)) < 1e-13
+
+    def test_first_terms_and_pinned_g100(self):
+        # G_1 and G_2 from the derived first terms; G_100 to the ROADMAP's
+        # five decimals, and halving the window moves it by 1.3e-5
+        g1, g2 = (direct_green_exact(n, 2**14) for n in (1, 2))
+        assert abs(g1 - 1 - DIRECT_T1) < 1e-6 and abs(g2 - g1 - DIRECT_T2) < 1e-6
+        g100 = direct_green_exact(100, 2**14)
+        assert abs(g100 - 2.83878) < 1e-5
+        assert abs(g100 - direct_green_exact(100, 2**13)) < 2e-5
+
+    def test_direct_method_within_4_sigma(self):
+        # at a horizon no walk reaches, the direct estimate is of G_N itself
+        est = shifted_green_sum(100, 1000, seed=29, method="direct", horizon=10**15)
+        assert est.exhausted == 0
+        mean, se = est.checkpoint_stats[100]
+        assert abs(mean - direct_green_exact(100, 2**14)) < 4 * se
 
 
 class TestGreenSumDirect:

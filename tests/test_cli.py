@@ -18,7 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recwalk
+from conftest import traced_peak
 from oracles import samplers as one_shot
+from oracles.shift_law import auxiliary_green_exact
 from recwalk import branched_walk, cli, lawcache, return_laws, stable_laws
 from recwalk.cli import main
 from recwalk.lawcache import (
@@ -244,7 +246,7 @@ def test_invalid_argv_is_usage_error(argv):
     # instead of computing, and one refused creates nothing, not even the
     # two directories above --out
     started = AssertionError(f"computation started for {argv}")
-    stubs = [(lawcache, "load_or_compute_position_law"), (return_laws, "first_return_law"),
+    stubs = [(lawcache, "load_or_compute_position_law"), (return_laws, "first_return_blocks"),
              (branched_walk, "stream")]
     with contextlib.ExitStack() as stack, tempfile.TemporaryDirectory() as tmp:
         for module, name in stubs:
@@ -306,7 +308,7 @@ def test_unusable_path_is_usage_error(tmp_path, capsys, case):
 
 #: each command with a small configuration, and the entry point of its computation
 ENTRY_POINTS = {
-    "return-law": (["--n-max", 200], return_laws, "first_return_law"),
+    "return-law": (["--n-max", 200], return_laws, "first_return_blocks"),
     "lll": (["--l-max", 40, "--schedule", "2,4"], lawcache, "load_or_compute_position_law"),
     "classify": (["--samples", 10, "--horizon", 10], branched_walk, "classify_standard_points"),
     "green": (["--samples", 2, "--direct-samples", 2, "--schedule", "1,2,3"],
@@ -328,13 +330,14 @@ def test_out_directory_refused_before_computing(tmp_path, capsys, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
-def planted_return_law(n_max: int) -> return_laws.LatticeLaw:
+def planted_return_blocks(n_max: int):
     """The first-return law up to n_max from exact binomials, C(2m, m) /
-    ((2m - 1) 4^m), with P(return = 100) a relative 1e-9 above the upper end
-    of Wallis's bracket, 1 / ((2m - 1) sqrt(pi (m + 1/4))) at m = 50."""
+    ((2m - 1) 4^m), as one block (m, P(return = 2m)), with P(return = 100)
+    a relative 1e-9 above the upper end of Wallis's bracket,
+    1 / ((2m - 1) sqrt(pi (m + 1/4))) at m = 50."""
     entries = [math.comb(2 * m, m) / 4**m / (2 * m - 1) for m in range(1, n_max // 2 + 1)]
     entries[49] = (1 + 1e-9) / (99 * math.sqrt(math.pi * 50.25))
-    return return_laws.LatticeLaw(2, np.array(entries))
+    yield np.arange(1, n_max // 2 + 1), np.array(entries)
 
 
 def planted_lll_errors(sup: dict, p0: dict):
@@ -368,7 +371,7 @@ GREEN_ROWS = (["auxiliary"] * 3 + ["direct"] * 3 + ["auxiliary-capped"]
 #: and its replacement, exit code, what the log names, the row keys of --out)
 FAILED_CHECKS = {
     "return-law-bracket": (
-        ["return-law", "--n-max", 200], (return_laws, "first_return_law", planted_return_law),
+        ["return-law", "--n-max", 200], (return_laws, "first_return_blocks", planted_return_blocks),
         2, "P(return = 100) lies outside Wallis's bracket", [str(n) for n in range(2, 201, 2)]),
     "lll-not-decreasing": (
         ["lll", "--l-max", 40, "--schedule", "2,4"],
@@ -457,7 +460,7 @@ class TestSizeBoundsReachTheWork:
     def test_return_law_bound(self, tmp_path, monkeypatch):
         from recwalk import cli, return_laws
 
-        monkeypatch.setattr(return_laws, "first_return_law", self.refuse)
+        monkeypatch.setattr(return_laws, "first_return_blocks", self.refuse)
         with pytest.raises(LookupError, match="work requested"):
             run(["return-law", "--n-max", cli.MAX_RETURN_TIME, "--out", tmp_path / "r.csv"])
 
@@ -531,17 +534,28 @@ class TestReturnLawCommand:
 
     def test_chunked_write_matches_one_join(self, tmp_path, monkeypatch):
         # 1,000 law rows, written in chunks that divide them, that do not,
-        # and that hold them all
+        # and that hold them all, from law blocks of 7 rows and of all
         out = tmp_path / "a.csv"
         texts = []
-        for chunk in (1, 7, 1000, 1002, 1 << 14):
+        for chunk, block in ((1, 4096), (7, 4096), (1000, 7), (1002, 4096), (1 << 14, 7)):
             monkeypatch.setattr(cli, "_WRITE_CHUNK", chunk)
+            monkeypatch.setattr(return_laws, "_SURVIVAL_BLOCK", block)
             assert run(["return-law", "--n-max", 2000, "--out", out]) == 0
             texts.append(out.read_bytes())
         assert texts.count(texts[0]) == len(texts)
         lines = texts[0].decode().split("\n")
         assert len(lines) == 3 + 1000 + 1 and lines[-1] == ""
         assert lines[-2].startswith("2000,")
+
+    def test_memory_does_not_grow_with_n_max(self, tmp_path):
+        # the law is streamed and its rows written in fixed chunks, so ten
+        # times the rows take no more memory; a law held whole with its
+        # support, written in chunks of 2^14 rows, grows the peak by 4.2 MB
+        out = tmp_path / "rl.csv"
+        run(["return-law", "--n-max", 2, "--out", out])  # one-time allocations
+        small, large = (traced_peak(lambda: run(["return-law", "--n-max", n, "--out", out]))
+                        for n in (20_000, 200_000))
+        assert large - small < 500_000, (small, large)
 
 
 class TestLllCommand:
@@ -751,6 +765,25 @@ class TestGreenCommand:
         rows = [ln.split(",") for ln in text.splitlines()[3:]]
         aux_vals = {int(r[1]): float(r[2]) for r in rows if r[0] == "auxiliary"}
         assert aux_vals[10] <= aux_vals[100] <= aux_vals[1000]
+
+    def test_growth_ratio_within_4_sigma(self, tmp_path):
+        # each growth-ratio row against G_1000 / G_100 of the exact auxiliary
+        # sums (about 1.3538), with sigma by the delta method from the two
+        # rows' stderr taken as independent: conservative, since the nested
+        # counts are positively correlated
+        out = tmp_path / "green.csv"
+        run(["green", "--samples", 400, "--direct-samples", 2, "--direct-returns", 1,
+             "--schedule", "100,1000", "--out", out])
+        rows = [r.split(",") for r in out.read_text().splitlines()[3:]]
+        aux = {r[1]: (float(r[2]), float(r[3])) for r in rows if r[0] == "auxiliary"}
+        (ratio,) = [r for r in rows if r[0] == "growth-ratio"]
+        (a, sa), (b, sb) = aux["100"], aux["1000"]
+        value = float(ratio[2])
+        assert ratio[1] == "100->1000" and value == b / a
+        sigma = value * math.hypot(sa / a, sb / b)
+        exact = auxiliary_green_exact(1000) / auxiliary_green_exact(100)
+        assert abs(exact - 1.3538) < 1e-4
+        assert abs(value - exact) < 4 * sigma
 
     def test_bytes_match_one_shot_samplers(self, tmp_path, monkeypatch):
         # the in-place samplers and key-only streams against the one-shot

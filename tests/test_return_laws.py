@@ -14,8 +14,10 @@ from conftest import traced_peak
 from oracles import samplers as one_shot
 from oracles.return_laws import (
     enumerate_first_returns,
+    first_return_law,
     first_return_prob_exact,
     fit_tail_exponent,
+    k_tail_closed_form,
     survival_series,
     telescoped_sums,
 )
@@ -30,10 +32,9 @@ from recwalk.return_laws import (
     _TABLE_M,
     _median,
     _survival_table,
-    _u_float,
     _u_series,
     bracket_margin,
-    first_return_law,
+    first_return_blocks,
     fit_tail_scale,
     return_position_law,
     sample_first_return,
@@ -76,17 +77,28 @@ def assert_mass_accounted(law) -> None:
     assert abs(float(law.entries.sum()) + law.leaked - 1.0) < 1e-13
 
 
+def survival_at(n: int) -> float:
+    """survival(n) at one even n >= 0 by the rule its docstring states, in
+    Python floats: the table entry for m = n / 2 <= _TABLE_M, and
+    _u_series(x) / sqrt(pi x) at x = m + 1/4 beyond."""
+    m = n // 2
+    if m <= _TABLE_M:
+        return float(_survival_table()[m])
+    x = m + 0.25
+    return _u_series(x) / math.sqrt(math.pi * x)
+
+
 def completion_grid(kmax: int, ratio: float = 1.005) -> tuple[np.ndarray, np.ndarray]:
     """Oracle for _k_tail_grid: the edges and survivals one at a time, each
     edge from the running product k, and the grid ended after the first edge
     whose survival times sqrt(2 / (pi edge)) is below 1e-18."""
-    edges, survs = [kmax], [survival(kmax)]
+    edges, survs = [kmax], [survival_at(kmax)]
     k = float(kmax)
     while True:
         k *= ratio
         ke = max(int(2 * round(k / 2)), edges[-1] + 2)
         edges.append(ke)
-        survs.append(survival(ke))
+        survs.append(survival_at(ke))
         if survs[-1] * math.sqrt(2 / (math.pi * ke)) < 1e-18:
             break
     surv = np.array(survs)
@@ -138,30 +150,31 @@ def _former_negated_table() -> np.ndarray:
     return -survival_series(1 << 20).astype(np.float64)
 
 
-def _former_bisection(w: float) -> float:
-    lo = float(1 << 20)
-    hi = max(2 * lo, 2.0 / (math.pi * w * w))  # u_m ~ 1/sqrt(pi m)
-    while _u_float(hi) > w:
-        hi *= 2
-    while hi - lo > max(1.0, 1e-9 * hi):
-        mid = float(math.floor((lo + hi) / 2))
-        if _u_float(mid) <= w:
-            hi = mid
-        else:
-            lo = mid
+def _former_bisection(w: np.ndarray) -> np.ndarray:
+    """The bisection of each w on its own, all w in one array: u_m is
+    survival(2m), and integer m below 2^53 give even 2m."""
+    lo = np.full(len(w), float(1 << 20))
+    hi = np.maximum(2 * lo, np.ceil(2.0 / (np.pi * w * w)))  # u_m ~ 1/sqrt(pi m)
+    while np.any(grow := survival(2 * hi) > w):
+        hi[grow] *= 2
+    while np.any(wide := hi - lo > np.maximum(1.0, 1e-9 * hi)):
+        mid = np.floor((lo + hi) / 2)
+        below = survival(2 * mid) <= w
+        hi = np.where(wide & below, mid, hi)
+        lo = np.where(wide & ~below, mid, lo)
     return hi
 
 
 def former_inversion(w: np.ndarray) -> np.ndarray:
     """Oracle for sample_first_return: the least m >= 1 with u_m <= w, as
     the sampler used to find it, by a searchsorted over the float64 table
-    of u_m up to m = 2^20 and a scalar bisection on _u_float past it.  The
+    of u_m up to m = 2^20 and a bisection on survival past it.  The
     bisection is exact while float64 resolves the integers around m and
     stops at 1e-9 relative beyond; it never returns below the least m."""
     neg = _former_negated_table()
     m = (np.searchsorted(neg, -w, side="left") + 1).astype(np.float64)
-    for idx in np.nonzero(m > len(neg))[0]:
-        m[idx] = _former_bisection(w[idx])
+    deep = m > len(neg)
+    m[deep] = _former_bisection(w[deep])
     return m
 
 
@@ -249,19 +262,20 @@ class TestFirstReturnLaw:
         assert abs(return_law_2000.leaked - survival(2000)) < 1e-14
 
     def test_arrays_round_the_exact_law(self, return_law_2000):
-        ns, ps = return_law_2000.support(), return_law_2000.entries
+        m, ps = next(first_return_blocks(2000))
         exact = [float(first_return_prob_exact(n)) for n in range(2, 65, 2)]
-        assert ns[:32].tolist() == list(range(2, 65, 2))
+        assert m[:32].tolist() == list(range(1, 33))
         assert ps[:32].tolist() == exact
+        assert np.array_equal(return_law_2000.entries[: len(ps)], ps)
         assert (return_law_2000.lo, return_law_2000.hi) == (2, 2000)
         assert abs(return_law_2000.prob(66) - float(first_return_prob_exact(66))) < 1e-18
         assert return_law_2000.prob(65) == return_law_2000.prob(2002) == 0.0
 
     def test_rejects_bad_nmax(self):
         with pytest.raises(ValueError):
-            first_return_law(3)
+            next(first_return_blocks(3))
         with pytest.raises(ValueError):
-            first_return_law(0)
+            next(first_return_blocks(0))
 
 
 class TestTailExponentFit:
@@ -337,27 +351,40 @@ class TestWallisBracket:
 
     def test_margin_matches_exact(self):
         # the smallest margin up to m = 10^4 is the upper one at the last m
-        margin, n = bracket_margin(first_return_law(20_000))
+        margin, n = bracket_margin(first_return_blocks(20_000))
         exact = min(wallis_bracket()[m][2] for m in range(1, 10**4 + 1))
         assert n == 20_000
         assert abs(margin - exact) < 1e-15
 
+    @staticmethod
+    def blocks_of(entries: np.ndarray, block: int):
+        """A first-return law given whole, as blocks (m, P(return = 2m)) of block entries."""
+        m = np.arange(1, len(entries) + 1)
+        return [(m[lo : lo + block], entries[lo : lo + block]) for lo in range(0, len(m), block)]
+
     @pytest.mark.parametrize("block", [1, 7, 4096])
-    def test_planted_entries_outside(self, monkeypatch, block):
+    def test_planted_entries_outside(self, block):
         # n = 60 just above the upper end, n = 100 far below the lower one:
         # the margin is the lower one, and the row named the first outside
-        monkeypatch.setattr(return_laws, "_SURVIVAL_BLOCK", block)
         entries = first_return_law(200).entries.copy()
         entries[29] = wallis_bracket()[30][1] * (1 + 1e-9) / 59
         entries[49] = wallis_bracket()[50][0] * (1 - 1e-3) / 99
-        margin, n = bracket_margin(LatticeLaw(2, entries))
+        margin, n = bracket_margin(self.blocks_of(entries, block))
         assert n == 60 and abs(margin + 1e-3) < 1e-12
 
     @pytest.mark.parametrize("block", [1, 7, 300])
-    def test_blocks_give_one_answer(self, monkeypatch, return_law_2000, block):
-        whole = bracket_margin(return_law_2000)
+    def test_blocks_give_one_answer(self, monkeypatch, block):
+        whole = bracket_margin(first_return_blocks(2000))
         monkeypatch.setattr(return_laws, "_SURVIVAL_BLOCK", block)
-        assert bracket_margin(return_law_2000) == whole
+        assert len(next(first_return_blocks(2000))[0]) == block
+        assert bracket_margin(first_return_blocks(2000)) == whole
+
+    def test_nan_entry_lies_outside(self):
+        # a nan compares false both ways, so it is counted outside, not passed
+        entries = first_return_law(200).entries.copy()
+        entries[[39, 59]] = np.nan
+        margin, n = bracket_margin(self.blocks_of(entries, 7))
+        assert n == 80 and margin == -math.inf
 
 
 class TestLeastSquaresLine:
@@ -596,6 +623,26 @@ class TestKTailCompletion:
         exact = nonnegative_half(telescoped(lmax, far)) - nonnegative_half(telescoped(lmax, kmax))
         np.testing.assert_allclose(completed.astype(np.float64), exact.astype(np.float64), rtol=1e-4, atol=0)
 
+    def test_closed_form_oracle_matches_direct_sum(self):
+        # the oracle at M = 10^3 against its sum over 10^3 < m <= 10^5, with
+        # the oracle itself beyond 10^5 (1% of the value at l = 0), where its
+        # error is below 1e-20; a = t^2 / Y runs from 0 to 90, through both
+        # branches of the incomplete gamma
+        kmax, top = 2000, 10**5
+        ls = np.array([0.0, 20.0, 60.0, 200.0, 600.0])
+        m = np.arange(kmax // 2 + 1, top + 1, dtype=np.float64)
+        terms = survival_series(top)[kmax // 2 :].astype(np.float64) / ((2 * m - 1) * np.sqrt(np.pi * m))
+        direct = np.array([np.sum(terms * np.exp(-((l / 2) ** 2) / m)) for l in ls])
+        direct += k_tail_closed_form(2 * top, ls)
+        np.testing.assert_allclose(k_tail_closed_form(kmax, ls), direct, rtol=1e-13, atol=0)
+
+    def test_grid_within_its_accuracy_of_the_closed_form(self):
+        # documented as 7e-7 at the lll defaults; 7.15e-7 at l = 0 and
+        # 1.20e-7 at l = 2000, the grid below the closed form throughout
+        ls = np.arange(0, 2001, 2, dtype=np.float64)
+        grid = _k_tail_completion(4_000_000, ls)[0].astype(np.float64)
+        np.testing.assert_allclose(grid, k_tail_closed_form(4_000_000, ls), rtol=1e-6, atol=0)
+
 
 class TestTailFunctional:
     def test_values_near_their_limit(self, pos_law_small):
@@ -667,21 +714,42 @@ class TestScalarSpecialFunctions:
         want = float(polygamma(1, t + 1))
         assert abs(_inverse_square_tail(t) - want) < 1e-13 * want
 
-    @pytest.mark.parametrize("m", [1, 1.5, 2, 3.25, 7, 10, 20])
+    # u_m in float64, the `u_float` of the test names, is survival(2m): the
+    # table entry up to m = 2^16, the series beyond
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 10, 20])
     def test_u_float_matches_gammaln(self, m):
         want = math.exp(gammaln(2 * m + 1) - 2 * gammaln(m + 1) - 2 * m * math.log(2))
-        assert abs(_u_float(m) - want) < 1e-13 * want
+        assert abs(survival(2 * m) - want) < 1e-13 * want
 
     @pytest.mark.parametrize("m", [1, 2, 7, 8, 19, 50, 333, 1000, 5000, 9999])
     def test_u_float_matches_exact_rational(self, m):
         want = float(Fraction(math.comb(2 * m, m), 4**m))
-        assert abs(_u_float(m) - want) < 1e-14 * want
+        assert abs(survival(2 * m) - want) < 1e-14 * want
 
     @pytest.mark.parametrize("m", [10**4, 10**6, 10**9, 10**12, 10**17])
     def test_u_float_matches_gamma_ratio(self, m):
         with mpmath.workdps(40):
             want = mpmath.gamma(m + mpmath.mpf(1) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(m + 1))
-            assert abs(_u_float(m) / want - 1) < 1e-15
+            assert abs(survival(2 * m) / want - 1) < 1e-15
+
+    def test_survival_is_the_exactly_rounded_table_then_the_series(self):
+        # every m <= 2^16 from the 80-bit product rounded once, and past it
+        # the series, on both sides of the seam, for int and float arrays
+        m = np.arange(_TABLE_M + 3)
+        want = np.concatenate(([1.0], survival_series(_TABLE_M).astype(np.float64)))
+        x = m[_TABLE_M + 1 :] + 0.25
+        want = np.concatenate((want, _u_series(x) / np.sqrt(np.pi * x)))
+        assert np.array_equal(survival(2 * m), want)
+        assert np.array_equal(survival(2.0 * m), want)
+        assert [survival(2 * k) for k in (0, 1, _TABLE_M, _TABLE_M + 1)] == want[[0, 1, -3, -2]].tolist()
+        assert survival(-4) == 1.0
+        with pytest.raises(ValueError):
+            survival(np.array([2, 3]))
+
+    def test_survival_past_the_table_builds_no_table(self, monkeypatch):
+        monkeypatch.setattr(return_laws, "_survival_table", mock.Mock(side_effect=AssertionError))
+        survival(np.array([2 * _TABLE_M + 2, 4_000_000]))
 
     def test_u_series_is_the_loop_that_squares_each_pass(self):
         # the loop before x * x was taken out of it: the same double each pass
@@ -699,7 +767,7 @@ class TestScalarSpecialFunctions:
     def test_survival_matches_product_series(self):
         # 80-bit running product of (2m - 1) / 2m
         u = survival_series(20_000).astype(np.float64)
-        got = np.array([survival(2 * m) for m in range(1, 20_001)])
+        got = survival(2 * np.arange(1, 20_001))
         assert np.max(np.abs(got / u - 1)) < 1e-14
 
 
@@ -793,7 +861,7 @@ TABLE_SEAM_KS = [
     int(k) + d
     for k in np.ceil(one_shot.survival_table()[_TABLE_M - 3 :] * 2.0**53)
     for d in (-1, 0)
-] + [int(np.ceil(u * 2.0**53)) + d for u in (_u_float(_TABLE_M + 1), _u_float(_TABLE_M + 2)) for d in (-1, 0)]
+] + [int(np.ceil(u * 2.0**53)) + d for u in survival(2 * np.array([_TABLE_M + 1, _TABLE_M + 2])) for d in (-1, 0)]
 
 
 class TestBitIdenticalToOneShot:
@@ -807,6 +875,8 @@ class TestBitIdenticalToOneShot:
     def test_first_return_law_across_blocks(self, nmax):
         u = survival_series(nmax // 2)
         odd = 2 * np.arange(1, nmax // 2 + 1, dtype=LONG) - 1
+        blocks = list(first_return_blocks(nmax))
+        assert np.array_equal(np.concatenate([m for m, _ in blocks]), np.arange(1, nmax // 2 + 1))
         law = first_return_law(nmax)
         assert np.array_equal(law.entries, (u / odd).astype(np.float64))
         assert law.leaked == float(u[-1])
