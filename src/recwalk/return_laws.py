@@ -333,10 +333,13 @@ MAX_CERTIFIED_FRACTION = 0.10
 def tail_functional(law: ReturnPositionLaw, m: int) -> float:
     """m * P(pos >= m) from a computed return-position law.
 
-    The sum over [m, lmax] is exact up to the law's certified bound; the
-    tail beyond lmax is completed with the fitted sigma / l^2 density.
-    Refuses m < 2, m within lmax / 2 of the window edge, and m where the
-    certified truncation error, m times the bound at each entry summed,
+    The nterms entries in [m, lmax] are each exact up to the law's
+    certified bound; the tail beyond lmax is half the law's leaked mass,
+    the mass outside the window of a symmetric law.  leaked is one minus
+    the lmax + 1 window entries, so it lies within (lmax + 1) error_bound
+    of the exact leak, and the certified error
+    m (nterms + (lmax + 1) / 2) error_bound covers both parts.  Refuses
+    m < 2, m within lmax / 2 of the window edge, and m where that error
     exceeds MAX_CERTIFIED_FRACTION of the value.
     """
     if m < 2:
@@ -348,12 +351,9 @@ def tail_functional(law: ReturnPositionLaw, m: int) -> float:
                          f"(need m <= {top})")
     t0 = (m + 1) // 2
     in_window = float(np.sum(law.entries[lmax // 2 + t0 :]))
-    sigma = fit_tail_scale(law)
-    # sum over even l > lmax of 2 sigma / l^2 = (sigma / 2) sum over t > lmax/2 of 1 / t^2
-    completion = sigma * 0.5 * _inverse_square_tail(lmax // 2)
     nterms = lmax // 2 - t0 + 1
-    certified = m * nterms * law.error_bound
-    value = m * (in_window + completion)
+    certified = m * (nterms + (lmax + 1) / 2) * law.error_bound
+    value = m * (in_window + law.leaked / 2)
     if certified > MAX_CERTIFIED_FRACTION * value:
         raise ValueError(
             f"certified truncation error {certified:.3g} exceeds "
@@ -361,47 +361,6 @@ def tail_functional(law: ReturnPositionLaw, m: int) -> float:
             "recompute the law with a larger kmax"
         )
     return value
-
-
-def _inverse_square_tail(t: int) -> float:
-    """Sum of 1 / s^2 over the integers s > t >= 0, the trigamma function at
-    t + 1: the recurrence up to x >= 20, then the asymptotic series, whose
-    first omitted term is below 1e-20 of the value there."""
-    x, head = float(t + 1), 0.0
-    while x < 20.0:
-        head += 1.0 / (x * x)
-        x += 1.0
-    # Bernoulli numbers B_2, ..., B_14; term k is B_2k / x^(2k+1)
-    series = 0.0
-    for b in (7 / 6, -691 / 2730, 5 / 66, -1 / 30, 1 / 42, -1 / 30, 1 / 6):
-        series = series / (x * x) + b
-    return head + (1.0 + 0.5 / x + series / (x * x)) / x
-
-
-def fit_tail_scale(law: ReturnPositionLaw) -> float:
-    """Fitted scale of the sigma / l^2 tail density, from the upper half of
-    the window."""
-    lmax = law.hi
-    ts = np.arange((lmax // 2 + 1) // 2, lmax // 2 + 1)
-    ls = 2 * ts.astype(np.float64)
-    vals = law.entries[lmax // 2 + ts].astype(np.float64)
-    if len(ts) < 5:
-        raise ValueError("window too small to fit the tail scale")
-    return _median(vals * ls * ls / 2.0)
-
-
-def _median(values: np.ndarray) -> float:
-    """np.median of a 1-d array, bit for bit, without the import of numpy.ma
-    (about 13 ms and 1.3 MB) that np.median makes on its first call: nan if
-    a value is nan, else the mean of the one or two middle values, a sum
-    that starts from +0.0 as np.mean's does, so -0.0 reads as +0.0."""
-    ordered = np.sort(values)  # a nan sorts last
-    if np.isnan(ordered[-1]):
-        return math.nan
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return 0.0 + float(ordered[mid])
-    return (0.0 + float(ordered[mid - 1]) + float(ordered[mid])) / 2
 
 
 def tail_limit(law: ReturnPositionLaw, ms) -> float:

@@ -1,4 +1,8 @@
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -15,6 +19,16 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def bench_checks():
+    """bench/checks.py as a module, loaded without writing its bytecode."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    with mock.patch.object(sys, "dont_write_bytecode", True):
+        spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

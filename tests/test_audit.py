@@ -62,12 +62,20 @@ CHECKS = {
             "within 4 sigma of the exact G_N at N = 10^2 and 10^3",
     },
     ("green", "direct"): {
+        "test_branched_walk.py::TestDirectGreenExact::test_direct_method_within_4_sigma_at_1000":
+            "the method behind the rows, at a horizon no walk reaches, within 4 sigma of the "
+            "pinned exact G_1000 of the embedded chain; the rows drop returns past --horizon",
         "test_branched_walk.py::TestDirectGreenExact::test_direct_method_within_4_sigma":
             "the method behind the rows, at a horizon no walk reaches, within 4 sigma of the "
             "exact G_100 of the embedded chain (push-forward); the rows drop returns past "
             "--horizon",
         "test_branched_walk.py::TestGreenSumDirect::test_matches_step_level_oracle":
             "within 4 sigma of the step-level walk, 20 returns at a horizon of 400",
+    },
+    ("green", "auxiliary-capped"): {
+        "test_branched_walk.py::TestGreenSumAuxiliary::test_capped_method_within_4_sigma":
+            "the method behind the rows, at a horizon no walk reaches, within 4 sigma of the "
+            "exact G_1000; the rows drop returns past --horizon",
     },
     ("green", "growth-ratio"): {
         "test_cli.py::TestGreenCommand::test_growth_ratio_within_4_sigma":
@@ -81,8 +89,6 @@ UNCHECKED = {
                           "window, which lies outside the exact values",
     ("lll", "argmax_k"): "as sup_error",
     ("lll", "n_times_p0"): "as sup_error; the exact bracket of criterion 5 excludes it",
-    ("green", "auxiliary-capped"): "no exact value for the horizon-capped sum; it is compared "
-                                   "only with the direct rows, by a check that cannot fail",
     ("green", "cross-method-gap"): "no exact value",
     ("green", "exhausted_frac"): "no exact value",
 }

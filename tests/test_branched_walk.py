@@ -275,6 +275,16 @@ class TestGreenSumAuxiliary:
         assert abs(m100 - auxiliary_green_exact(100)) < 4 * s100
         assert abs(m1000 - auxiliary_green_exact(1000)) < 4 * s1000
 
+    def test_capped_method_within_4_sigma(self):
+        # the method behind green's auxiliary-capped rows, at a horizon no
+        # walk reaches: its estimate is of the exact G_N itself
+        est = shifted_green_sum(
+            1000, 1000, seed=37, method="auxiliary", horizon=10**15, checkpoints=(1000,)
+        )
+        assert est.exhausted == 0
+        mean, se = est.checkpoint_stats[1000]
+        assert abs(mean - auxiliary_green_exact(1000)) < 4 * se
+
     def test_shift_stream_independence(self, pos_law_small, monkeypatch):
         # swapping the shift seed changes individual indicators but not the
         # estimate beyond noise
@@ -403,6 +413,12 @@ def dense_direct_green(n: int, points: int) -> float:
     return total
 
 
+#: G_1000 of the direct walk's embedded chain: direct_green_exact(1000, 2**17)
+#: = 3.4580686, which takes 7.5 s on 2 cores, too long for a test; going
+#: from 2^17 to 2^19 points moves it by 5e-6
+DIRECT_G1000 = 3.45807
+
+
 class TestDirectGreenExact:
     """The push-forward of the direct walk's embedded chain j_n, the exact
     G_N of the walk that green's direct rows sample."""
@@ -419,6 +435,13 @@ class TestDirectGreenExact:
         g100 = direct_green_exact(100, 2**14)
         assert abs(g100 - 2.83878) < 1e-5
         assert abs(g100 - direct_green_exact(100, 2**13)) < 2e-5
+
+    def test_direct_method_within_4_sigma_at_1000(self):
+        # at green's default --direct-returns, against the pinned G_1000
+        est = shifted_green_sum(1000, 1000, seed=39, method="direct", horizon=10**15)
+        assert est.exhausted == 0
+        mean, se = est.checkpoint_stats[1000]
+        assert abs(mean - DIRECT_G1000) < 4 * se
 
     def test_direct_method_within_4_sigma(self):
         # at a horizon no walk reaches, the direct estimate is of G_N itself

@@ -6,9 +6,9 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln, polygamma
+from scipy.special import gammaln
 
 from conftest import traced_peak
 from oracles import samplers as one_shot
@@ -25,17 +25,14 @@ from recwalk import cli, return_laws
 from recwalk.return_laws import (
     LONG,
     LatticeLaw,
-    _inverse_square_tail,
     _k_tail_completion,
     _k_tail_grid,
     _line,
     _TABLE_M,
-    _median,
     _survival_table,
     _u_series,
     bracket_margin,
     first_return_blocks,
-    fit_tail_scale,
     return_position_law,
     sample_first_return,
     sample_position_at,
@@ -55,6 +52,13 @@ def closed_form(l: int) -> float:
     if l == 0:
         return 1 - 2 / math.pi
     return 2 / (math.pi * (l * l - 1))
+
+
+def tail_beyond(l: int) -> float:
+    """P(pos > l) of the untruncated law for even l >= 0: each closed_form
+    entry 2 / (pi (4j^2 - 1)) at 2j is (1/pi) (1 / (2j - 1) - 1 / (2j + 1)),
+    so the entries beyond l telescope to 1 / (pi (l + 1))."""
+    return 1 / (math.pi * (l + 1))
 
 
 def nonnegative_half(law) -> np.ndarray:
@@ -425,14 +429,6 @@ class TestLeastSquaresLine:
         y = [slope * v + intercept for v in x]
         assert _line(x, y) == (slope, intercept)
 
-    def test_tail_limit_at_lll_defaults_is_polyfit_bit_for_bit(self):
-        # so `lll` at its defaults keeps its output bytes
-        law = return_position_law(2000, 4_000_000)
-        ms = (100, 200, 400)
-        x = np.array([1.0 / m for m in ms])
-        y = np.array([tail_functional(law, m) for m in ms])
-        assert tail_limit(law, ms) == float(np.polyfit(x, y, 1)[1])
-
     @pytest.mark.parametrize(
         "x, y",
         [([], []), ([1.0], [2.0]), ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])],
@@ -645,16 +641,38 @@ class TestKTailCompletion:
 
 
 class TestTailFunctional:
+    @pytest.mark.parametrize("j, k", [(1, 1), (1, 7), (3, 40), (21, 1000)])
+    def test_tail_telescopes(self, j, k):
+        # closed_form's entries at 2j..2k sum to the difference of the end
+        # terms, in exact rationals; tail_beyond is its limit k -> infinity
+        total = sum(Fraction(2, 4 * i * i - 1) for i in range(j, k + 1))
+        assert total == Fraction(1, 2 * j - 1) - Fraction(1, 2 * k + 1)
+
+    @pytest.mark.parametrize("lmax, kmax", [(40, 1600), (200, 40_000), (2000, 4_000_000)])
+    def test_leaked_mass_is_the_exact_tail(self, lmax, kmax):
+        # leaked is one minus the lmax + 1 window entries, each within the bound
+        law = return_position_law(lmax, kmax)
+        assert abs(law.leaked - 2 * tail_beyond(lmax)) <= (lmax + 1) * law.error_bound
+
+    @pytest.mark.parametrize("lmax, kmax", [(40, 1600), (200, 40_000), (2000, 4_000_000)])
+    def test_values_within_their_certificate(self, lmax, kmax):
+        law = return_position_law(lmax, kmax)
+        for m in cli._ladder(lmax):
+            nterms = lmax // 2 - (m + 1) // 2 + 1
+            certified = m * (nterms + (lmax + 1) / 2) * law.error_bound
+            assert abs(tail_functional(law, m) - m * tail_beyond(m - 2)) <= certified, m
+
     def test_values_near_their_limit(self, pos_law_small):
         # closed form: m * P(pos >= m) = m / (pi (m - 1)) for even m
         law = pos_law_small
         for m in (50, 100, 200):
             value = tail_functional(law, m)
-            want = m / (math.pi * (m - 1))
+            want = m * tail_beyond(m - 2)
             assert abs(value - want) < 0.01 * want, m
-            # the window entries l = m..lmax, each within the law's bound
+            # the window entries l = m..lmax and half the leak, each within
+            # the law's bound
             t0, top = (m + 1) // 2, law.hi // 2
-            assert m * (top - t0 + 1) * law.error_bound < 0.10 * value
+            assert m * (top - t0 + 1 + (law.hi + 1) / 2) * law.error_bound < 0.10 * value
             # the completed tail beyond the window adds to the window sum
             assert value > m * float(np.sum(law.entries[top + t0 :]))
 
@@ -679,41 +697,8 @@ class TestTailFunctional:
         b = tail_functional(pos_law_small, 200)
         assert abs(b - a) / a < 0.05
 
-    @pytest.mark.parametrize("lmax", [40, 42, 44, 46, 202, 204, 2000])
-    def test_tail_scale_is_np_median(self, lmax):
-        # --l-max 40, 42, 202 and 2000 fit an odd count of values, 44, 46 and
-        # 204 an even count
-        law = return_position_law(lmax, min(lmax * lmax, 40_000))
-        ts = np.arange((lmax // 2 + 1) // 2, lmax // 2 + 1)
-        ls = 2 * ts.astype(np.float64)
-        window = law.entries[lmax // 2 + ts].astype(np.float64) * ls * ls / 2.0
-        assert len(window) % 2 == (lmax not in (44, 46, 204))
-        assert np.float64(fit_tail_scale(law)).tobytes() == np.median(window).tobytes()
-
-    @settings(max_examples=300, deadline=None)
-    @given(values=st.lists(st.floats(width=64) | st.sampled_from([0.0, -0.0, 1.0]),
-                           min_size=1, max_size=40))
-    @example(values=[0.0, 8.98846567431158e307, 8.98846567431158e307, 8.98846567431158e307])
-    @example(values=[-math.inf, math.inf])
-    def test_median_is_np_median_bit_for_bit(self, values):
-        values = np.array(values)
-        # the reference's mean of the two middle values warns when it
-        # overflows to inf or meets inf - inf; _median gives the same inf
-        # or nan without a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = np.median(values)
-        if np.isnan(want):
-            assert math.isnan(_median(values))
-        else:
-            assert np.float64(_median(values)).tobytes() == want.tobytes()
-
 
 class TestScalarSpecialFunctions:
-    @pytest.mark.parametrize("t", [1, 5, 20, 1000, 10**5, 10**7])
-    def test_inverse_square_tail_is_trigamma(self, t):
-        want = float(polygamma(1, t + 1))
-        assert abs(_inverse_square_tail(t) - want) < 1e-13 * want
-
     # u_m in float64, the `u_float` of the test names, is survival(2m): the
     # table entry up to m = 2^16, the series beyond
 

@@ -3,17 +3,16 @@ deleted function breaks it, and its checks count the sampler calls inside
 the traced spans; these runs fail here first, not only in a traced
 benchmark run.  They read bench/ and change nothing in it."""
 
-import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
 import recwalk
+from conftest import bench_checks
 
 TRACED = Path(__file__).resolve().parents[1] / "bench" / "traced.py"
 
@@ -48,15 +47,6 @@ def test_traced_cache_cold_then_warm(tmp_path):
     assert warm["lawcache.load_or_compute"]["attrs"] == {"hit": True}
     assert warm["lawcache.load"]["attrs"]["file_bytes"] > 0
     assert "lawcache.save" not in warm
-
-
-def bench_checks():
-    """bench/checks.py as a module, loaded without writing its bytecode."""
-    spec = importlib.util.spec_from_file_location("bench_checks", TRACED.with_name("checks.py"))
-    module = importlib.util.module_from_spec(spec)
-    with mock.patch.object(sys, "dont_write_bytecode", True):
-        spec.loader.exec_module(module)
-    return module
 
 
 def traced_spans(cwd, argv) -> list[dict]:
