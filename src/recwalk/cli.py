@@ -156,9 +156,10 @@ def cmd_lll(parser: _Parser, args) -> int:
         lmax, kmax, "hit" if hit else "miss", time.perf_counter() - t0, law.error_bound, law.leaked,
     )
     scale = np.pi * return_laws.tail_limit(law, ms=_ladder(lmax))
+    log.info("Cauchy scale pi*sigma = %.6g (exact: 1), from m = %s", scale, _ladder(lmax))
     if not hit:  # saved only once tail_limit has accepted it
         with _usable(parser, "--cache-dir", args.cache_dir):
-            lawcache.save_position_law(law, args.cache_dir)  # replaces a former format
+            lawcache.save_position_law(law, args.cache_dir)
     base = return_laws.LatticeLaw.from_position_law(law)
     rows = []
     errors = []

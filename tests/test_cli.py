@@ -80,25 +80,14 @@ class TestLawCache:
         assert not hit
 
     def test_corruption_detected(self, tmp_path):
-        law = return_position_law(100, 10_000)
-        path = save_position_law(law, tmp_path)
-        lines = path.read_text().splitlines()
-        for damaged in (lines[:20], *(former(law, v, lines) for v in (1, 2, 3))):
-            path.write_text("\n".join(damaged) + "\n")
-            with pytest.raises(CacheCorruptionError, match="delete"):
+        path = save_position_law(return_position_law(100, 10_000), tmp_path)
+        data = path.read_bytes()
+        # numpy's header parser raises TokenError and TypeError on the last two
+        unclosed, keyed = data.replace(b"}", b" ", 1), data.replace(b" 'fortran", b"B'fortran", 1)
+        for damaged in (data[:-1], data[:200], data[:100], b"", unclosed, keyed):
+            path.write_bytes(damaged)
+            with pytest.raises(CacheCorruptionError, match="delete the file and rerun"):
                 load_position_law(path)
-
-
-def former(law, version: int, lines: list[str]) -> list[str]:
-    """The cache file lines of the law in format version 1, 2 or 3: all
-    stored the k-tail flag and the error bound in the header, versions 1
-    and 2 repeated the error bound as a third header field, and version 1
-    printed 18 digits, which the rows here do not mimic."""
-    err = lawcache._fmt(law.error_bound)
-    param = (f"lmax={law.hi};kmax={law.kmax};ktail=1;err={err};"
-             f"tail={lawcache._fmt(law.leaked)};v=recwalk-law-{version}")
-    header = f"return-position,{param}" + (f",{err}" if version < 3 else "")
-    return [header] + lines[1:]
 
 
 def run(args):
@@ -558,6 +547,40 @@ class TestReturnLawCommand:
         assert large - small < 500_000, (small, large)
 
 
+def filled_cache(tmp_path):
+    """The argv of an lll run, --out left out, and its cache file, filled
+    by a first run: --l-max 200 at the default --k-max 40,000."""
+    args = ["lll", "--l-max", 200, "--schedule", "8,16", "--cache-dir", tmp_path / "cache"]
+    assert run(args + ["--out", tmp_path / "a.csv"]) == 0
+    return args, tmp_path / "cache" / "return_position_L200_K40000.npy"
+
+
+def assert_corrupted(capsys, argv, path, out, reason=""):
+    """lll refuses the cache file: exit 1 with the documented message, no
+    traceback and no --out."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", out])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: recwalk")
+    assert f"recwalk: error: law cache {path} is corrupted ({reason}" in err
+    assert err.endswith("); delete the file and rerun\n")
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_cache(tmp_path_factory):
+    """An lll run at --l-max 40 with its cache filled: the argv, the cache
+    file, its bytes, the output bytes and the law."""
+    root = tmp_path_factory.mktemp("small_cache")
+    argv = ["lll", "--l-max", 40, "--schedule", "2,4",
+            "--cache-dir", root / "cache", "--out", root / "a.csv"]
+    assert run(argv) == 0
+    path = root / "cache" / "return_position_L40_K1600.npy"
+    return argv, path, path.read_bytes(), (root / "a.csv").read_bytes(), load_position_law(path)
+
+
 class TestLllCommand:
     def test_small_schedule(self, tmp_path):
         out = tmp_path / "lll.csv"
@@ -585,6 +608,14 @@ class TestLllCommand:
             assert f"(lmax=400, kmax=160000): cache {state} in " in line
             assert f"error bound {law.error_bound:.3g}, tail mass {law.leaked:.3g}" in line
 
+    def test_log_reports_cauchy_scale(self, tmp_path, caplog):
+        # the ladder (2, 4, 8) at --l-max 40 reads the scale 19% low
+        with caplog.at_level("INFO", logger="recwalk"):
+            run(["lll", "--l-max", 40, "--schedule", "2,4",
+                 "--cache-dir", tmp_path, "--out", tmp_path / "a.csv"])
+        assert "Cauchy scale pi*sigma = 0.8095" in caplog.text
+        assert "from m = (2, 4, 8)" in caplog.text
+
     def test_cache_hit_identical_output(self, tmp_path):
         out = tmp_path / "a.csv"
         args = [
@@ -592,51 +623,89 @@ class TestLllCommand:
             "--cache-dir", tmp_path / "cache", "--out", out,
         ]
         assert run(args) == 0
-        assert (tmp_path / "cache" / "return_position_L400_K160000.csv").exists()
+        assert (tmp_path / "cache" / "return_position_L400_K160000.npy").exists()
         cold = out.read_bytes()
         assert run(args) == 0  # cache hit this time
         assert out.read_bytes() == cold
 
-    def test_corrupt_cache_reported(self, tmp_path, capsys, pos_law_small):
-        cache = tmp_path / "cache"
-        args = [
-            "lll", "--l-max", 400, "--k-max", 160_000, "--schedule", "4,8",
-            "--cache-dir", cache, "--out", tmp_path / "a.csv",
-        ]
-        assert run(args) == 0
-        path = cache / "return_position_L400_K160000.csv"
-        text = path.read_text()
-        truncated = text[:100]
-        # a header of the current version with the third field of version 2
-        third_field = text.replace("\n", f",{lawcache._fmt(pos_law_small.error_bound)}\n", 1)
-        for damaged in (truncated, third_field):
-            path.write_text(damaged)
-            capsys.readouterr()
-            with pytest.raises(SystemExit) as exc:
-                run(args)
-            assert exc.value.code == 1
-            err = capsys.readouterr().err
-            assert err.startswith("usage: recwalk")
-            assert f"recwalk: error: law cache {path} is corrupted" in err
-            assert "delete the file and rerun" in err and "Traceback" not in err
-
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_former_cache_format_rebuilt(self, tmp_path, caplog, pos_law_small, version):
+        # a cache file of a former text format has another name than the
+        # binary one: it is never opened, the law is rebuilt beside it
         cache, out = tmp_path / "cache", tmp_path / "a.csv"
         args = [
             "lll", "--l-max", 400, "--k-max", 160_000, "--schedule", "4,8",
             "--cache-dir", cache, "--out", out,
         ]
         assert run(args) == 0
-        path = cache / "return_position_L400_K160000.csv"
+        path = cache / "return_position_L400_K160000.npy"
         current, cold = path.read_bytes(), out.read_bytes()
-        lines = former(pos_law_small, version, current.decode().splitlines())
-        path.write_text("\n".join(lines) + "\n")
+        path.unlink()
+        law = pos_law_small
+        err, tail = f"{law.error_bound:.17g}", f"{law.leaked:.17g}"
+        header = (f"return-position,lmax={law.hi};kmax={law.kmax};ktail=1;err={err};"
+                  f"tail={tail};v=recwalk-law-{version}" + (f",{err}" if version < 3 else ""))
+        rows = [f"{2 * j},{float(p):.17g}" for j, p in enumerate(law.entries[law.hi // 2 :])]
+        text = "\n".join([header] + rows) + "\n"
+        former = cache / "return_position_L400_K160000.csv"
+        former.write_text(text)
         caplog.clear()
         with caplog.at_level("INFO", logger="recwalk"):
             assert run(args) == 0
         assert "(lmax=400, kmax=160000): cache miss in " in caplog.text
         assert path.read_bytes() == current and out.read_bytes() == cold
+        assert former.read_text() == text
+
+    def test_corrupt_cache_reported(self, tmp_path, capsys):
+        args, path = filled_cache(tmp_path)
+        data = path.read_bytes()
+        for damaged in (data[:-1], data[:100], b""):  # cut in the data, in the header, empty
+            path.write_bytes(damaged)
+            assert_corrupted(capsys, args, path, tmp_path / "b.csv")
+
+    @pytest.mark.parametrize("entries, reason", [
+        # mapped, so the 1.6e14 bytes are never asked for
+        (10**13, "mmap length is greater than file size"),
+        (10**20, ""),  # past the range of an index
+    ], ids=["1e13", "1e20"])
+    def test_oversized_header_reported(self, tmp_path, capsys, entries, reason):
+        args, path = filled_cache(tmp_path)
+        data = path.read_bytes()
+        with open(path, "wb") as f:
+            header = {"descr": np.dtype(np.longdouble).str, "fortran_order": False,
+                      "shape": (entries,)}
+            np.lib.format.write_array_header_1_0(f, header)
+            f.write(data[128:])
+        assert_corrupted(capsys, args, path, tmp_path / "b.csv", reason)
+
+    @pytest.mark.parametrize("kind", ["pickled", "float64", "2-d"])
+    def test_cache_of_another_array_reported(self, tmp_path, capsys, kind):
+        args, path = filled_cache(tmp_path)
+        stored = np.load(path)
+        other = {"pickled": stored.astype(object), "float64": stored.astype(np.float64),
+                 "2-d": stored.reshape(-1, 1)}[kind]
+        np.save(path, other, allow_pickle=True)
+        assert_corrupted(capsys, args, path, tmp_path / "b.csv")
+
+    @pytest.mark.parametrize("damage", ["nan", "negative", "tail-nan", "above-one"])
+    def test_nonfinite_or_negative_cache_mass_reported(self, tmp_path, capsys, damage):
+        # P(4) reads nan, -1e-3 or 1.5, or the leaked mass reads nan
+        args, path = filled_cache(tmp_path)
+        stored = np.load(path)
+        at, value = {"nan": (4, np.nan), "negative": (4, -1e-3), "tail-nan": (1, np.nan),
+                     "above-one": (4, 1.5)}[damage]
+        stored[at] = value
+        np.save(path, stored)
+        assert_corrupted(capsys, args, path, tmp_path / "b.csv")
+
+    @pytest.mark.parametrize("kmax", ["40000.5", "1e4000"])
+    def test_kmax_not_an_integer_below_2_64_reported(self, tmp_path, capsys, kmax):
+        # an integer of 4,001 digits would not even print in the key check
+        args, path = filled_cache(tmp_path)
+        stored = np.load(path)
+        stored[0] = np.longdouble(kmax)
+        np.save(path, stored)
+        assert_corrupted(capsys, args, path, tmp_path / "b.csv")
 
     def test_refused_law_is_not_cached(self, tmp_path, capsys, caplog, monkeypatch):
         # tail_limit refuses the law at kmax = 2, after it is built
@@ -652,67 +721,56 @@ class TestLllCommand:
 
     def test_miskeyed_cache_reported(self, tmp_path, capsys):
         # a file stored under another kmax's name holds another law
-        cache, out = tmp_path / "cache", tmp_path / "b.csv"
-        args = ["lll", "--l-max", 200, "--schedule", "4,8", "--cache-dir", cache]
-        assert run(args + ["--k-max", 40_000, "--out", tmp_path / "a.csv"]) == 0
-        path = cache / "return_position_L200_K80000.csv"
-        shutil.copy(cache / "return_position_L200_K40000.csv", path)
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            run(args + ["--k-max", 80_000, "--out", out])
-        assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("usage: recwalk")
-        assert (f"recwalk: error: law cache {path} is corrupted (it holds lmax=200, kmax=40000); "
-                "delete the file and rerun") in err
-        assert "Traceback" not in err and not out.exists()
+        args, path = filled_cache(tmp_path)
+        other = path.with_name("return_position_L200_K80000.npy")
+        shutil.copy(path, other)
+        assert_corrupted(capsys, args + ["--k-max", 80_000], other, tmp_path / "b.csv",
+                         reason="it holds lmax=200, kmax=40000")
 
-    @pytest.mark.parametrize("damage", ["duplicated", "odd", "negative"])
-    def test_misplaced_cache_rows_reported(self, tmp_path, capsys, damage):
-        # the l = 2 row repeats the l = 0 row, or moves to l = 3 or l = -2
-        cache = tmp_path / "cache"
-        args = [
-            "lll", "--l-max", 400, "--k-max", 160_000, "--schedule", "4,8",
-            "--cache-dir", cache, "--out", tmp_path / "a.csv",
-        ]
-        assert run(args) == 0
-        path = cache / "return_position_L400_K160000.csv"
-        lines = path.read_text().splitlines()
-        assert lines[2].startswith("2,")
-        prob = lines[2].split(",")[1]
-        lines[2] = {"duplicated": lines[1], "odd": f"3,{prob}", "negative": f"-2,{prob}"}[damage]
-        path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            run(args)
-        assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert f"recwalk: error: law cache {path} is corrupted" in err
-        assert "delete the file and rerun" in err and "Traceback" not in err
+    def test_cache_of_another_lmax_reported(self, tmp_path, capsys):
+        # and one under another lmax's name, a law of another length
+        args, path = filled_cache(tmp_path)
+        other = path.with_name("return_position_L400_K40000.npy")
+        shutil.copy(path, other)
+        argv = ["lll", "--l-max", 400, "--k-max", 40_000, "--schedule", "8,16",
+                "--cache-dir", path.parent]
+        assert_corrupted(capsys, argv, other, tmp_path / "b.csv",
+                         reason="it holds lmax=200, kmax=40000")
 
-    @pytest.mark.parametrize("damage", ["nan", "negative", "tail-nan"])
-    def test_nonfinite_or_negative_cache_mass_reported(self, tmp_path, capsys, damage):
-        # the l = 4 row reads nan or -1e-3, or the header's tail mass reads nan
-        cache, out = tmp_path / "cache", tmp_path / "b.csv"
-        args = ["lll", "--l-max", 200, "--schedule", "8,16", "--cache-dir", cache]
-        assert run(args + ["--out", tmp_path / "a.csv"]) == 0
-        path = cache / "return_position_L200_K40000.csv"
-        lines = path.read_text().splitlines()
-        assert lines[3].startswith("4,") and ";tail=" in lines[0]
-        if damage == "tail-nan":
-            head, _, rest = lines[0].partition(";tail=")
-            lines[0] = f"{head};tail=nan;{rest.partition(';')[2]}"
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_any_damage_ends_in_a_documented_exit(self, small_cache, data):
+        # the file carries no checksum: a changed digit of an entry is
+        # another law in [0, 1], which runs to exit 0 or 2 with other bytes;
+        # every other cut or changed byte is refused, or leaves the law as
+        # it was and the output with it
+        argv, path, intact, cold, law = small_cache
+        at = data.draw(st.integers(0, len(intact) - 1))
+        if data.draw(st.booleans()):
+            damaged = intact[:at]
         else:
-            lines[3] = {"nan": "4,nan", "negative": "4,-1e-3"}[damage]
-        path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
-            run(args + ["--out", out])
-        assert exc.value.code == 1
-        err = capsys.readouterr().err
-        assert f"recwalk: error: law cache {path} is corrupted" in err
-        assert "delete the file and rerun" in err and "Traceback" not in err
-        assert not out.exists()
+            byte = data.draw(st.integers(0, 255).filter(lambda b: b != intact[at]))
+            damaged = intact[:at] + bytes([byte]) + intact[at + 1 :]
+        path.write_bytes(damaged)
+        out = argv[-1]
+        out.unlink(missing_ok=True)
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        if code == 1:
+            assert f"recwalk: error: law cache {path} is corrupted (" in err.getvalue()
+            assert err.getvalue().endswith("); delete the file and rerun\n")
+            assert not out.exists()
+            return
+        assert code in (0, 2)
+        back = load_position_law(path)
+        if (back.kmax, back.leaked) == (law.kmax, law.leaked) and np.array_equal(
+            back.entries, law.entries
+        ):
+            assert out.read_bytes() == cold
 
 
 class TestClassifyCommand:
