@@ -17,20 +17,21 @@ import errno
 import itertools
 import json
 import logging
+import math
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import branched_walk, lawcache, return_laws, stable_laws
-from .rng import DEFAULT_SEED
+# each command imports numpy and its numerical modules: --help and usage errors need neither
 
 log = logging.getLogger("recwalk")
 
 OUTPUT_FORMAT_VERSION = "recwalk-output-1"
 ZERO_MASS_BAND = (0.55, 0.72)
 DEFAULT_CACHE_DIR = "recwalk-cache"
+DEFAULT_SEED = 123456789
+#: a command's last info line: its wall time, the part spent importing, its --out
+_FINISHED = "%s finished in %.2fs, %.3fs of it importing -> %s"
 #: largest `return-law --n-max`; the law is streamed in blocks and its rows
 #: written in chunks, so memory does not grow with it, but n_max = 2*10^6
 #: already takes seconds
@@ -110,9 +111,11 @@ def _open_out(parser: _Parser, path: Path):
 
 def cmd_return_law(parser: _Parser, args) -> int:
     t0 = time.perf_counter()
+    from . import return_laws
+    imported = time.perf_counter() - t0
     rows = _law_rows(return_laws.first_return_blocks(args.n_max))
     _write_table(parser, args, ["n", "prob", "n32_prob"], rows)
-    log.info("return-law finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
+    log.info(_FINISHED, "return-law", time.perf_counter() - t0, imported, args.out)
     # streamed again, not held: the product is cheap next to the formatting
     margin, n = return_laws.bracket_margin(return_laws.first_return_blocks(args.n_max))
     if margin <= 0:
@@ -132,6 +135,9 @@ def _law_rows(blocks):
 
 
 def cmd_lll(parser: _Parser, args) -> int:
+    t0 = time.perf_counter()
+    from . import lawcache, return_laws, stable_laws
+    imported = time.perf_counter() - t0
     lmax = args.l_max
     kmax = lmax * lmax if args.k_max is None else args.k_max
     column = return_laws.column_length(lmax, kmax)
@@ -148,14 +154,14 @@ def cmd_lll(parser: _Parser, args) -> int:
             f"--schedule: the {schedule[-1]}-fold law needs a transform of {points} points, "
             f"above the limit of {stable_laws.MAX_TRANSFORM}"
         )
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
     with _usable(parser, "--cache-dir", args.cache_dir):
         law, hit = lawcache.load_or_compute_position_law(args.cache_dir, lmax, kmax)
     log.info(
         "position law (lmax=%d, kmax=%d): cache %s in %.2fs, error bound %.3g, tail mass %.3g",
-        lmax, kmax, "hit" if hit else "miss", time.perf_counter() - t0, law.error_bound, law.leaked,
+        lmax, kmax, "hit" if hit else "miss", time.perf_counter() - t1, law.error_bound, law.leaked,
     )
-    scale = np.pi * return_laws.tail_limit(law, ms=_ladder(lmax))
+    scale = math.pi * return_laws.tail_limit(law, ms=_ladder(lmax))
     log.info("Cauchy scale pi*sigma = %.6g (exact: 1), from m = %s", scale, _ladder(lmax))
     if not hit:  # saved only once tail_limit has accepted it
         with _usable(parser, "--cache-dir", args.cache_dir):
@@ -169,7 +175,7 @@ def cmd_lll(parser: _Parser, args) -> int:
         errors.append(rep.sup_error)
         rows.append(f"{n},{_fmt(rep.sup_error)},{rep.argmax_point},{_fmt(n * rep.prob_at_zero)}")
     _write_table(parser, args, ["n", "sup_error", "argmax_k", "n_times_p0"], rows)
-    log.info("lll finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
+    log.info(_FINISHED, "lll", time.perf_counter() - t0, imported, args.out)
     if any(b >= a for a, b in zip(errors, errors[1:])):
         log.error("sup errors not strictly decreasing: %s", errors)
         return 2
@@ -187,6 +193,8 @@ def _ladder(lmax: int) -> tuple[int, ...]:
 
 def cmd_classify(parser: _Parser, args) -> int:
     t0 = time.perf_counter()
+    from . import branched_walk
+    imported = time.perf_counter() - t0
     reports = branched_walk.classify_standard_points(
         horizon=args.horizon, nsamples=args.samples, seed=args.seed
     )
@@ -197,7 +205,7 @@ def cmd_classify(parser: _Parser, args) -> int:
     }
     with _open_out(parser, args.out) as f:
         f.write(json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n")
-    log.info("classify finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
+    log.info(_FINISHED, "classify", time.perf_counter() - t0, imported, args.out)
     for r in reports:
         width = r.ci[1] - r.ci[0]
         if width > 0.02:
@@ -213,9 +221,11 @@ def cmd_classify(parser: _Parser, args) -> int:
 
 
 def cmd_green(parser: _Parser, args) -> int:
+    t0 = time.perf_counter()
+    from . import branched_walk
+    imported = time.perf_counter() - t0
     schedule = args.schedule
     n_top = schedule[-1]
-    t0 = time.perf_counter()
     aux = branched_walk.shifted_green_sum(
         n_top, args.samples, seed=args.seed, method="auxiliary",
         checkpoints=tuple(schedule),
@@ -241,7 +251,7 @@ def cmd_green(parser: _Parser, args) -> int:
     gap, sigma = branched_walk.cross_method_gap(direct, aux_capped, n_direct)
     rows.append(f"cross-method-gap,{n_direct},{_fmt(gap)},{_fmt(sigma)},")
     _write_table(parser, args, ["method", "n", "value", "stderr", "exhausted_frac"], rows)
-    log.info("green finished in %.2fs -> %s", time.perf_counter() - t0, args.out)
+    log.info(_FINISHED, "green", time.perf_counter() - t0, imported, args.out)
     for est, name in ((direct, "direct"), (aux_capped, "auxiliary-capped")):
         frac = est.exhausted / est.nsamples
         if frac > 0.01:

@@ -23,8 +23,6 @@ RETURN_LANE = 2
 DIRECT_LANE = 3  # the direct Green walk, apart from the auxiliary draws it is compared with
 POSITION_LANE = 4  # the auxiliary Green walk's positions, apart from classify's WALK_LANE
 
-DEFAULT_SEED = 123456789
-
 
 def stream(seed: int, index: int = 0, lane: int = 0) -> np.random.Generator:
     """Independent generator for one (seed, lane, sample-index) triple.

@@ -19,8 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from recwalk.cli import DEFAULT_SEED
 from recwalk.return_laws import ReturnPositionLaw
-from recwalk.rng import DEFAULT_SEED, SHIFT_LANE, stream
+from recwalk.rng import SHIFT_LANE, stream
 
 
 @dataclass

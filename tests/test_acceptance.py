@@ -23,7 +23,7 @@ from oracles.shift_law import (
     shift_sum_tail_exact,
 )
 from oracles.stable_laws import dense_lll_error, lower_bound_check, zero_mass_exact
-from recwalk.cli import main
+from recwalk.cli import DEFAULT_SEED, main
 from recwalk.branched_walk import (
     Inlet,
     Tail,
@@ -37,7 +37,6 @@ from recwalk.return_laws import (
     tail_functional,
     tail_limit,
 )
-from recwalk.rng import DEFAULT_SEED
 from recwalk.stable_laws import (
     LatticeLaw,
     lll_error,

@@ -386,6 +386,15 @@ class TestAuxiliaryGreenExact:
                            points=points, limit=2000, epsabs=1e-13, epsrel=1e-13)
         assert abs(value - 2 / math.pi * adaptive) < 1e-12
 
+    def test_decade_increments_approach_the_log_rate(self):
+        # psi(t) = 1 - |t| + it/2 + O(t^2) near 0: Cauchy steps of scale 1 and
+        # a drift of 1/2, the mean shift burst, so P(S_k = 0) ~ 8 / (5 pi k)
+        # on 2Z and G_N gains (8 / (5 pi)) ln 10 = 1.17270 a decade
+        rate = 8 / (5 * math.pi) * math.log(10)
+        g = [auxiliary_green_exact(10**k) for k in (2, 3, 4)]
+        first, second = (abs(b - a - rate) for a, b in zip(g, g[1:]))
+        assert second < first and second < 1e-3
+
     def test_first_terms(self, pos_law_small):
         g1, g2 = auxiliary_green_exact(1), auxiliary_green_exact(2)
         assert abs(g1 - 1 - first_term_exact(pos_law_small, excursion_shift_law(40))) < 1e-4

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -78,6 +79,24 @@ class TestLawCache:
         assert list(tmp_path.iterdir()) == []
         _, hit = load_or_compute_position_law(tmp_path, 100, 10_000)
         assert not hit
+
+    def test_every_flipped_bit_refused_or_harmless(self, tmp_path):
+        # one bit flipped in each byte of the file, the bit moving along:
+        # the header no longer parses or describes the array, and an entry,
+        # its padding included, no longer matches the checksum; only the
+        # checksum's own padding, past its 80 bits, is read as it was
+        law = return_position_law(40, 1600)
+        path = save_position_law(law, tmp_path)
+        data = path.read_bytes()
+        for at, byte in enumerate(data):
+            path.write_bytes(data[:at] + bytes([byte ^ 1 << at % 8]) + data[at + 1 :])
+            try:
+                back = load_position_law(path)
+            except CacheCorruptionError:
+                continue
+            assert len(data) - at <= np.dtype(np.longdouble).itemsize - 10, at
+            assert (back.lo, back.kmax, back.leaked) == (law.lo, law.kmax, law.leaked)
+            assert np.array_equal(back.entries, law.entries)
 
     def test_corruption_detected(self, tmp_path):
         path = save_position_law(return_position_law(100, 10_000), tmp_path)
@@ -509,6 +528,19 @@ class TestReturnLawCommand:
         assert run(["return-law", "--n-max", 2, "--out", out]) == 0
         assert out.read_text().splitlines()[3:] == [f"2,{cli._fmt(0.5)},{cli._fmt(2**0.5)}"]
 
+    def test_log_gives_the_import_seconds(self, tmp_path, caplog):
+        # the last info line splits the command's wall time; in this process
+        # the numerical modules are loaded already, so their import is quick
+        out = tmp_path / "rl.csv"
+        with caplog.at_level("INFO", logger="recwalk"):
+            assert run(["return-law", "--n-max", 2, "--out", out]) == 0
+        (line,) = [r.getMessage() for r in caplog.records if " finished in " in r.getMessage()]
+        match = re.fullmatch(r"return-law finished in (\d+\.\d\d)s, (\d+\.\d{3})s of it "
+                             r"importing -> (.+)", line)
+        assert match and match[3] == str(out)
+        assert float(match[2]) <= min(float(match[1]) + 0.005, 0.01)
+        assert "importing" not in out.read_text()
+
     def test_odd_nmax_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["return-law", "--n-max", 3, "--out", tmp_path / "x.csv"])
@@ -572,13 +604,13 @@ def assert_corrupted(capsys, argv, path, out, reason=""):
 @pytest.fixture(scope="module")
 def small_cache(tmp_path_factory):
     """An lll run at --l-max 40 with its cache filled: the argv, the cache
-    file, its bytes, the output bytes and the law."""
+    file, its bytes and the output bytes."""
     root = tmp_path_factory.mktemp("small_cache")
     argv = ["lll", "--l-max", 40, "--schedule", "2,4",
             "--cache-dir", root / "cache", "--out", root / "a.csv"]
     assert run(argv) == 0
     path = root / "cache" / "return_position_L40_K1600.npy"
-    return argv, path, path.read_bytes(), (root / "a.csv").read_bytes(), load_position_law(path)
+    return argv, path, path.read_bytes(), (root / "a.csv").read_bytes()
 
 
 class TestLllCommand:
@@ -740,11 +772,9 @@ class TestLllCommand:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_any_damage_ends_in_a_documented_exit(self, small_cache, data):
-        # the file carries no checksum: a changed digit of an entry is
-        # another law in [0, 1], which runs to exit 0 or 2 with other bytes;
-        # every other cut or changed byte is refused, or leaves the law as
-        # it was and the output with it
-        argv, path, intact, cold, law = small_cache
+        # the file ends in a checksum of its entries: every cut or changed
+        # byte is refused, or leaves the law as it was and the output with it
+        argv, path, intact, cold = small_cache
         at = data.draw(st.integers(0, len(intact) - 1))
         if data.draw(st.booleans()):
             damaged = intact[:at]
@@ -765,12 +795,7 @@ class TestLllCommand:
             assert err.getvalue().endswith("); delete the file and rerun\n")
             assert not out.exists()
             return
-        assert code in (0, 2)
-        back = load_position_law(path)
-        if (back.kmax, back.leaked) == (law.kmax, law.leaked) and np.array_equal(
-            back.entries, law.entries
-        ):
-            assert out.read_bytes() == cold
+        assert code == 0 and out.read_bytes() == cold
 
 
 class TestClassifyCommand:
@@ -861,13 +886,15 @@ class TestGreenCommand:
 
 
 def test_package_imports_without_scipy():
-    # the package is what the commands run: importing the command line loads
-    # every recwalk module, and neither scipy nor the test oracles, which are
-    # importable here so that a stray import would show
+    # the package is what the commands run: every recwalk module imports
+    # without scipy or the test oracles, which are importable here so that
+    # a stray import would show
     code = (
-        "import pkgutil, sys, recwalk.cli\n"
-        "print(sorted(m.name for m in pkgutil.iter_modules(recwalk.__path__)"
-        " if f'recwalk.{m.name}' not in sys.modules))\n"
+        "import importlib, pkgutil, sys, recwalk\n"
+        "names = [m.name for m in pkgutil.iter_modules(recwalk.__path__)]\n"
+        "for name in names:\n"
+        "    importlib.import_module(f'recwalk.{name}')\n"
+        "print('cli' in names, len(names) > 1)\n"
         "print([m for m in sys.modules"
         " if m.startswith('scipy') or m.partition('.')[0] == 'oracles'])"
     )
@@ -876,14 +903,48 @@ def test_package_imports_without_scipy():
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines() == ["[]", "[]"]
+    assert out.stdout.splitlines() == ["True True", "[]"]
 
 
-#: the numpy submodules that each command loads after `import recwalk.cli`, at
-#: a small configuration.  numpy.random costs about 11 ms and 2.7 MB to import
-#: with OpenSSL's _hashlib masked (14 ms and 6.1 MB without), so only the
-#: commands that draw load it, on their first stream; numpy.fft
-#: only lll, for its convolutions; and no command loads scipy or numpy.ma,
+@pytest.mark.parametrize("argv, code, err", [
+    (None, None, ""),  # the import alone
+    (["green", "--help"], 0, ""),
+    (["classify", "--samples", "0"], 1,
+     "recwalk: error: argument --samples: must be an integer >= 1, got 0\n"),
+    (["green", "--out", "."], 1,
+     "recwalk: error: --out: cannot use . ([Errno 21] Is a directory: '.')\n"),
+], ids=["import", "help", "usage-error", "out-refused"])
+def test_parsing_loads_no_numpy(tmp_path, argv, code, err):
+    # the commands import numpy and the numerical modules themselves, so
+    # --help, a usage error and an --out refusal exit without them
+    script = (
+        "import sys\n"
+        "from recwalk.cli import main\n"
+        "code = None\n"
+        f"if {argv!r} is not None:\n"
+        "    try:\n"
+        f"        main({argv!r})\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, sorted(m for m in sys.modules"
+        " if m.partition('.')[0] in ('numpy', 'recwalk')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(recwalk.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, cwd=tmp_path, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.splitlines()[-1] == f"{code} ['recwalk', 'recwalk.cli']"
+    assert out.stderr.endswith(err) and "Traceback" not in out.stderr
+    if argv is not None:
+        assert (out.stdout if code == 0 else out.stderr).startswith("usage: recwalk")
+
+
+#: the numpy submodules that each command loads after `import numpy,
+#: recwalk.cli`, at a small configuration.  numpy.random costs about 11 ms
+#: and 2.7 MB to import with OpenSSL's _hashlib masked (14 ms and 6.1 MB
+#: without), so only the commands that draw load it, on their first stream;
+#: numpy.fft only lll, for its convolutions; and no command loads scipy or numpy.ma,
 #: which np.median imports on its first call (about 13 ms and 1.3 MB)
 NUMPY_SUBMODULES = {
     "lll": (["lll", "--l-max", "200", "--schedule", "8,16"], ["numpy.fft"]),
@@ -900,6 +961,7 @@ def test_numpy_submodules_per_command(tmp_path, command):
     argv, loaded = NUMPY_SUBMODULES[command]
     code = (
         "import contextlib, io, sys\n"
+        "import numpy, recwalk.cli\n"
         "from recwalk.cli import main\n"
         "before = set(sys.modules)\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"

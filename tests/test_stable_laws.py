@@ -294,6 +294,12 @@ class TestZeroMassExact:
         assert abs(float(n * zero_mass_exact(n)) - want) < 1e-12
 
 
+#: the local-limit sup error of the untruncated law at n = 4096, (2/pi - n
+#: P(Z_n = 0)) / 2: float((2 / mpmath.pi - 4096 * zero_mass_exact(4096)) / 2)
+#: at 30 digits, which takes 3 s on 2 cores, too long for a test
+SUP_4096 = 7.767446144581196e-05
+
+
 class TestWrappedLllError:
     """The local-limit error of the untruncated law, by the wrapped transform."""
 
@@ -309,3 +315,14 @@ class TestWrappedLllError:
             exact = float((2 / mpmath.pi - n * zero_mass_exact(n)) / 2)
         assert abs(sup - exact) <= 1e-12 * exact
         assert abs(sup - want) <= 5e-10 * want
+
+    def test_sup_at_4096_inside_the_bracket(self):
+        # n P(Z_n = 0) = 2/pi - 2 sup lies in the closed-form bracket [L_n, U_n]
+        # of zero_mass_exact's test, U_n - L_n = 2.8e-8 here
+        n = 4096
+        sup, argmax = wrapped_lll_error(n, 1 << 20)
+        assert argmax == 0
+        assert abs(sup - SUP_4096) <= 1e-9 * SUP_4096
+        lower = n / math.pi * (1 / (n + 0.5) + 1 / (n + 1.5))
+        upper = lower + n / math.pi * 3 / (2 * (n + 0.5) * (n + 1.5) * (n + 2.5))
+        assert lower <= 2 / math.pi - 2 * sup <= upper
