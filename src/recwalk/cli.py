@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import gc
 import itertools
 import json
 import logging
@@ -193,7 +194,8 @@ def _ladder(lmax: int) -> tuple[int, ...]:
 
 def cmd_classify(parser: _Parser, args) -> int:
     t0 = time.perf_counter()
-    from . import branched_walk
+    from . import branched_walk, rng
+    rng._philox_key()  # numpy.random's import, charged here and not to the first stream
     imported = time.perf_counter() - t0
     reports = branched_walk.classify_standard_points(
         horizon=args.horizon, nsamples=args.samples, seed=args.seed
@@ -222,7 +224,8 @@ def cmd_classify(parser: _Parser, args) -> int:
 
 def cmd_green(parser: _Parser, args) -> int:
     t0 = time.perf_counter()
-    from . import branched_walk
+    from . import branched_walk, rng
+    rng._philox_key()  # numpy.random's import, charged here and not to the first stream
     imported = time.perf_counter() - t0
     schedule = args.schedule
     n_top = schedule[-1]
@@ -343,25 +346,31 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    # refused before any computation, and creating nothing: a run that a
-    # library check refuses later leaves nothing behind, since --out's
-    # missing parents are made only when it is written
-    with _usable(parser, "--out", args.out):
-        if args.out.is_dir():
-            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(args.out))
-        if any(p.exists() and not p.is_dir() for p in args.out.parents):
-            raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(args.out))
+    """Run one command.  With argv None this is the program, and it freezes the
+    collector as it ends: the interpreter then exits without its last collection."""
     try:
-        return args.func(parser, args)
-    except ValueError as exc:  # a library check refused the configuration
-        parser.error(str(exc))
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        logging.basicConfig(
+            level=logging.INFO,
+            stream=sys.stderr,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
+        # refused before any computation, and creating nothing: a run that a
+        # library check refuses later leaves nothing behind, since --out's
+        # missing parents are made only when it is written
+        with _usable(parser, "--out", args.out):
+            if args.out.is_dir():
+                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(args.out))
+            if any(p.exists() and not p.is_dir() for p in args.out.parents):
+                raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(args.out))
+        try:
+            return args.func(parser, args)
+        except ValueError as exc:  # a library check refused the configuration
+            parser.error(str(exc))
+    finally:
+        if argv is None:
+            gc.freeze()
 
 
 if __name__ == "__main__":

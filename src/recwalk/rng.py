@@ -49,8 +49,8 @@ def _philox_key() -> type:
     words that `Philox(key=...)` would set, with a zero counter either way.
     Passing `key=` instead makes Philox build an unused `SeedSequence()`
     first, which reads OS entropy on every stream.  The class is made on
-    the first stream, so that importing recwalk leaves `numpy.random`
-    unloaded.
+    first use, by the first stream or by a command that draws as it imports
+    its modules, so that importing recwalk leaves `numpy.random` unloaded.
 
     numpy.random imports `secrets`, for SeedSequence's entropy, and through
     it `hmac`, which loads OpenSSL's `_hashlib` (3.4 MB resident).  Nothing

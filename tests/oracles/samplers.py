@@ -1,14 +1,15 @@
-"""The Green-sum samplers and the stream constructor in their one-shot
-form, the bit-identity oracles for the in-place, chunked versions in
-`recwalk`.
+"""The Green-sum samplers, the classify entry count and the stream
+constructor in their one-shot form, the bit-identity oracles for the
+in-place, chunked versions in `recwalk`.
 
 `sample_first_return`, `sample_position_at` and `survival_table` read
 fresh arrays through boolean masks, all draws in one call, and build the
 2^16-entry table from one 80-bit product over all of it; `stream` keys
 Philox through `key=`; `auxiliary_returns` draws a sample's shifts in one
 call; `direct_returns` draws its idle steps in one call and walks j over
-lists of all the returns.  The `recwalk` versions must return the same
-arrays and the same streams.
+lists of all the returns; `count_entries` draws every classify walk
+before it counts any.  The `recwalk` versions must return the same
+arrays, counts and streams.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import functools
 
 import numpy as np
 
+from recwalk.branched_walk import Tail
 from recwalk.return_laws import _BINOM_LIMIT, _TABLE_M, _u_series
-from recwalk.rng import POSITION_LANE, RETURN_LANE, SHIFT_LANE
+from recwalk.rng import POSITION_LANE, RETURN_LANE, SHIFT_LANE, WALK_LANE
 
 from .return_laws import survival_series
 
@@ -121,3 +123,24 @@ def direct_returns(rng: np.random.Generator, n_returns: int, horizon: int):
         j += (2.0 if j >= 0 else 0.0) if p else d
         hit[n] = j == 0
     return hit, times
+
+
+def count_entries(s, horizon: int, nsamples: int, seed: int) -> int:
+    """Lattice entries by step `horizon` among nsamples walks from a ray
+    start k <= 0, as `recwalk.branched_walk._count_entries` counts them.
+
+    Walk i reads row i % 2^14 of stream(seed, i // 2^14, WALK_LANE): first,
+    when k < 0, the -k + NegBin(-k, 1/5) steps to the junction, then the
+    Geometric(1/5) wait of a's last firing.  It enters iff its steps add up
+    to at most the horizon and that wait is even from the tail, odd from
+    the inlet.
+    """
+    block, rate, fires = 1 << 14, 1 / 5, -s.k
+    lead, last = [], []
+    for b in range(-(-nsamples // block)):
+        rng = stream(seed, b, WALK_LANE)
+        lead.append(fires + rng.negative_binomial(fires, rate, block) if fires else np.zeros(block))
+        last.append(rng.geometric(rate, block))
+    lead, last = np.concatenate(lead)[:nsamples], np.concatenate(last)[:nsamples]
+    parity = 0 if isinstance(s, Tail) else 1
+    return int(np.count_nonzero((lead + last <= horizon) & (last % 2 == parity)))

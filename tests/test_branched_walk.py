@@ -168,6 +168,31 @@ class TestClassification:
         ]
         assert all(0 <= b - a <= 1 for a, b in zip(counts, counts[1:]))
 
+    @pytest.mark.parametrize("start", [Tail(0), Inlet(0), Tail(-3), Inlet(-3)])
+    @pytest.mark.parametrize("horizon", [12, 10_000])
+    def test_entry_count_matches_one_shot(self, start, horizon):
+        # bit for bit, across a block seam: the oracle states both rates and
+        # the block size itself, so a 1% change of a rate shows here, where
+        # a 4-sigma check at 10^5 samples would see 0.4 sigma
+        n = CLASSIFY_BLOCK + 1000
+        want = one_shot.count_entries(start, horizon, n, seed=17)
+        assert branched_walk._count_entries(start, horizon, n, seed=17) == want
+
+    @pytest.mark.parametrize("start", [Tail(0), Inlet(-3)])
+    @pytest.mark.parametrize("side", [-1, 1])
+    @pytest.mark.parametrize("z, flagged", [(4.5, True), (3.5, False)])
+    def test_flagged_beyond_4_sigma(self, monkeypatch, start, side, z, flagged):
+        # the exact probability planted z standard errors sqrt(p (1 - p) / n)
+        # below or above the estimate: an end of the Wilson score interval at z
+        n, h = 10_000, 2000
+        mc = classify_point(start, horizon=h, nsamples=n, seed=4).mc_estimate
+        centre = (mc + z * z / (2 * n)) / (1 + z * z / n)
+        half = z * math.sqrt(mc * (1 - mc) / n + z * z / (4 * n * n)) / (1 + z * z / n)
+        p = centre + side * half
+        assert abs(mc - p) == pytest.approx(z * math.sqrt(p * (1 - p) / n), rel=1e-12)
+        monkeypatch.setattr(branched_walk, "_entry_probability", lambda s, horizon: p)
+        assert classify_point(start, horizon=h, nsamples=n, seed=4).flagged == flagged
+
     @pytest.mark.parametrize("start, exact", [
         (Tail(-3), F(3904724, 48828125)),
         (Inlet(0), F(25262601, 48828125)),

@@ -1,4 +1,5 @@
 import math
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -165,6 +166,14 @@ class TestWilson:
         assert lo == 0.0 and hi < 0.05
         lo, hi = wilson_interval(100, 100)
         assert hi == 1.0 and lo > 0.95
+
+    def test_single_sample_closed_form(self):
+        # at n = 1 the interval is (0, z^2 / (1 + z^2)) or its mirror
+        z = statistics.NormalDist().inv_cdf(0.975)
+        lo, hi = wilson_interval(0, 1)
+        assert lo == 0.0 and hi == pytest.approx(z * z / (1 + z * z), rel=1e-14)
+        lo, hi = wilson_interval(1, 1)
+        assert lo == pytest.approx(1 / (1 + z * z), rel=1e-14) and hi == 1.0
 
     def test_contains_phat(self):
         lo, hi = wilson_interval(37, 100)
