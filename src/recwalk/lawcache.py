@@ -1,11 +1,13 @@
 """Binary cache for computed laws.
 
-One law per `.npy` file, one 1-D 80-bit array [kmax, leaked, P(0), P(2),
+One law per `.npy` file, one 1-D float64 array [kmax, leaked, P(0), P(2),
 ..., P(lmax), crc] written by `np.save`, crc the `zlib.crc32` of the bytes
-before it, padding included; a loaded law equals the saved law, bit for bit.
-Files are keyed by (lmax, kmax), which fix the law and its error bound, so
-a cache hit reproduces the run that wrote it byte for byte; a file that
-holds another key, anything but such an array, or a wrong crc, is refused.
+before it; a loaded law equals the saved law, bit for bit.  Files are
+keyed by (lmax, kmax), which fix the law and its error bound, so a cache
+hit reproduces the run that wrote it byte for byte; a file that holds
+another key, anything but such an array, or a wrong crc, is refused.  The
+name carries `f64`, so the 80-bit files of former versions, named without
+it, are never opened.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .return_laws import LONG, ReturnPositionLaw, return_position_law
+from .return_laws import ReturnPositionLaw, return_position_law
 
 
 class CacheCorruptionError(ValueError):
@@ -24,7 +26,7 @@ class CacheCorruptionError(ValueError):
 
 
 def position_law_path(cache_dir, lmax: int, kmax: int) -> Path:
-    return Path(cache_dir) / f"return_position_L{lmax}_K{kmax}.npy"
+    return Path(cache_dir) / f"return_position_L{lmax}_K{kmax}_f64.npy"
 
 
 def save_position_law(law: ReturnPositionLaw, cache_dir) -> Path:
@@ -37,14 +39,8 @@ def save_position_law(law: ReturnPositionLaw, cache_dir) -> Path:
     path = position_law_path(cache_dir, law.hi, law.kmax)
     path.parent.mkdir(parents=True, exist_ok=True)
     # l >= 0 only: the law is symmetric
-    stored = np.concatenate((LONG([law.kmax, law.leaked]), law.entries[law.hi // 2 :], LONG([0])))
-    # x87 80-bit entries padded to 12 or 16 bytes: numpy leaves the padding
-    # uninitialised, even on assignment, zero it so equal laws give equal files
-    raw = stored.view(np.uint8).reshape(len(stored), -1)
-    padding = slice(10 if np.finfo(LONG).nmant == 63 else stored.itemsize, None)
-    raw[:, padding] = 0
-    stored[-1] = zlib.crc32(raw[:-1])  # exact: below 2^32
-    raw[-1, padding] = 0
+    stored = np.concatenate(([law.kmax, law.leaked], law.entries[law.hi // 2 :], [0.0]))
+    stored[-1] = zlib.crc32(stored[:-1])  # exact: below 2^32
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:  # a file object: np.save would append .npy to a name
@@ -57,17 +53,17 @@ def save_position_law(law: ReturnPositionLaw, cache_dir) -> Path:
 
 
 def load_position_law(path) -> ReturnPositionLaw:
-    """Read a cache file, a 1-D 80-bit array of 4 entries or more, kmax an
-    integer below 2^64, the rest in [0, 1], then their crc; mirror P(0..lmax) onto -lmax..lmax.
-    The file is mapped, so a header that claims more entries than the file
-    holds is refused before anything is allocated."""
+    """Read a cache file, a 1-D float64 array of 4 entries or more, kmax an
+    integer below 2^53, the rest in [0, 1], then their crc; mirror P(0..lmax)
+    onto -lmax..lmax.  The file is mapped, so a header that claims more
+    entries than the file holds is refused before anything is allocated."""
     try:
         stored = np.load(path, mmap_mode="r", allow_pickle=False)
-        if stored.dtype != LONG or stored.ndim != 1 or len(stored) < 4:
-            raise ValueError(f"not a 1-D {np.dtype(LONG)} array of 4 entries or more")
+        if stored.dtype != np.float64 or stored.ndim != 1 or len(stored) < 4:
+            raise ValueError("not a 1-D float64 array of 4 entries or more")
         kmax, masses = stored[0], np.array(stored[1:-1])
-        if not (0 <= kmax < 2**64 and kmax == np.floor(kmax)):  # exact in 80 bits; a nan fails
-            raise ValueError(f"kmax {kmax} is not an integer in [0, 2^64)")
+        if not (0 <= kmax < 2**53 and kmax == np.floor(kmax)):  # a nan fails
+            raise ValueError(f"kmax {kmax} is not an integer in [0, 2^53)")
         if not np.all((masses >= 0) & (masses <= 1)):
             raise ValueError("an entry or the leaked mass is not in [0, 1]")
         if zlib.crc32(stored[:-1]) != stored[-1]:

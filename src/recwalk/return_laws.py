@@ -11,12 +11,12 @@ truncation bounds elsewhere:
   functional m * P(pos >= m), whose limit is the scale constant of the
   heavy tail.
 
-Both laws live on the even lattice.  The first-return law is streamed in
-blocks of 80-bit products rounded once to float64 (first_return_blocks),
-so no caller holds it whole; its survival function has one float64
-evaluator (survival).  The return-position law is a LatticeLaw evaluated
-in 80-bit floats through two telescoping identities (see
-return_position_law).
+Both laws live on the even lattice, in float64 throughout, so that they
+take the same operations on every platform.  The first-return law is
+streamed in blocks (first_return_blocks), so no caller holds it whole;
+it and its survival function come from one evaluator of u_m (survival).
+The return-position law is a LatticeLaw evaluated through two
+telescoping identities (see return_position_law).
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-LONG = np.longdouble
 
 
 @dataclass(frozen=True)
@@ -45,12 +43,10 @@ class LatticeLaw:
 
     @classmethod
     def from_position_law(cls, law: ReturnPositionLaw) -> LatticeLaw:
-        """The law conditioned on its window and cast to float64, so the convolution
-        inputs carry mass one; the window mass is 2 sum_{l >= 0} - P(0), in 80 bits."""
+        """The law conditioned on its window, so the convolution inputs carry
+        mass one; the window mass is 2 sum_{l >= 0} - P(0)."""
         half = law.entries[law.hi // 2 :]
-        entries = law.entries.astype(np.float64)
-        entries /= float(2 * np.sum(half) - half[0])
-        return cls(law.lo, entries)
+        return cls(law.lo, law.entries / (2 * np.sum(half) - half[0]))
 
     @property
     def hi(self) -> int:
@@ -66,41 +62,13 @@ class LatticeLaw:
         return self.lo == -self.hi and np.array_equal(self.entries, self.entries[::-1])
 
 
-#: entries of the running product that _survival_blocks holds at once (64 KB),
+#: entries of u_m that _survival_table computes at once (32 KB per array),
 #: and of the first-return law that first_return_blocks yields at once
 _SURVIVAL_BLOCK = 1 << 12
 
-
-def _survival_blocks(mmax: int):
-    """u[m-1] = P(no return by time 2m) = C(2m, m) / 4^m for m = 1..mmax,
-    as the 80-bit running product of (2m - 1) / 2m, yielded as (m, u) in
-    consecutive blocks of _SURVIVAL_BLOCK.  Each block's product starts
-    from the previous block's last entry, so the entries are those of one
-    running product over all m."""
-    carry = LONG(1)
-    for lo in range(1, mmax + 1, _SURVIVAL_BLOCK):
-        m = np.arange(lo, min(lo + _SURVIVAL_BLOCK, mmax + 1), dtype=LONG)
-        u = (2 * m - 1) / (2 * m)
-        u[0] *= carry
-        np.cumprod(u, out=u)
-        carry = u[-1]
-        yield m, u
-
-
-#: u_m comes from a table up to this m and from _u_series beyond
-_TABLE_M = 1 << 16
-
-
-@functools.cache
-def _survival_table() -> np.ndarray:
-    """u_m = C(2m, m) / 4^m for m = 0.._TABLE_M: the 80-bit running product
-    rounded to float64, 512 KB, built on first use one block at a time."""
-    table = np.empty(_TABLE_M + 1)
-    table[0] = 1.0
-    for m, u in _survival_blocks(_TABLE_M):
-        table[int(m[0]) : int(m[-1]) + 1] = u
-    return table
-
+#: u_m = C(2m, m) / 4^m rounded once, for m < 9; survival takes _u_series
+#: from m = 9 on
+_EXACT_U = np.array([math.comb(2 * m, m) / 4**m for m in range(9)])
 
 #: coefficients of sqrt(pi x) Gamma(x + 1/4) / Gamma(x + 3/4) - 1 in 1/x^2, highest
 #: order first, as exact dyadic rationals
@@ -120,32 +88,49 @@ def _u_series(x):
 
 def survival(n):
     """P(first return time > n) = u_m = C(2m, m) / 4^m at m = n / 2, for
-    even n, a number or an array (n <= 0 reads 1): the _survival_table
-    entry, exactly rounded, for m <= _TABLE_M, and to a few ulps
-    _u_series(x) / sqrt(pi x) at x = m + 1/4 beyond.  The table is built
-    only when such an m is asked for."""
+    even n, a number or an array (n <= 0 reads 1): the exactly rounded
+    value for m < 9, and _u_series(x) / sqrt(pi x) at x = m + 1/4, to a
+    few ulps, from m = 9 on.  Each entry takes the same operations whatever
+    the array around it, so an entry is the same on its own and in any
+    array."""
     n = np.asarray(n)
     if np.any(n % 2 == 1):
         raise ValueError("survival is defined on even times")
     m = np.maximum(n, 0) // 2
     x = m + 0.25
     u = _u_series(x) / np.sqrt(np.pi * x)
-    near = m <= _TABLE_M
-    if near.any():
-        u = np.where(near, _survival_table().take(np.minimum(m, _TABLE_M).astype(np.intp)), u)
+    exact = m < len(_EXACT_U)
+    if exact.any():
+        u = np.where(exact, _EXACT_U.take(np.minimum(m, len(_EXACT_U) - 1).astype(np.intp)), u)
     return u[()]
+
+
+#: u_m comes from a table up to this m in the sampler
+_TABLE_M = 1 << 16
+
+
+@functools.cache
+def _survival_table() -> np.ndarray:
+    """survival(2m) for m = 0.._TABLE_M, the sampler's lookup table, 512 KB,
+    built on first use one _SURVIVAL_BLOCK at a time so that its
+    temporaries stay small; entry for entry it is survival's value."""
+    table = np.empty(_TABLE_M + 1)
+    for lo in range(0, _TABLE_M + 1, _SURVIVAL_BLOCK):
+        m = np.arange(lo, min(lo + _SURVIVAL_BLOCK, _TABLE_M + 1))
+        table[lo : lo + len(m)] = survival(2 * m)
+    return table
 
 
 def first_return_blocks(nmax: int):
     """Law of the first return to 0 of the +-1 walk on 2, 4, ..., nmax,
-    yielded as (m, P(return = 2m)), an int64 and a float64 array, in the
-    consecutive blocks of _survival_blocks: the 80-bit survival product
-    over 2m - 1, rounded once to float64.  The mass beyond nmax is
-    survival(nmax)."""
+    yielded as (m, P(return = 2m)), an int64 and a float64 array, in
+    consecutive blocks of _SURVIVAL_BLOCK: survival(2m) / (2m - 1).  The
+    mass beyond nmax is survival(nmax)."""
     if nmax < 2 or nmax % 2 == 1:
         raise ValueError("nmax must be an even integer >= 2")
-    for m, u in _survival_blocks(nmax // 2):
-        yield m.astype(np.int64), (u / (2 * m - 1)).astype(np.float64)
+    for lo in range(1, nmax // 2 + 1, _SURVIVAL_BLOCK):
+        m = np.arange(lo, min(lo + _SURVIVAL_BLOCK, nmax // 2 + 1), dtype=np.int64)
+        yield m, survival(2 * m) / (2 * m - 1)
 
 
 def bracket_margin(blocks) -> tuple[float, int]:
@@ -174,7 +159,7 @@ def bracket_margin(blocks) -> tuple[float, int]:
 @dataclass(frozen=True, kw_only=True)
 class ReturnPositionLaw(LatticeLaw):
     """Law of the free diagonal-walk coordinate at the first tracked return,
-    on the window -lmax, -lmax + 2, ..., lmax in 80-bit entries.
+    on the window -lmax, -lmax + 2, ..., lmax.
 
     The untruncated law is nu(0) = 1 - 2/pi and nu(+-2j) = 2 / (pi (4j^2 - 1)),
     with characteristic function phi(theta) = 1 - |sin theta|: the identity
@@ -196,8 +181,8 @@ class ReturnPositionLaw(LatticeLaw):
 
 
 #: largest boundary column that `lll` asks return_position_law to hold: 2^22
-#: 80-bit entries are 64 MB per array, and at that length the build holds
-#: three such arrays, about 190 MB
+#: entries are 32 MB per array, and at that length the build holds three
+#: such arrays, about 100 MB
 MAX_COLUMN = 1 << 22
 
 
@@ -240,14 +225,14 @@ def return_position_law(lmax: int, kmax: int) -> ReturnPositionLaw:
     ls = np.arange(0, lmax + 1, 2, dtype=np.float64)
     m1 = kmax // 2 + 1  # M + 1
     top = min(nl, m1)  # S(t) = 0 for t > M
-    acc = np.zeros(nl, dtype=LONG)
+    acc = np.zeros(nl)
     # the column is built in place, in at most three arrays of its length
     # (s, the column and one more), each operation in the order of
     # F(M + 1, s) = u^2 / (2M + 1) prod over r < s of (M + 1 - r) / (M + r + 2)
     # and of the sums above; acc[1:top] holds 4 t^2 - 1 until they divide it
-    s = np.arange(column_length(lmax, kmax), dtype=LONG)
+    s = np.arange(column_length(lmax, kmax), dtype=np.float64)
     acc[1:top] = 4 * s[1:top] ** 2 - 1
-    u = LONG(survival(2 * m1))
+    u = survival(2 * m1)
     column = np.empty_like(s)
     column[0] = 1
     np.subtract(m1, s[:-1], out=column[1:])
@@ -257,7 +242,7 @@ def return_position_law(lmax: int, kmax: int) -> ReturnPositionLaw:
     del den
     np.cumprod(column, out=column)
     column *= u * u / (2 * m1 - 1)
-    acc[0] = 1 - 4 * LONG(m1) ** 2 * column[0]
+    acc[0] = 1 - 4 * m1**2 * column[0]
     tails = 2 * s
     tails += 1
     tails *= 4
@@ -271,7 +256,7 @@ def return_position_law(lmax: int, kmax: int) -> ReturnPositionLaw:
     covered = 2 * np.sum(acc) - acc[0]
     tail_in, tail_covered = _k_tail_completion(kmax, ls)
     acc += tail_in
-    covered += LONG(tail_covered)
+    covered += tail_covered
     return ReturnPositionLaw(
         -lmax, np.concatenate((acc[:0:-1], acc)), float(1 - covered), kmax=kmax
     )
@@ -281,10 +266,13 @@ def return_position_law(lmax: int, kmax: int) -> ReturnPositionLaw:
 #: _k_tail_completion sums over
 _K_TAIL_RATIO = 1.005
 
-#: entries of exp(-l^2 / 2k) that _k_tail_completion holds at once (256 KB):
+#: entries of exp(-l^2 / 2k) that _k_tail_completion holds at once (128 KB):
 #: the grid is summed in blocks of max(1, _BLOCK_ENTRIES // len(ls)) buckets,
-#: a fixed order, so the result does not depend on the machine
-_BLOCK_ENTRIES = 1 << 15
+#: a fixed order, so the result does not depend on the machine.  Blocks of
+#: 2^15 slow a cold `lll`, likely through glibc's dynamic mmap threshold:
+#: the float64 build's arrays leave it below 256 KB, so that each such
+#: temporary would be a fresh mapping
+_BLOCK_ENTRIES = 1 << 14
 
 
 def _k_tail_grid(kmax: int) -> tuple[np.ndarray, np.ndarray]:
@@ -323,7 +311,7 @@ def _k_tail_completion(kmax: int, ls: np.ndarray) -> tuple[np.ndarray, float]:
         dens = np.sqrt(2.0 / (np.pi * mid)) * np.exp(neg_sq / (2.0 * mid))
         contrib += w @ dens
         covered += float(np.dot(w, 2.0 * dens.sum(axis=1) - dens[:, 0]))
-    return contrib.astype(LONG), covered
+    return contrib, covered
 
 
 #: largest share of the tail functional's value that its certified error may be
@@ -395,7 +383,7 @@ def sample_first_return(rng: np.random.Generator, n: int) -> np.ndarray:
     """Draw n first-return times by inversion of the survival function.
 
     With w = 1 - U in (0, 1], the time is 2m for the least m >= 1 with
-    u_m <= w.  Since u_m = (1 - 1/(64 x^2) + O(x^-4)) / sqrt(pi x) at
+    u_m = survival(2m) <= w.  Since u_m = (1 - 1/(64 x^2) + O(x^-4)) / sqrt(pi x) at
     x = m + 1/4, the guess c = floor(1 / (pi w^2) - 1/4), raised to 2, is
     within one of m, so m = c - 1 + [u_(c-1) > w] + [u_c > w]: two lookups
     in the table of u_m, or one survival call for both neighbours of the

@@ -113,8 +113,10 @@ def lll_error(dn: LatticeLaw, scale: float, n: int) -> LLTError:
     return LLTError(sup, point, dn.prob(0))
 
 
-#: support points that lll_error evaluates at once (256 KB per array)
-_SUPPORT_BLOCK = 1 << 15
+#: support points that lll_error evaluates at once (128 KB per array): at
+#: 2^15 points, 256 KB arrays slow a cold `lll`, likely each a fresh mapping
+#: past glibc's dynamic mmap threshold, as with return_laws._BLOCK_ENTRIES
+_SUPPORT_BLOCK = 1 << 14
 
 
 def _support_sup(entries: np.ndarray, lo: int, n: int, scale: float) -> tuple[float, int]:

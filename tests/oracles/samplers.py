@@ -4,7 +4,7 @@ in-place, chunked versions in `recwalk`.
 
 `sample_first_return`, `sample_position_at` and `survival_table` read
 fresh arrays through boolean masks, all draws in one call, and build the
-2^16-entry table from one 80-bit product over all of it; `stream` keys
+2^16-entry table from one array of all its m; `stream` keys
 Philox through `key=`; `auxiliary_returns` draws a sample's shifts in one
 call; `direct_returns` draws its idle steps in one call and walks j over
 lists of all the returns; `count_entries` draws every classify walk
@@ -15,14 +15,13 @@ arrays, counts and streams.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from recwalk.branched_walk import Tail
 from recwalk.return_laws import _BINOM_LIMIT, _TABLE_M, _u_series
 from recwalk.rng import POSITION_LANE, RETURN_LANE, SHIFT_LANE, WALK_LANE
-
-from .return_laws import survival_series
 
 _INDEX_LIMIT = 1 << 56
 
@@ -45,9 +44,13 @@ def stream(seed: int, index: int = 0, lane: int = 0) -> np.random.Generator:
 
 @functools.cache
 def survival_table() -> np.ndarray:
-    """u_m = C(2m, m) / 4^m for m = 0.._TABLE_M: the 80-bit running product
-    rounded to float64, 512 KB, built on first use."""
-    return np.concatenate(([1.0], survival_series(_TABLE_M).astype(np.float64)))
+    """u_m = C(2m, m) / 4^m for m = 0.._TABLE_M, 512 KB, built on first use:
+    the value rounded once for m < 9, and _u_series(x) / sqrt(pi x) at
+    x = m + 1/4 from m = 9 on."""
+    x = np.arange(_TABLE_M + 1) + 0.25
+    table = _u_series(x) / np.sqrt(np.pi * x)
+    table[:9] = [math.comb(2 * m, m) / 4**m for m in range(9)]
+    return table
 
 
 def sample_first_return(rng: np.random.Generator, n: int) -> np.ndarray:

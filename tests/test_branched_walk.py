@@ -33,6 +33,7 @@ from recwalk.branched_walk import (
     cross_method_gap,
     enters_lattice,
     shifted_green_sum,
+    wilson_interval,
 )
 from recwalk.rng import DIRECT_LANE, SHIFT_LANE, stream
 
@@ -146,6 +147,17 @@ class TestClassification:
         assert rep.mc_estimate == 0.0 and not rep.flagged
         rep = classify_point(Lattice(4, 0), horizon=100, nsamples=50, seed=1)
         assert rep.mc_estimate == 1.0 and not rep.flagged
+
+    @pytest.mark.parametrize("n", [1, 50, 2000])
+    def test_structural_points_report_exact_intervals(self, n):
+        # lattice(0,0) enters at once, tail(1) never: mc and its interval
+        # are exact, the upper Wilson end at no hits z^2 / (n + z^2)
+        ci = classify_point(Lattice(0, 0), horizon=100, nsamples=n, seed=1).to_json_dict()["mc"]
+        assert (ci["estimate"], ci["ci_lo"], ci["ci_hi"]) == (1.0, 1.0, 1.0)
+        rep = classify_point(Tail(1), horizon=100, nsamples=n, seed=1)
+        assert rep.mc_estimate == 0.0 and rep.ci == wilson_interval(0, n) and rep.ci[0] == 0.0
+        z2 = 1.959963984540054**2
+        assert abs(rep.ci[1] - z2 / (n + z2)) <= 1e-15
 
     def test_json_schema(self):
         rep = classify_point(Tail(0), horizon=500, nsamples=2000, seed=2)

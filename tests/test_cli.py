@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -83,21 +84,16 @@ class TestLawCache:
 
     def test_every_flipped_bit_refused_or_harmless(self, tmp_path):
         # one bit flipped in each byte of the file, the bit moving along:
-        # the header no longer parses or describes the array, and an entry,
-        # its padding included, no longer matches the checksum; only the
-        # checksum's own padding, past its 80 bits, is read as it was
+        # the header no longer parses or describes the array, and an entry
+        # no longer matches the checksum, or the checksum its entries; a
+        # float64 file has no padding, so no flip is left harmless
         law = return_position_law(40, 1600)
         path = save_position_law(law, tmp_path)
         data = path.read_bytes()
         for at, byte in enumerate(data):
             path.write_bytes(data[:at] + bytes([byte ^ 1 << at % 8]) + data[at + 1 :])
-            try:
-                back = load_position_law(path)
-            except CacheCorruptionError:
-                continue
-            assert len(data) - at <= np.dtype(np.longdouble).itemsize - 10, at
-            assert (back.lo, back.kmax, back.leaked) == (law.lo, law.kmax, law.leaked)
-            assert np.array_equal(back.entries, law.entries)
+            with pytest.raises(CacheCorruptionError):
+                load_position_law(path)
 
     def test_corruption_detected(self, tmp_path):
         path = save_position_law(return_position_law(100, 10_000), tmp_path)
@@ -585,7 +581,7 @@ def filled_cache(tmp_path):
     by a first run: --l-max 200 at the default --k-max 40,000."""
     args = ["lll", "--l-max", 200, "--schedule", "8,16", "--cache-dir", tmp_path / "cache"]
     assert run(args + ["--out", tmp_path / "a.csv"]) == 0
-    return args, tmp_path / "cache" / "return_position_L200_K40000.npy"
+    return args, position_law_path(tmp_path / "cache", 200, 40_000)
 
 
 def assert_corrupted(capsys, argv, path, out, reason=""):
@@ -610,7 +606,7 @@ def small_cache(tmp_path_factory):
     argv = ["lll", "--l-max", 40, "--schedule", "2,4",
             "--cache-dir", root / "cache", "--out", root / "a.csv"]
     assert run(argv) == 0
-    path = root / "cache" / "return_position_L40_K1600.npy"
+    path = position_law_path(root / "cache", 40, 1600)
     return argv, path, path.read_bytes(), (root / "a.csv").read_bytes()
 
 
@@ -664,38 +660,47 @@ class TestLllCommand:
             "--cache-dir", tmp_path / "cache", "--out", out,
         ]
         assert run(args) == 0
-        assert (tmp_path / "cache" / "return_position_L400_K160000.npy").exists()
+        assert position_law_path(tmp_path / "cache", 400, 160_000).exists()
         cold = out.read_bytes()
         assert run(args) == 0  # cache hit this time
         assert out.read_bytes() == cold
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, "longdouble"])
     def test_former_cache_format_rebuilt(self, tmp_path, caplog, pos_law_small, version):
-        # a cache file of a former text format has another name than the
-        # binary one: it is never opened, the law is rebuilt beside it
+        # a cache file of a former format, text or an 80-bit array, has
+        # another name than the float64 one: it is never opened, the law is
+        # rebuilt beside it
         cache, out = tmp_path / "cache", tmp_path / "a.csv"
         args = [
             "lll", "--l-max", 400, "--k-max", 160_000, "--schedule", "4,8",
             "--cache-dir", cache, "--out", out,
         ]
         assert run(args) == 0
-        path = cache / "return_position_L400_K160000.npy"
+        path = position_law_path(cache, 400, 160_000)
         current, cold = path.read_bytes(), out.read_bytes()
         path.unlink()
         law = pos_law_small
-        err, tail = f"{law.error_bound:.17g}", f"{law.leaked:.17g}"
-        header = (f"return-position,lmax={law.hi};kmax={law.kmax};ktail=1;err={err};"
-                  f"tail={tail};v=recwalk-law-{version}" + (f",{err}" if version < 3 else ""))
-        rows = [f"{2 * j},{float(p):.17g}" for j, p in enumerate(law.entries[law.hi // 2 :])]
-        text = "\n".join([header] + rows) + "\n"
-        former = cache / "return_position_L400_K160000.csv"
-        former.write_text(text)
+        half = law.entries[law.hi // 2 :]
+        if version == "longdouble":
+            # [kmax, leaked, P(0..lmax), crc], the crc of the bytes before it
+            stored = np.concatenate(([law.kmax, law.leaked], half, [0])).astype(np.longdouble)
+            stored[-1] = zlib.crc32(stored[:-1])
+            former = cache / "return_position_L400_K160000.npy"
+            np.save(former, stored)
+        else:
+            err, tail = f"{law.error_bound:.17g}", f"{law.leaked:.17g}"
+            header = (f"return-position,lmax={law.hi};kmax={law.kmax};ktail=1;err={err};"
+                      f"tail={tail};v=recwalk-law-{version}" + (f",{err}" if version < 3 else ""))
+            rows = [f"{2 * j},{float(p):.17g}" for j, p in enumerate(half)]
+            former = cache / "return_position_L400_K160000.csv"
+            former.write_text("\n".join([header] + rows) + "\n")
+        data = former.read_bytes()
         caplog.clear()
         with caplog.at_level("INFO", logger="recwalk"):
             assert run(args) == 0
         assert "(lmax=400, kmax=160000): cache miss in " in caplog.text
         assert path.read_bytes() == current and out.read_bytes() == cold
-        assert former.read_text() == text
+        assert former.read_bytes() == data
 
     def test_corrupt_cache_reported(self, tmp_path, capsys):
         args, path = filled_cache(tmp_path)
@@ -705,7 +710,7 @@ class TestLllCommand:
             assert_corrupted(capsys, args, path, tmp_path / "b.csv")
 
     @pytest.mark.parametrize("entries, reason", [
-        # mapped, so the 1.6e14 bytes are never asked for
+        # mapped, so the 8e13 bytes are never asked for
         (10**13, "mmap length is greater than file size"),
         (10**20, ""),  # past the range of an index
     ], ids=["1e13", "1e20"])
@@ -713,17 +718,17 @@ class TestLllCommand:
         args, path = filled_cache(tmp_path)
         data = path.read_bytes()
         with open(path, "wb") as f:
-            header = {"descr": np.dtype(np.longdouble).str, "fortran_order": False,
+            header = {"descr": np.dtype(np.float64).str, "fortran_order": False,
                       "shape": (entries,)}
             np.lib.format.write_array_header_1_0(f, header)
             f.write(data[128:])
         assert_corrupted(capsys, args, path, tmp_path / "b.csv", reason)
 
-    @pytest.mark.parametrize("kind", ["pickled", "float64", "2-d"])
+    @pytest.mark.parametrize("kind", ["pickled", "longdouble", "2-d"])
     def test_cache_of_another_array_reported(self, tmp_path, capsys, kind):
         args, path = filled_cache(tmp_path)
         stored = np.load(path)
-        other = {"pickled": stored.astype(object), "float64": stored.astype(np.float64),
+        other = {"pickled": stored.astype(object), "longdouble": stored.astype(np.longdouble),
                  "2-d": stored.reshape(-1, 1)}[kind]
         np.save(path, other, allow_pickle=True)
         assert_corrupted(capsys, args, path, tmp_path / "b.csv")
@@ -739,14 +744,15 @@ class TestLllCommand:
         np.save(path, stored)
         assert_corrupted(capsys, args, path, tmp_path / "b.csv")
 
-    @pytest.mark.parametrize("kmax", ["40000.5", "1e4000"])
-    def test_kmax_not_an_integer_below_2_64_reported(self, tmp_path, capsys, kmax):
-        # an integer of 4,001 digits would not even print in the key check
+    @pytest.mark.parametrize("kmax", [40000.5, math.inf, 2.0**53], ids=["40000.5", "inf", "2**53"])
+    def test_kmax_not_an_integer_below_2_53_reported(self, tmp_path, capsys, kmax):
+        # inf has no integer for the key check, and from 2^53 on float64
+        # no longer holds every integer
         args, path = filled_cache(tmp_path)
         stored = np.load(path)
-        stored[0] = np.longdouble(kmax)
+        stored[0] = kmax
         np.save(path, stored)
-        assert_corrupted(capsys, args, path, tmp_path / "b.csv")
+        assert_corrupted(capsys, args, path, tmp_path / "b.csv", reason="kmax ")
 
     def test_refused_law_is_not_cached(self, tmp_path, capsys, caplog, monkeypatch):
         # tail_limit refuses the law at kmax = 2, after it is built
@@ -763,7 +769,7 @@ class TestLllCommand:
     def test_miskeyed_cache_reported(self, tmp_path, capsys):
         # a file stored under another kmax's name holds another law
         args, path = filled_cache(tmp_path)
-        other = path.with_name("return_position_L200_K80000.npy")
+        other = position_law_path(path.parent, 200, 80_000)
         shutil.copy(path, other)
         assert_corrupted(capsys, args + ["--k-max", 80_000], other, tmp_path / "b.csv",
                          reason="it holds lmax=200, kmax=40000")
@@ -771,7 +777,7 @@ class TestLllCommand:
     def test_cache_of_another_lmax_reported(self, tmp_path, capsys):
         # and one under another lmax's name, a law of another length
         args, path = filled_cache(tmp_path)
-        other = path.with_name("return_position_L400_K40000.npy")
+        other = position_law_path(path.parent, 400, 40_000)
         shutil.copy(path, other)
         argv = ["lll", "--l-max", 400, "--k-max", 40_000, "--schedule", "8,16",
                 "--cache-dir", path.parent]

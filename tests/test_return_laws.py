@@ -23,7 +23,6 @@ from oracles.return_laws import (
 )
 from recwalk import cli, return_laws
 from recwalk.return_laws import (
-    LONG,
     LatticeLaw,
     _k_tail_completion,
     _k_tail_grid,
@@ -71,7 +70,7 @@ def telescoped(lmax: int, kmax: int):
     the telescoped sum over return times k <= kmax alone, with the mass
     beyond kmax in leaked."""
     with mock.patch.object(
-        return_laws, "_k_tail_completion", lambda kmax, ls: (np.zeros(len(ls), dtype=LONG), 0.0)
+        return_laws, "_k_tail_completion", lambda kmax, ls: (np.zeros(len(ls)), 0.0)
     ):
         return return_position_law(lmax, kmax)
 
@@ -83,13 +82,38 @@ def assert_mass_accounted(law) -> None:
 
 def survival_at(n: int) -> float:
     """survival(n) at one even n >= 0 by the rule its docstring states, in
-    Python floats: the table entry for m = n / 2 <= _TABLE_M, and
-    _u_series(x) / sqrt(pi x) at x = m + 1/4 beyond."""
+    Python floats: C(2m, m) / 4^m rounded once for m = n / 2 < 9, and
+    _u_series(x) / sqrt(pi x) at x = m + 1/4 from m = 9 on."""
     m = n // 2
-    if m <= _TABLE_M:
-        return float(_survival_table()[m])
+    if m < 9:
+        return math.comb(2 * m, m) / 4**m
     x = m + 0.25
     return _u_series(x) / math.sqrt(math.pi * x)
+
+
+#: float64's unit roundoff: one correctly rounded operation moves its
+#: result by at most this much, relative
+U = 2.0**-53
+
+
+def survival_rtol(m: int) -> float:
+    """Bound on the relative error of survival(2m) against u_m, counted from
+    its operations, to first order in U.  For m < 9, one rounding.  From
+    m = 9 on, _u_series(x) / sqrt(pi x): the sum 1 + series (1 U); the
+    omitted terms, below 1e-16 (0.91 U); the series' own roundings, some
+    24 U on a value below 2e-4 (0.01 U); under the square root, which halves
+    them, np.pi (0.36 U), the product pi x (1 U) and, from m = 2^51 on,
+    x = m + 1/4 (1 U); the square root (1 U) and the division (1 U)."""
+    if m < 9:
+        return U
+    under_root = 0.36 + 1 + (1 if m >= 2**51 else 0)
+    return (1 + 0.91 + 0.01 + under_root / 2 + 1 + 1) * U
+
+
+def law_rtol(m: int) -> float:
+    """Bound on the relative error of P(return = 2m) = survival(2m) / (2m - 1):
+    survival's, and the division's rounding (2m - 1 is exact)."""
+    return survival_rtol(m) + U
 
 
 def completion_grid(kmax: int, ratio: float = 1.005) -> tuple[np.ndarray, np.ndarray]:
@@ -119,7 +143,7 @@ def dense_k_tail_completion(kmax: int, ls: np.ndarray) -> tuple[np.ndarray, floa
     dens = np.sqrt(2.0 / (np.pi * mids))[:, None] * np.exp(-(ls[None, :] ** 2) / (2.0 * mids[:, None]))
     contrib = weights @ dens
     covered = float(np.dot(weights, 2.0 * dens.sum(axis=1) - dens[:, 0]))
-    return contrib.astype(LONG), covered
+    return contrib, covered
 
 
 def marching_oracle(lmax: int, kmax: int, k_tail: bool) -> tuple[np.ndarray, float]:
@@ -134,18 +158,18 @@ def marching_oracle(lmax: int, kmax: int, k_tail: bool) -> tuple[np.ndarray, flo
     f = u.astype(np.float64) / (ks - 1.0)  # P(return = k)
     p = u.astype(np.float64)  # P(S_k = 0), overwritten in place per l
     row_sum = p.copy()  # in-window mass per k, counting l = 0 once
-    acc = np.zeros(len(ls), dtype=LONG)
+    acc = np.zeros(len(ls))
     acc[0] = np.dot(f, p)
     for t in range(1, len(ls)):
         # P(S_k = l + 2) = P(S_k = l) (k - l) / (k + l + 2), clamped to 0 for l >= k
         p *= np.maximum(ks - ls[t - 1], 0.0) / (ks + ls[t - 1] + 2.0)
         acc[t] = np.dot(f, p)
         row_sum += 2.0 * p
-    covered = LONG(np.dot(f, row_sum))
+    covered = np.dot(f, row_sum)
     if k_tail:
         tail_in, tail_covered = dense_k_tail_completion(kmax, ls)
         acc += tail_in
-        covered += LONG(tail_covered)
+        covered += tail_covered
     return acc, float(1 - covered)
 
 
@@ -266,10 +290,12 @@ class TestFirstReturnLaw:
         assert abs(return_law_2000.leaked - survival(2000)) < 1e-14
 
     def test_arrays_round_the_exact_law(self, return_law_2000):
+        # each entry within law_rtol of the exact C(2m, m) / ((2m - 1) 4^m)
         m, ps = next(first_return_blocks(2000))
-        exact = [float(first_return_prob_exact(n)) for n in range(2, 65, 2)]
         assert m[:32].tolist() == list(range(1, 33))
-        assert ps[:32].tolist() == exact
+        for k, p in zip(range(1, 33), ps[:32].tolist()):
+            exact = first_return_prob_exact(2 * k)
+            assert abs(Fraction(p) - exact) <= law_rtol(k) * exact, k
         assert np.array_equal(return_law_2000.entries[: len(ps)], ps)
         assert (return_law_2000.lo, return_law_2000.hi) == (2, 2000)
         assert abs(return_law_2000.prob(66) - float(first_return_prob_exact(66))) < 1e-18
@@ -499,11 +525,30 @@ class TestTelescoping:
             tail = sum(((2 * s + 1) * (M + 1 - s) * F(M + 1, s) for s in range(t, M + 1)), Fraction(0))
             assert (4 * t * t - 1) * S[t] == 4 * tail, t
 
-    def test_float_build_matches_exact_truncated_sum(self):
-        law = telescoped(40, 30)
-        for t in range(21):
-            want = float(sum((boundary_term(m, t) for m in range(1, 16)), Fraction(0)))
-            assert abs(law.prob(2 * t) - want) <= 1e-16 * want, t
+    @pytest.mark.parametrize("lmax,kmax", [(40, 30), (60, 1000)])
+    def test_float_build_matches_exact_truncated_sum(self, lmax, kmax):
+        # the bounds, to first order in U, count the build's roundings; its
+        # integers (s, M + 1 - s, 4 t^2 - 1, 4 (2s + 1) (M + 1 - s)) are exact.
+        # Each term s >= 1 of the tail sum carries u = survival(2M + 2) twice,
+        # u * u and / (2M + 1) (2 U), the s ratios and s - 1 products of the
+        # column's running product, its scaling (U) and the weight's product
+        # (U): 2 survival_rtol + (2s + 3) U, with s < L, the column length.
+        # The sum of its L - t positive terms adds (L - t - 1) U, and the
+        # division by 4 t^2 - 1 one U: below 2 survival_rtol + 3 L U for t >= 1.
+        # S(0) = 1 - a, a = 4 (M + 1)^2 F(M + 1, 0): a carries 2 survival_rtol
+        # + 3 U, which the difference scales by a / S(0), and it rounds once.
+        law = telescoped(lmax, kmax)
+        m1 = kmax // 2 + 1
+        length = return_laws.column_length(lmax, kmax)
+        a = 4 * m1**2 * boundary_term(m1, 0)
+        for t in range(lmax // 2 + 1):
+            want = sum((boundary_term(m, t) for m in range(1, m1)), Fraction(0))
+            if t == 0:
+                assert want == 1 - a
+                rtol = a / want * (2 * survival_rtol(m1) + 3 * U) + U
+            else:
+                rtol = 2 * survival_rtol(m1) + 3 * length * U
+            assert abs(Fraction(law.prob(2 * t)) - want) <= rtol * want, t
 
     @pytest.mark.parametrize("lmax,kmax,k_tail", [
         (40, 30, True),
@@ -530,10 +575,10 @@ class TestTelescoping:
         assert np.array_equal(got, telescoped_sums(2 * half_l, 2 * half_k))
 
     def test_column_held_in_three_arrays(self):
-        # about 1.06e6 entries of 16 bytes; the one-shot form holds five
+        # about 1.06e6 entries of 8 bytes; the one-shot form holds five
         entries = return_laws.column_length(2000, 10**10)
         assert entries > 10**6
-        assert traced_peak(lambda: return_position_law(2000, 10**10)) < 3.2 * 16 * entries
+        assert traced_peak(lambda: return_position_law(2000, 10**10)) < 3.2 * 8 * entries
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -596,7 +641,7 @@ class TestKTailCompletion:
         self.assert_matches_dense(4_000_000, 2000)
 
     def test_window_longer_than_the_budget(self):
-        # 35,001 window entries against 2^15: one bucket per block; the
+        # 35,001 window entries against 2^14: one bucket per block; the
         # grid from 5e17 has a few dozen buckets, so the oracle stays small
         assert 35_001 > return_laws._BLOCK_ENTRIES
         self.assert_matches_dense(5 * 10**17, 70_000)
@@ -700,7 +745,7 @@ class TestTailFunctional:
 
 class TestScalarSpecialFunctions:
     # u_m in float64, the `u_float` of the test names, is survival(2m): the
-    # table entry up to m = 2^16, the series beyond
+    # value rounded once below m = 9, the series from there on
 
     @pytest.mark.parametrize("m", [1, 2, 7, 10, 20])
     def test_u_float_matches_gammaln(self, m):
@@ -719,18 +764,44 @@ class TestScalarSpecialFunctions:
             assert abs(survival(2 * m) / want - 1) < 1e-15
 
     def test_survival_is_the_exactly_rounded_table_then_the_series(self):
-        # every m <= 2^16 from the 80-bit product rounded once, and past it
-        # the series, on both sides of the seam, for int and float arrays
+        # C(2m, m) / 4^m rounded once for m < 9, and from m = 9 on the
+        # series, for int and float arrays and for single values alike
         m = np.arange(_TABLE_M + 3)
-        want = np.concatenate(([1.0], survival_series(_TABLE_M).astype(np.float64)))
-        x = m[_TABLE_M + 1 :] + 0.25
-        want = np.concatenate((want, _u_series(x) / np.sqrt(np.pi * x)))
+        x = m + 0.25
+        want = _u_series(x) / np.sqrt(np.pi * x)
+        want[:9] = [math.comb(2 * k, k) / 4**k for k in range(9)]
         assert np.array_equal(survival(2 * m), want)
         assert np.array_equal(survival(2.0 * m), want)
-        assert [survival(2 * k) for k in (0, 1, _TABLE_M, _TABLE_M + 1)] == want[[0, 1, -3, -2]].tolist()
+        ks = [0, 1, 8, 9, _TABLE_M, _TABLE_M + 1]
+        assert [survival(2 * k) for k in ks] == want[ks].tolist()
         assert survival(-4) == 1.0
         with pytest.raises(ValueError):
             survival(np.array([2, 3]))
+
+    def test_survival_and_law_within_their_rounding_bound(self):
+        # survival and the law as first_return_blocks yields it, against
+        # C(2m, m) / 4^m in integers for every m <= 4096, and against mpmath
+        # at every 97th m up to 10^6 and at 3,000 m drawn log-uniformly up
+        # to 10^9, with four more past 2^51 for survival alone
+        c = central_binomials(1, 4096)
+        law = first_return_law(2 * 10**6).entries
+        for k in range(1, 4097):
+            exact = Fraction(c[k], 4**k)
+            assert abs(Fraction(survival(2 * k)) - exact) <= survival_rtol(k) * exact, k
+            exact /= 2 * k - 1
+            assert abs(Fraction(law[k - 1]) - exact) <= law_rtol(k) * exact, k
+        drawn = np.exp(np.random.default_rng(97).uniform(math.log(4097), math.log(1e9), 3000))
+        ms = [*range(4097, 10**6 + 1, 97), *np.rint(drawn).astype(int).tolist()]
+        u = survival(2 * np.array(ms)).tolist()
+        for k, got in zip(ms, u):
+            exact = u_mp(k)
+            assert abs(got - exact) <= survival_rtol(k) * exact, k
+            if k <= 10**6:
+                exact /= 2 * k - 1
+                assert abs(law[k - 1] - exact) <= law_rtol(k) * exact, k
+        for k in (2**51 + 1, 2**52 + 3, 10**17, 10**18):
+            exact = u_mp(k)
+            assert abs(survival(2 * k) - exact) <= survival_rtol(k) * exact, k
 
     def test_survival_past_the_table_builds_no_table(self, monkeypatch):
         monkeypatch.setattr(return_laws, "_survival_table", mock.Mock(side_effect=AssertionError))
@@ -750,7 +821,7 @@ class TestScalarSpecialFunctions:
             assert _u_series(x) == each_pass(x)
 
     def test_survival_matches_product_series(self):
-        # 80-bit running product of (2m - 1) / 2m
+        # the long-double running product of (2m - 1) / 2m
         u = survival_series(20_000).astype(np.float64)
         got = survival(2 * np.arange(1, 20_001))
         assert np.max(np.abs(got / u - 1)) < 1e-14
@@ -855,16 +926,17 @@ class TestBitIdenticalToOneShot:
 
     def test_table(self):
         assert np.array_equal(_survival_table(), one_shot.survival_table())
+        assert np.array_equal(_survival_table(), survival(2 * np.arange(_TABLE_M + 1)))
 
     @pytest.mark.parametrize("nmax", [2, 8190, 8192, 8194, 8196, 40_000])
     def test_first_return_law_across_blocks(self, nmax):
-        u = survival_series(nmax // 2)
-        odd = 2 * np.arange(1, nmax // 2 + 1, dtype=LONG) - 1
+        # the blocks against survival(2m) / (2m - 1) over every m at once
+        m = np.arange(1, nmax // 2 + 1)
         blocks = list(first_return_blocks(nmax))
-        assert np.array_equal(np.concatenate([m for m, _ in blocks]), np.arange(1, nmax // 2 + 1))
+        assert np.array_equal(np.concatenate([k for k, _ in blocks]), m)
         law = first_return_law(nmax)
-        assert np.array_equal(law.entries, (u / odd).astype(np.float64))
-        assert law.leaked == float(u[-1])
+        assert np.array_equal(law.entries, survival(2 * m) / (2 * m - 1))
+        assert law.leaked == survival(nmax)
 
     @settings(max_examples=60, deadline=None)
     @given(
