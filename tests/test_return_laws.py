@@ -525,8 +525,7 @@ class TestTelescoping:
             tail = sum(((2 * s + 1) * (M + 1 - s) * F(M + 1, s) for s in range(t, M + 1)), Fraction(0))
             assert (4 * t * t - 1) * S[t] == 4 * tail, t
 
-    @pytest.mark.parametrize("lmax,kmax", [(40, 30), (60, 1000)])
-    def test_float_build_matches_exact_truncated_sum(self, lmax, kmax):
+    def test_float_build_matches_exact_truncated_sum(self):
         # the bounds, to first order in U, count the build's roundings; its
         # integers (s, M + 1 - s, 4 t^2 - 1, 4 (2s + 1) (M + 1 - s)) are exact.
         # Each term s >= 1 of the tail sum carries u = survival(2M + 2) twice,
@@ -537,18 +536,19 @@ class TestTelescoping:
         # division by 4 t^2 - 1 one U: below 2 survival_rtol + 3 L U for t >= 1.
         # S(0) = 1 - a, a = 4 (M + 1)^2 F(M + 1, 0): a carries 2 survival_rtol
         # + 3 U, which the difference scales by a / S(0), and it rounds once.
-        law = telescoped(lmax, kmax)
-        m1 = kmax // 2 + 1
-        length = return_laws.column_length(lmax, kmax)
-        a = 4 * m1**2 * boundary_term(m1, 0)
-        for t in range(lmax // 2 + 1):
-            want = sum((boundary_term(m, t) for m in range(1, m1)), Fraction(0))
-            if t == 0:
-                assert want == 1 - a
-                rtol = a / want * (2 * survival_rtol(m1) + 3 * U) + U
-            else:
-                rtol = 2 * survival_rtol(m1) + 3 * length * U
-            assert abs(Fraction(law.prob(2 * t)) - want) <= rtol * want, t
+        for lmax, kmax in [(40, 30), (60, 1000)]:
+            law = telescoped(lmax, kmax)
+            m1 = kmax // 2 + 1
+            length = return_laws.column_length(lmax, kmax)
+            a = 4 * m1**2 * boundary_term(m1, 0)
+            for t in range(lmax // 2 + 1):
+                want = sum((boundary_term(m, t) for m in range(1, m1)), Fraction(0))
+                if t == 0:
+                    assert want == 1 - a
+                    rtol = a / want * (2 * survival_rtol(m1) + 3 * U) + U
+                else:
+                    rtol = 2 * survival_rtol(m1) + 3 * length * U
+                assert abs(Fraction(law.prob(2 * t)) - want) <= rtol * want, (lmax, kmax, t)
 
     @pytest.mark.parametrize("lmax,kmax,k_tail", [
         (40, 30, True),
