@@ -199,21 +199,21 @@ def wilson_interval(hits: int, n: int) -> tuple[float, float]:
 CLASSIFY_BLOCK = 1 << 14
 
 
-def enters_lattice(on_tail: bool, waits: np.ndarray, horizon: int) -> np.ndarray:
+def enters_lattice(
+    on_tail: bool, lead: np.ndarray | int, last: np.ndarray, horizon: int
+) -> np.ndarray:
     """Whether a ray walk has entered the lattice by step `horizon`, from
-    its waits (last axis): the number of steps up to and including each
-    firing of a.
+    its waits: the number of steps up to and including each firing of a,
+    given as the sum `lead` of all but the last and the last one `last`.
 
     A start k <= 0 needs 1 - k firings; the first -k bring it to its
     junction without a swap, and each non-a step at a junction swaps
     sides.  The last firing enters the lattice from the inlet junction and
     escapes from the tail junction, so a tail start enters iff its last
     wait is even (an odd number of swaps) and an inlet start iff it is
-    odd, and only if the waits sum to at most the horizon.  Only the total
-    and the last wait matter, so the leading waits may come merged.
+    odd, and only if the waits sum to at most the horizon.
     """
-    swapped = waits[..., -1] % 2 == 0
-    return (waits.sum(axis=-1) <= horizon) & (swapped == on_tail)
+    return (lead + last <= horizon) & ((last & 1 == 0) == on_tail)
 
 
 def _count_entries(s: Tail | Inlet, horizon: int, nsamples: int, seed: int) -> int:
@@ -224,11 +224,9 @@ def _count_entries(s: Tail | Inlet, horizon: int, nsamples: int, seed: int) -> i
     hits = 0
     for block in range(-(-nsamples // CLASSIFY_BLOCK)):
         rng = stream(seed, block, WALK_LANE)
-        lead = np.zeros(CLASSIFY_BLOCK, dtype=np.int64)
-        if fires:
-            lead += fires + rng.negative_binomial(fires, 0.2, CLASSIFY_BLOCK)
-        waits = np.column_stack((lead, rng.geometric(0.2, CLASSIFY_BLOCK)))
-        entered = enters_lattice(isinstance(s, Tail), waits, horizon)
+        lead = fires + rng.negative_binomial(fires, 0.2, CLASSIFY_BLOCK) if fires else 0
+        last = rng.geometric(0.2, CLASSIFY_BLOCK)
+        entered = enters_lattice(isinstance(s, Tail), lead, last, horizon)
         hits += int(entered[: nsamples - block * CLASSIFY_BLOCK].sum())
     return hits
 

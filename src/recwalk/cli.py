@@ -14,11 +14,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
-import gc
 import itertools
 import json
 import logging
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -159,8 +159,9 @@ def cmd_lll(parser: _Parser, args) -> int:
     with _usable(parser, "--cache-dir", args.cache_dir):
         law, hit = lawcache.load_or_compute_position_law(args.cache_dir, lmax, kmax)
     log.info(
-        "position law (lmax=%d, kmax=%d): cache %s in %.2fs, error bound %.3g, tail mass %.3g",
-        lmax, kmax, "hit" if hit else "miss", time.perf_counter() - t1, law.error_bound, law.leaked,
+        "position law (lmax=%d, kmax=%d): cache %s in %.3g ms, error bound %.3g, tail mass %.3g",
+        lmax, kmax, "hit" if hit else "miss", 1e3 * (time.perf_counter() - t1),
+        law.error_bound, law.leaked,
     )
     scale = math.pi * return_laws.tail_limit(law, ms=_ladder(lmax))
     log.info("Cauchy scale pi*sigma = %.6g (exact: 1), from m = %s", scale, _ladder(lmax))
@@ -346,31 +347,43 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  With argv None this is the program, and it freezes the
-    collector as it ends: the interpreter then exits without its last collection."""
-    try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
-        logging.basicConfig(
-            level=logging.INFO,
-            stream=sys.stderr,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
-        # refused before any computation, and creating nothing: a run that a
-        # library check refuses later leaves nothing behind, since --out's
-        # missing parents are made only when it is written
-        with _usable(parser, "--out", args.out):
-            if args.out.is_dir():
-                raise IsADirectoryError(errno.EISDIR, "Is a directory", str(args.out))
-            if any(p.exists() and not p.is_dir() for p in args.out.parents):
-                raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(args.out))
+    """Run one command and return its exit code.  With argv None this is the
+    program: once the command on sys.argv has ended, by a return or a
+    SystemExit, it flushes stdout and stderr and leaves by os._exit: the
+    interpreter's teardown, its last collection and the freeing of every
+    module, has nothing left to write and is skipped.  If a flush fails,
+    the code is returned, and the interpreter's own exit reports the failure."""
+    if argv is None:
         try:
-            return args.func(parser, args)
-        except ValueError as exc:  # a library check refused the configuration
-            parser.error(str(exc))
-    finally:
-        if argv is None:
-            gc.freeze()
+            code = main(sys.argv[1:])
+        except SystemExit as exc:  # --help, or a usage error: argparse's codes are ints
+            code = exc.code or 0
+        try:
+            for stream in (sys.stdout, sys.stderr):
+                if stream is not None:  # None when its descriptor was closed at startup
+                    stream.flush()
+        except OSError:
+            return code
+        os._exit(code)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    logging.basicConfig(
+        level=logging.INFO,
+        stream=sys.stderr,
+        format="%(levelname)s %(name)s: %(message)s",
+    )
+    # refused before any computation, and creating nothing: a run that a
+    # library check refuses later leaves nothing behind, since --out's
+    # missing parents are made only when it is written
+    with _usable(parser, "--out", args.out):
+        if args.out.is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", str(args.out))
+        if any(p.exists() and not p.is_dir() for p in args.out.parents):
+            raise NotADirectoryError(errno.ENOTDIR, "Not a directory", str(args.out))
+    try:
+        return args.func(parser, args)
+    except ValueError as exc:  # a library check refused the configuration
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -267,8 +267,9 @@ def return_position_law(lmax: int, kmax: int) -> ReturnPositionLaw:
 _K_TAIL_RATIO = 1.005
 
 #: entries of exp(-l^2 / 2k) that _k_tail_completion holds at once (128 KB):
-#: the grid is summed in blocks of max(1, _BLOCK_ENTRIES // len(ls)) buckets,
-#: a fixed order, so the result does not depend on the machine.  Blocks of
+#: the buckets before the series are summed in blocks of
+#: max(1, _BLOCK_ENTRIES // len(ls)) of them, a fixed order, so the result
+#: does not depend on the machine's memory.  Blocks of
 #: 2^15 slow a cold `lll`, likely through glibc's dynamic mmap threshold:
 #: the float64 build's arrays leave it below 256 KB, so that each such
 #: temporary would be a fresh mapping
@@ -293,25 +294,52 @@ def _k_tail_grid(kmax: int) -> tuple[np.ndarray, np.ndarray]:
     return surv[:-1] - surv[1:], np.sqrt(edges[:-1] * edges[1:])
 
 
+#: largest exponent l^2 / 2k, over the window, of a bucket summed by the
+#: series in l^2 rather than one exp per entry; the buckets at or below it are
+#: all of the grid when kmax >= lmax^2, as at the `lll` defaults
+_SERIES_MAX_EXPONENT = 0.5
+
+#: terms of the series for exp(-x): alternating with falling terms for
+#: x <= _SERIES_MAX_EXPONENT, so its truncation error is below the first
+#: term dropped, x^16 / 16! = 7e-19 at x = 1/2, under a hundredth of 2^-53
+#: (15 terms would leave a fifth of it)
+_SERIES_TERMS = 16
+
+
 def _k_tail_completion(kmax: int, ls: np.ndarray) -> tuple[np.ndarray, float]:
     """Contribution of return times beyond kmax, on _k_tail_grid's grid.
 
     Bucket weights use the exact survival identity; within a bucket the
     binomial point mass is replaced by sqrt(2/(pi k)) exp(-l^2 / 2k) at the
-    geometric midpoint.  The grid x window matrix of densities is formed
-    one block of buckets at a time, so memory does not grow with the window.
+    geometric midpoint.  The midpoints increase, so the buckets whose
+    exponent stays at most _SERIES_MAX_EXPONENT on the window are a suffix
+    of the grid: there exp is expanded in powers of l^2, the moments
+    M_p = sum over buckets of w sqrt(2/(pi k)) (-1/2k)^p / p! are summed
+    over the buckets, and sum over p of M_p l^(2p) is taken by Horner's rule.
+    Before the split the grid x window matrix of densities is formed one
+    block of buckets at a time, so memory does not grow with the window.
     """
     weights, mids = _k_tail_grid(kmax)
-    neg_sq = -(ls**2)
+    sq = ls**2
+    split = int(np.searchsorted(mids, sq[-1] / (2 * _SERIES_MAX_EXPONENT)))
     rows = max(1, _BLOCK_ENTRIES // len(ls))
     contrib = np.zeros(len(ls))
-    covered = 0.0
-    for lo in range(0, len(mids), rows):
-        mid, w = mids[lo : lo + rows, None], weights[lo : lo + rows]
-        dens = np.sqrt(2.0 / (np.pi * mid)) * np.exp(neg_sq / (2.0 * mid))
-        contrib += w @ dens
-        covered += float(np.dot(w, 2.0 * dens.sum(axis=1) - dens[:, 0]))
-    return contrib, covered
+    for lo in range(0, split, rows):
+        hi = min(lo + rows, split)
+        mid, w = mids[lo:hi, None], weights[lo:hi]
+        contrib += w @ (np.sqrt(2.0 / (np.pi * mid)) * np.exp(-sq / (2.0 * mid)))
+    term = weights[split:] * np.sqrt(2.0 / (np.pi * mids[split:]))
+    rate = -0.5 / mids[split:]
+    moments = []
+    for p in range(1, _SERIES_TERMS + 1):
+        moments.append(term.sum())
+        term *= rate / p
+    series = np.full(len(ls), moments[-1])
+    for m in reversed(moments[:-1]):
+        series *= sq
+        series += m
+    contrib += series
+    return contrib, float(2 * contrib.sum() - contrib[0])
 
 
 #: largest share of the tail functional's value that its certified error may be

@@ -654,16 +654,19 @@ class TestLllCommand:
         assert "from m = (2, 4, 8)" in caplog.text
 
     def test_cache_hit_identical_output(self, tmp_path):
+        # at kmax = lmax^2 the whole k-tail grid takes the series; at 40,000
+        # the grid is split, its buckets below k = 160,000 summed in blocks
         out = tmp_path / "a.csv"
-        args = [
-            "lll", "--l-max", 400, "--k-max", 160_000, "--schedule", "4,8",
-            "--cache-dir", tmp_path / "cache", "--out", out,
-        ]
-        assert run(args) == 0
-        assert position_law_path(tmp_path / "cache", 400, 160_000).exists()
-        cold = out.read_bytes()
-        assert run(args) == 0  # cache hit this time
-        assert out.read_bytes() == cold
+        for kmax in (160_000, 40_000):
+            args = [
+                "lll", "--l-max", 400, "--k-max", kmax, "--schedule", "4,8",
+                "--cache-dir", tmp_path / "cache", "--out", out,
+            ]
+            assert run(args) == 0, kmax
+            assert position_law_path(tmp_path / "cache", 400, kmax).exists()
+            cold = out.read_bytes()
+            assert run(args) == 0  # cache hit this time
+            assert out.read_bytes() == cold, kmax
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4, "longdouble"])
     def test_former_cache_format_rebuilt(self, tmp_path, caplog, pos_law_small, version):
@@ -960,7 +963,7 @@ def test_parsing_loads_no_numpy(tmp_path, argv, code, err):
         assert (out.stdout if code == 0 else out.stderr).startswith("usage: recwalk")
 
 
-#: each way the program ends: its argv, a library result planted before it
+#: each way the program ends: its argv, a library result or a state planted before it
 #: runs, and the documented exit code
 PROGRAM_EXITS = {
     "computed": (["return-law", "--n-max", "200"], "", 0),
@@ -971,30 +974,44 @@ PROGRAM_EXITS = {
     "check-failed": (["return-law", "--n-max", "200"],
                      "import recwalk.return_laws as laws\n"
                      "laws.bracket_margin = lambda blocks: (-1.0, 100)\n", 2),
+    # as Python sets it up when the program starts with its stdout closed
+    "no-stdout": (["return-law", "--n-max", "200"], "sys.stdout = None\n", 0),
 }
 
 
 @pytest.mark.parametrize("case", PROGRAM_EXITS)
-def test_program_exits_with_the_collector_frozen(tmp_path, case):
+def test_program_exits_without_teardown(tmp_path, monkeypatch, case):
     # main() with no argv is the program, as the bench and the console
-    # script run it: on every way out it freezes the collector, which an
-    # atexit hook sees after main and before the interpreter's last collection
+    # script run it: on every way out it flushes its streams and leaves by
+    # os._exit, so an atexit hook planted before it never runs, and nothing
+    # it wrote is lost
     argv, planted, code = PROGRAM_EXITS[case]
     script = (
-        "import atexit, gc, sys\n"
-        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "import atexit, sys\n"
+        "atexit.register(lambda: print('atexit ran'))\n"
         + planted
         + "from recwalk.cli import main\n"
         "sys.exit(main())\n"
     )
+    monkeypatch.setenv("COLUMNS", "80")  # the help's width, here and in the child
+    # buffered streams, as a pipe gives them, so that a missing flush loses output
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(recwalk.__file__))}
     out = subprocess.run(
         [sys.executable, "-c", script, *argv], env=env, cwd=tmp_path, capture_output=True,
         text=True,
     )
     assert out.returncode == code, out.stderr
-    assert out.stdout.splitlines()[-1] == "True"
-    assert "Traceback" not in out.stderr
+    assert "Traceback" not in out.stderr and "atexit ran" not in out.stdout
+    assert out.stderr == "" or out.stderr.endswith("\n")
+    if case == "help":
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert out.stdout == sub.choices["green"].format_help()
+    if case == "computed":
+        last = list(cli._law_rows(return_laws.first_return_blocks(200)))[-1]
+        assert last.startswith("200,")
+        assert (tmp_path / "recwalk_return_law.csv").read_text().endswith(last + "\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -601,7 +601,8 @@ class TestTelescoping:
 
 class TestKTailCompletion:
     """The completion of return times beyond kmax, summed in blocks of
-    grid buckets, against the dense oracle and the telescoped sum."""
+    grid buckets and as a series in l^2, against the dense oracle, exact
+    sums and the telescoped sum."""
 
     @settings(max_examples=60, deadline=None)
     @given(kmax=st.integers(1, 10**9).map(lambda h: 2 * h) | st.just(5 * 10**17))
@@ -634,15 +635,56 @@ class TestKTailCompletion:
             with mock.patch.object(return_laws, "_BLOCK_ENTRIES", budget):
                 self.assert_matches_dense(2 * half_k, 2 * half_l)
 
-    def test_partial_last_block_at_the_lll_defaults(self):
+    def test_partial_last_block_before_the_split(self):
+        # at (5e5, 2000) the buckets with exponent 2000^2 / 2k above 1/2,
+        # k below 4e6, are summed in blocks, the last one cut short by the
+        # split, and the rest by the series
         rows = return_laws._BLOCK_ENTRIES // 1001
-        buckets = len(completion_grid(4_000_000)[1])
-        assert rows > 1 and buckets % rows != 0
-        self.assert_matches_dense(4_000_000, 2000)
+        mids = completion_grid(500_000)[1]
+        split = int(np.sum(mids < 2000**2))
+        assert rows > 1 and 0 < split < len(mids) and split % rows != 0
+        self.assert_matches_dense(500_000, 2000)
+
+    def test_every_bucket_takes_the_series_at_the_lll_defaults(self):
+        # kmax = lmax^2: every exponent l^2 / 2k is at most 1/2, so no exp is
+        # taken once the grid is built, and the sum still matches the oracle
+        ls = np.arange(0, 2001, 2, dtype=np.float64)
+        grid = _k_tail_grid(4_000_000)
+        assert grid[1][0] >= 2000**2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("exp taken on the grid")
+
+        with mock.patch.object(return_laws, "_k_tail_grid", lambda kmax: grid), \
+                mock.patch.object(np, "exp", refuse):
+            contrib, covered = _k_tail_completion(4_000_000, ls)
+        want, want_covered = dense_k_tail_completion(4_000_000, ls)
+        np.testing.assert_allclose(contrib, want, rtol=1e-13, atol=0)
+        assert abs(covered - want_covered) <= 1e-13 * want_covered
+
+    @pytest.mark.parametrize("kmax, lmax", [
+        (4_000_000, 2000), (160_000, 400), (1600, 40), (10**9, 200), (500_000, 2000),
+    ])
+    def test_within_a_few_ulps_of_the_exact_sum(self, kmax, lmax):
+        # against each bucket's math.exp summed exactly by fsum, at l = 0, the
+        # middle and the edge, where the series' exponent reaches 1/2: two
+        # units of 2^-53 measured, eight allowed; a series cut four terms
+        # short is 4.8e-14 off at the edge, below the dense oracle's 1e-13
+        weights, mids = completion_grid(kmax)
+        ls = np.arange(0, lmax + 1, 2, dtype=np.float64)
+        contrib = _k_tail_completion(kmax, ls)[0]
+        for i in (0, len(ls) // 2, len(ls) - 1):
+            l = float(ls[i])
+            exact = math.fsum(
+                float(w) * math.sqrt(2 / (math.pi * k)) * math.exp(-l * l / (2 * k))
+                for w, k in zip(weights, mids.tolist())
+            )
+            assert abs(contrib[i] - exact) <= 8 * 2**-53 * exact, (l, contrib[i], exact)
 
     def test_window_longer_than_the_budget(self):
-        # 35,001 window entries against 2^14: one bucket per block; the
-        # grid from 5e17 has a few dozen buckets, so the oracle stays small
+        # 35,001 window entries against 2^14, all of them in the series: it
+        # holds no grid x window matrix; the grid from 5e17 has a few dozen
+        # buckets, so the oracle stays small
         assert 35_001 > return_laws._BLOCK_ENTRIES
         self.assert_matches_dense(5 * 10**17, 70_000)
 
