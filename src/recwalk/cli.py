@@ -16,7 +16,6 @@ import contextlib
 import errno
 import itertools
 import json
-import logging
 import math
 import os
 import sys
@@ -24,8 +23,6 @@ import time
 from pathlib import Path
 
 # each command imports numpy and its numerical modules: --help and usage errors need neither
-
-log = logging.getLogger("recwalk")
 
 OUTPUT_FORMAT_VERSION = "recwalk-output-1"
 ZERO_MASS_BAND = (0.55, 0.72)
@@ -57,6 +54,16 @@ class _Parser(argparse.ArgumentParser):
         # one prefix for every usage error, a subcommand's argument errors too
         sys.stderr.write(f"{self.prog.partition(' ')[0]}: error: {message}\n")
         raise SystemExit(1)
+
+
+def _log(level: str, fmt: str, *args) -> None:
+    """Write one report line, `LEVEL recwalk: fmt % args`, to sys.stderr as
+    it is at the call.  A line that cannot be written is dropped: the run
+    goes on when stderr is None, as when the program starts with it closed,
+    or when a write to it fails, on a full device or a descriptor closed since."""
+    if sys.stderr is not None:
+        with contextlib.suppress(OSError):
+            sys.stderr.write(f"{level} recwalk: {fmt % args}\n")
 
 
 def _fmt(x: float) -> str:
@@ -116,13 +123,15 @@ def cmd_return_law(parser: _Parser, args) -> int:
     imported = time.perf_counter() - t0
     rows = _law_rows(return_laws.first_return_blocks(args.n_max))
     _write_table(parser, args, ["n", "prob", "n32_prob"], rows)
-    log.info(_FINISHED, "return-law", time.perf_counter() - t0, imported, args.out)
+    _log("INFO", _FINISHED, "return-law", time.perf_counter() - t0, imported, args.out)
     # streamed again, not held: the product is cheap next to the formatting
     margin, n = return_laws.bracket_margin(return_laws.first_return_blocks(args.n_max))
     if margin <= 0:
-        log.error("P(return = %d) lies outside Wallis's bracket (relative margin %.3g)", n, margin)
+        _log("ERROR", "P(return = %d) lies outside Wallis's bracket (relative margin %.3g)",
+             n, margin)
         return 2
-    log.info("every row inside Wallis's bracket; smallest relative margin %.3g at n = %d", margin, n)
+    _log("INFO", "every row inside Wallis's bracket; smallest relative margin %.3g at n = %d",
+         margin, n)
     return 0
 
 
@@ -158,13 +167,14 @@ def cmd_lll(parser: _Parser, args) -> int:
     t1 = time.perf_counter()
     with _usable(parser, "--cache-dir", args.cache_dir):
         law, hit = lawcache.load_or_compute_position_law(args.cache_dir, lmax, kmax)
-    log.info(
+    _log(
+        "INFO",
         "position law (lmax=%d, kmax=%d): cache %s in %.3g ms, error bound %.3g, tail mass %.3g",
         lmax, kmax, "hit" if hit else "miss", 1e3 * (time.perf_counter() - t1),
         law.error_bound, law.leaked,
     )
     scale = math.pi * return_laws.tail_limit(law, ms=_ladder(lmax))
-    log.info("Cauchy scale pi*sigma = %.6g (exact: 1), from m = %s", scale, _ladder(lmax))
+    _log("INFO", "Cauchy scale pi*sigma = %.6g (exact: 1), from m = %s", scale, _ladder(lmax))
     if not hit:  # saved only once tail_limit has accepted it
         with _usable(parser, "--cache-dir", args.cache_dir):
             lawcache.save_position_law(law, args.cache_dir)
@@ -177,13 +187,13 @@ def cmd_lll(parser: _Parser, args) -> int:
         errors.append(rep.sup_error)
         rows.append(f"{n},{_fmt(rep.sup_error)},{rep.argmax_point},{_fmt(n * rep.prob_at_zero)}")
     _write_table(parser, args, ["n", "sup_error", "argmax_k", "n_times_p0"], rows)
-    log.info(_FINISHED, "lll", time.perf_counter() - t0, imported, args.out)
+    _log("INFO", _FINISHED, "lll", time.perf_counter() - t0, imported, args.out)
     if any(b >= a for a, b in zip(errors, errors[1:])):
-        log.error("sup errors not strictly decreasing: %s", errors)
+        _log("ERROR", "sup errors not strictly decreasing: %s", errors)
         return 2
     final_zero_mass = schedule[-1] * rep.prob_at_zero
     if not ZERO_MASS_BAND[0] <= final_zero_mass <= ZERO_MASS_BAND[1]:
-        log.error("final n*P(Z_n=0) = %.4f outside %s", final_zero_mass, ZERO_MASS_BAND)
+        _log("ERROR", "final n*P(Z_n=0) = %.4f outside %s", final_zero_mass, ZERO_MASS_BAND)
         return 2
     return 0
 
@@ -195,8 +205,7 @@ def _ladder(lmax: int) -> tuple[int, ...]:
 
 def cmd_classify(parser: _Parser, args) -> int:
     t0 = time.perf_counter()
-    from . import branched_walk, rng
-    rng._philox_key()  # numpy.random's import, charged here and not to the first stream
+    from . import branched_walk
     imported = time.perf_counter() - t0
     reports = branched_walk.classify_standard_points(
         horizon=args.horizon, nsamples=args.samples, seed=args.seed
@@ -208,25 +217,25 @@ def cmd_classify(parser: _Parser, args) -> int:
     }
     with _open_out(parser, args.out) as f:
         f.write(json.dumps(payload, sort_keys=True, indent=1, default=str) + "\n")
-    log.info(_FINISHED, "classify", time.perf_counter() - t0, imported, args.out)
+    _log("INFO", _FINISHED, "classify", time.perf_counter() - t0, imported, args.out)
     for r in reports:
         width = r.ci[1] - r.ci[0]
         if width > 0.02:
-            log.warning("wide confidence interval (%.3f) at %s", width, r.to_json_dict()["point"])
+            _log("WARNING", "wide confidence interval (%.3f) at %s",
+                 width, r.to_json_dict()["point"])
     if any(r.flagged for r in reports):
-        log.error("Monte Carlo contradicts the exact oracle beyond 4 sigma")
+        _log("ERROR", "Monte Carlo contradicts the exact oracle beyond 4 sigma")
         return 3
     verdicts = {r.verdict for r in reports}
     if verdicts != {"Recurrent", "Transient", "Neither"}:
-        log.error("expected all three verdict kinds, got %s", sorted(verdicts))
+        _log("ERROR", "expected all three verdict kinds, got %s", sorted(verdicts))
         return 2
     return 0
 
 
 def cmd_green(parser: _Parser, args) -> int:
     t0 = time.perf_counter()
-    from . import branched_walk, rng
-    rng._philox_key()  # numpy.random's import, charged here and not to the first stream
+    from . import branched_walk
     imported = time.perf_counter() - t0
     schedule = args.schedule
     n_top = schedule[-1]
@@ -255,18 +264,18 @@ def cmd_green(parser: _Parser, args) -> int:
     gap, sigma = branched_walk.cross_method_gap(direct, aux_capped, n_direct)
     rows.append(f"cross-method-gap,{n_direct},{_fmt(gap)},{_fmt(sigma)},")
     _write_table(parser, args, ["method", "n", "value", "stderr", "exhausted_frac"], rows)
-    log.info(_FINISHED, "green", time.perf_counter() - t0, imported, args.out)
+    _log("INFO", _FINISHED, "green", time.perf_counter() - t0, imported, args.out)
     for est, name in ((direct, "direct"), (aux_capped, "auxiliary-capped")):
         frac = est.exhausted / est.nsamples
         if frac > 0.01:
-            log.warning("%s: %.1f%% of trajectories exhausted the horizon", name, 100 * frac)
+            _log("WARNING", "%s: %.1f%% of trajectories exhausted the horizon", name, 100 * frac)
     if any(gb < ga for ga, gb in zip(g, g[1:])):
-        log.error("partial sums are not nondecreasing")
+        _log("ERROR", "partial sums are not nondecreasing")
         return 2
     if len(schedule) >= 3:
         g1, g2, g3 = g[-3:]
         if not (g3 - g2) > 0.5 * (g2 - g1):
-            log.error("growth criterion failed: %.4f vs %.4f", g3 - g2, 0.5 * (g2 - g1))
+            _log("ERROR", "growth criterion failed: %.4f vs %.4f", g3 - g2, 0.5 * (g2 - g1))
             return 2
     return 0
 
@@ -367,11 +376,6 @@ def main(argv=None) -> int:
         os._exit(code)
     parser = build_parser()
     args = parser.parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO,
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     # refused before any computation, and creating nothing: a run that a
     # library check refuses later leaves nothing behind, since --out's
     # missing parents are made only when it is written

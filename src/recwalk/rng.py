@@ -9,10 +9,24 @@ reruns — produce bit-identical results.
 
 from __future__ import annotations
 
-import functools
 import sys
 
 import numpy as np
+
+# numpy.random imports `secrets`, for SeedSequence's entropy, and through it
+# `hmac`, which loads OpenSSL's `_hashlib` (3.4 MB resident).  Nothing here
+# hashes or reads entropy, so unless `_hashlib` is loaded already it is
+# masked for this one import: `hashlib` and `hmac` fall back on their
+# builtin digests, and a later `import _hashlib` still loads it.
+_masked = "_hashlib" not in sys.modules
+if _masked:
+    sys.modules["_hashlib"] = None
+try:
+    from numpy.random import Generator, Philox
+    from numpy.random.bit_generator import ISeedSequence
+finally:
+    if _masked:
+        del sys.modules["_hashlib"]
 
 _INDEX_LIMIT = 1 << 56
 
@@ -24,7 +38,7 @@ DIRECT_LANE = 3  # the direct Green walk, apart from the auxiliary draws it is c
 POSITION_LANE = 4  # the auxiliary Green walk's positions, apart from classify's WALK_LANE
 
 
-def stream(seed: int, index: int = 0, lane: int = 0) -> np.random.Generator:
+def stream(seed: int, index: int = 0, lane: int = 0) -> Generator:
     """Independent generator for one (seed, lane, sample-index) triple.
 
     The key is the seed, which must lie in [0, 2**64), and a word packing
@@ -36,46 +50,24 @@ def stream(seed: int, index: int = 0, lane: int = 0) -> np.random.Generator:
         raise ValueError(f"stream key out of range: seed {seed}, index {index}, lane {lane}")
     # a uint64 array, because numpy would pass a Python list holding a
     # value >= 2**63 through float64 and round distinct keys together
-    key = _philox_key()(np.array([seed, (lane << 56) | index], dtype=np.uint64))
-    # np.random is looked up only now, after _philox_key has imported it
-    return np.random.Generator(np.random.Philox(key))
+    return Generator(Philox(PhiloxKey(np.array([seed, (lane << 56) | index], dtype=np.uint64))))
 
 
-@functools.cache
-def _philox_key() -> type:
+class PhiloxKey(ISeedSequence):
     """A seed sequence that hands Philox its 128-bit key as it is.
 
     Philox reads its key from `generate_state(2, np.uint64)`, the same two
     words that `Philox(key=...)` would set, with a zero counter either way.
     Passing `key=` instead makes Philox build an unused `SeedSequence()`
-    first, which reads OS entropy on every stream.  The class is made on
-    first use, by the first stream or by a command that draws as it imports
-    its modules, so that importing recwalk leaves `numpy.random` unloaded.
-
-    numpy.random imports `secrets`, for SeedSequence's entropy, and through
-    it `hmac`, which loads OpenSSL's `_hashlib` (3.4 MB resident).  Nothing
-    here hashes or reads entropy, so unless `_hashlib` is loaded already it
-    is masked for this one import: `hashlib` and `hmac` fall back on their
-    builtin digests, and a later `import _hashlib` still loads it.
+    first, which reads OS entropy on every stream.
     """
-    masked = "_hashlib" not in sys.modules
-    if masked:
-        sys.modules["_hashlib"] = None
-    try:
-        from numpy.random.bit_generator import ISeedSequence
-    finally:
-        if masked:
-            del sys.modules["_hashlib"]
 
-    class PhiloxKey(ISeedSequence):
-        __slots__ = ("key",)
+    __slots__ = ("key",)
 
-        def __init__(self, key: np.ndarray):
-            self.key = key
+    def __init__(self, key: np.ndarray):
+        self.key = key
 
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            if n_words != 2 or dtype is not np.uint64:
-                raise ValueError("a Philox key is two 64-bit words")
-            return self.key
-
-    return PhiloxKey
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if n_words != 2 or dtype is not np.uint64:
+            raise ValueError("a Philox key is two 64-bit words")
+        return self.key

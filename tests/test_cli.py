@@ -115,10 +115,14 @@ def cache_dir(argv, path) -> list:
     return [] if argv[0] == "return-law" else ["--cache-dir", path]
 
 
+#: a configuration that the library refuses, once lll has built and reported its law
+REFUSED_IN_LIBRARY = ["lll", "--l-max", 40, "--k-max", 2]
+
+
 @pytest.mark.parametrize("argv", [
     ["return-law", "--n-max", 0],
     ["lll", "--l-max", 4],
-    ["lll", "--l-max", 40, "--k-max", 2],  # refused inside the library
+    REFUSED_IN_LIBRARY,
     ["green", "--direct-returns", 0],
     ["green", "--samples", 1],
     ["green", "--direct-samples", 1],
@@ -141,8 +145,13 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv):
         run(argv + cache_dir(argv, tmp_path / "cache") + ["--out", tmp_path / "new/dir/out.csv"])
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage: recwalk")
-    assert "recwalk: error: " in err and "Traceback" not in err
+    logged, usage, _ = err.partition("usage: recwalk")
+    if argv == REFUSED_IN_LIBRARY:
+        assert re.fullmatch(r"INFO recwalk: position law \(lmax=40, kmax=2\): cache miss in .*\n",
+                            logged)
+    else:
+        assert logged == ""
+    assert usage and "recwalk: error: " in err and "Traceback" not in err
     assert not (tmp_path / "new").exists()
 
 
@@ -305,8 +314,13 @@ def test_unusable_path_is_usage_error(tmp_path, capsys, case):
         run([str(a).format(**paths) for a in argv])
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage: recwalk")
-    assert f"recwalk: error: {named.format(**paths)} (" in err and reason in err
+    logged, usage, _ = err.partition("usage: recwalk")
+    if case == "lll-cache-dir-is-a-file":  # the law is built and reported, then not stored
+        assert re.fullmatch(r"INFO recwalk: position law \(lmax=40, kmax=1600\): cache miss in .*\n"
+                            r"INFO recwalk: Cauchy scale .*\n", logged)
+    else:
+        assert logged == ""
+    assert usage and f"recwalk: error: {named.format(**paths)} (" in err and reason in err
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
@@ -406,16 +420,16 @@ FAILED_CHECKS = {
 
 
 @pytest.mark.parametrize("case", FAILED_CHECKS)
-def test_failed_check_exit_code(tmp_path, caplog, monkeypatch, case):
+def test_failed_check_exit_code(tmp_path, capsys, monkeypatch, case):
     # each numerical check that the module docstring's exit 2 and 3 stand
     # for, made to fail by a planted library result: --out is still
     # written in full, and the log names the check
     argv, (module, name, planted), code, named, keys = FAILED_CHECKS[case]
     monkeypatch.setattr(module, name, planted)
     out = tmp_path / "out"
-    with caplog.at_level("INFO", logger="recwalk"):
-        assert run([*argv, "--out", out, *cache_dir(argv, tmp_path / "cache")]) == code
-    assert any(r.levelname == "ERROR" and named in r.getMessage() for r in caplog.records)
+    assert run([*argv, "--out", out, *cache_dir(argv, tmp_path / "cache")]) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert any(line.startswith("ERROR recwalk: ") and named in line for line in lines)
     text = out.read_text()
     if argv[0] == "classify":
         assert [r["point"] for r in json.loads(text)["reports"]] == keys
@@ -525,15 +539,14 @@ class TestReturnLawCommand:
         assert run(["return-law", "--n-max", 2, "--out", out]) == 0
         assert out.read_text().splitlines()[3:] == [f"2,{cli._fmt(0.5)},{cli._fmt(2**0.5)}"]
 
-    def test_log_gives_the_import_seconds(self, tmp_path, caplog):
+    def test_log_gives_the_import_seconds(self, tmp_path, capsys):
         # the last info line splits the command's wall time; in this process
         # the numerical modules are loaded already, so their import is quick
         out = tmp_path / "rl.csv"
-        with caplog.at_level("INFO", logger="recwalk"):
-            assert run(["return-law", "--n-max", 2, "--out", out]) == 0
-        (line,) = [r.getMessage() for r in caplog.records if " finished in " in r.getMessage()]
-        match = re.fullmatch(r"return-law finished in (\d+\.\d\d)s, (\d+\.\d{3})s of it "
-                             r"importing -> (.+)", line)
+        assert run(["return-law", "--n-max", 2, "--out", out]) == 0
+        (line,) = [ln for ln in capsys.readouterr().err.splitlines() if " finished in " in ln]
+        match = re.fullmatch(r"INFO recwalk: return-law finished in (\d+\.\d\d)s, "
+                             r"(\d+\.\d{3})s of it importing -> (.+)", line)
         assert match and match[3] == str(out)
         assert float(match[2]) <= min(float(match[1]) + 0.005, 0.01)
         assert "importing" not in out.read_text()
@@ -631,27 +644,26 @@ class TestLllCommand:
         assert run(["lll", "--l-max", lmax, "--cache-dir", tmp_path / "cache",
                     "--out", tmp_path / "lll.csv"]) == 0
 
-    def test_log_reports_cache_and_trust(self, tmp_path, caplog):
+    def test_log_reports_cache_and_trust(self, tmp_path, capsys):
         args = [
             "lll", "--l-max", 400, "--k-max", 160_000, "--schedule", "4,8",
             "--cache-dir", tmp_path / "cache", "--out", tmp_path / "a.csv",
         ]
         law = return_position_law(400, 160_000)
         for state in ("miss", "hit"):
-            caplog.clear()
-            with caplog.at_level("INFO", logger="recwalk"):
-                assert run(args) == 0
-            line = next(r.getMessage() for r in caplog.records if "position law" in r.getMessage())
+            assert run(args) == 0
+            (line,) = [ln for ln in capsys.readouterr().err.splitlines() if "position law" in ln]
+            assert line.startswith("INFO recwalk: ")
             assert f"(lmax=400, kmax=160000): cache {state} in " in line
             assert f"error bound {law.error_bound:.3g}, tail mass {law.leaked:.3g}" in line
 
-    def test_log_reports_cauchy_scale(self, tmp_path, caplog):
+    def test_log_reports_cauchy_scale(self, tmp_path, capsys):
         # the ladder (2, 4, 8) at --l-max 40 reads the scale 19% low
-        with caplog.at_level("INFO", logger="recwalk"):
-            run(["lll", "--l-max", 40, "--schedule", "2,4",
-                 "--cache-dir", tmp_path, "--out", tmp_path / "a.csv"])
-        assert "Cauchy scale pi*sigma = 0.8095" in caplog.text
-        assert "from m = (2, 4, 8)" in caplog.text
+        run(["lll", "--l-max", 40, "--schedule", "2,4",
+             "--cache-dir", tmp_path, "--out", tmp_path / "a.csv"])
+        err = capsys.readouterr().err
+        assert "INFO recwalk: Cauchy scale pi*sigma = 0.8095" in err
+        assert "from m = (2, 4, 8)" in err
 
     def test_cache_hit_identical_output(self, tmp_path):
         # at kmax = lmax^2 the whole k-tail grid takes the series; at 40,000
@@ -669,7 +681,7 @@ class TestLllCommand:
             assert out.read_bytes() == cold, kmax
 
     @pytest.mark.parametrize("version", [1, 2, 3, 4, "longdouble"])
-    def test_former_cache_format_rebuilt(self, tmp_path, caplog, pos_law_small, version):
+    def test_former_cache_format_rebuilt(self, tmp_path, capsys, pos_law_small, version):
         # a cache file of a former format, text or an 80-bit array, has
         # another name than the float64 one: it is never opened, the law is
         # rebuilt beside it
@@ -698,10 +710,9 @@ class TestLllCommand:
             former = cache / "return_position_L400_K160000.csv"
             former.write_text("\n".join([header] + rows) + "\n")
         data = former.read_bytes()
-        caplog.clear()
-        with caplog.at_level("INFO", logger="recwalk"):
-            assert run(args) == 0
-        assert "(lmax=400, kmax=160000): cache miss in " in caplog.text
+        capsys.readouterr()
+        assert run(args) == 0
+        assert "(lmax=400, kmax=160000): cache miss in " in capsys.readouterr().err
         assert path.read_bytes() == current and out.read_bytes() == cold
         assert former.read_bytes() == data
 
@@ -757,16 +768,16 @@ class TestLllCommand:
         np.save(path, stored)
         assert_corrupted(capsys, args, path, tmp_path / "b.csv", reason="kmax ")
 
-    def test_refused_law_is_not_cached(self, tmp_path, capsys, caplog, monkeypatch):
+    def test_refused_law_is_not_cached(self, tmp_path, capsys, monkeypatch):
         # tail_limit refuses the law at kmax = 2, after it is built
         monkeypatch.chdir(tmp_path)
         for _ in range(2):  # and a rerun is a miss, refused again
-            caplog.clear()
-            with caplog.at_level("INFO", logger="recwalk"), pytest.raises(SystemExit) as exc:
+            with pytest.raises(SystemExit) as exc:
                 run(["lll", "--l-max", 40, "--k-max", 2, "--cache-dir", "cc"])
             assert exc.value.code == 1
-            assert "(lmax=40, kmax=2): cache miss in " in caplog.text
-            assert "recwalk: error: certified truncation error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "(lmax=40, kmax=2): cache miss in " in err
+            assert "recwalk: error: certified truncation error" in err
             assert list(tmp_path.iterdir()) == []
 
     def test_miskeyed_cache_reported(self, tmp_path, capsys):
@@ -939,7 +950,8 @@ def test_package_imports_without_scipy():
 ], ids=["import", "help", "usage-error", "out-refused"])
 def test_parsing_loads_no_numpy(tmp_path, argv, code, err):
     # the commands import numpy and the numerical modules themselves, so
-    # --help, a usage error and an --out refusal exit without them
+    # --help, a usage error and an --out refusal exit without them; the
+    # report lines are written without the logging package, which is never loaded
     script = (
         "import sys\n"
         "from recwalk.cli import main\n"
@@ -950,7 +962,7 @@ def test_parsing_loads_no_numpy(tmp_path, argv, code, err):
         "    except SystemExit as exc:\n"
         "        code = exc.code\n"
         "print(code, sorted(m for m in sys.modules"
-        " if m.partition('.')[0] in ('numpy', 'recwalk')))\n"
+        " if m.partition('.')[0] in ('numpy', 'recwalk', 'logging')))\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(recwalk.__file__))}
     out = subprocess.run(
@@ -976,6 +988,8 @@ PROGRAM_EXITS = {
                      "laws.bracket_margin = lambda blocks: (-1.0, 100)\n", 2),
     # as Python sets it up when the program starts with its stdout closed
     "no-stdout": (["return-law", "--n-max", "200"], "sys.stdout = None\n", 0),
+    # the same with stderr closed: the report lines are dropped
+    "no-stderr": (["return-law", "--n-max", "200"], "sys.stderr = None\n", 0),
 }
 
 
@@ -1008,7 +1022,9 @@ def test_program_exits_without_teardown(tmp_path, monkeypatch, case):
         parser = cli.build_parser()
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         assert out.stdout == sub.choices["green"].format_help()
-    if case == "computed":
+    if case == "no-stderr":
+        assert out.stdout == ""
+    if case in ("computed", "no-stderr"):
         last = list(cli._law_rows(return_laws.first_return_blocks(200)))[-1]
         assert last.startswith("200,")
         assert (tmp_path / "recwalk_return_law.csv").read_text().endswith(last + "\n")
@@ -1025,10 +1041,54 @@ def test_in_process_main_leaves_the_collector(tmp_path, argv):
     assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
+def test_unwritable_stderr_loses_the_report_not_the_run(tmp_path, monkeypatch):
+    # every write fails, as on a descriptor 2 that `2>&-` left to be reused
+    # read-only: the report lines are dropped, and the command ends as usual
+    class Unwritable(io.StringIO):
+        def write(self, text):
+            raise OSError("Bad file descriptor")
+
+    monkeypatch.setattr(sys, "stderr", Unwritable())
+    out = tmp_path / "rl.csv"
+    assert run(["return-law", "--n-max", 200, "--out", out]) == 0
+    assert out.read_text().splitlines()[-1].startswith("200,")
+
+
+def test_in_process_runs_report_to_their_own_stderr(tmp_path):
+    # main(argv) twice in one process, each run under its own stderr: the
+    # first run's lines must not leak into the second's stream or back, and
+    # a caller's logging is left as it was.  In a child process, because
+    # pytest's own handlers on the root logger would hide a reconfiguration
+    argv = ["lll", "--l-max", "40", "--schedule", "2,4", "--cache-dir", "cc", "--out", "a.csv"]
+    code = (
+        "import contextlib, io, logging\n"
+        "from recwalk.cli import main\n"
+        "root = logging.getLogger()\n"
+        "before = root.level, list(root.handlers)\n"
+        "for _ in range(2):\n"
+        "    with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        f"        code = main({argv!r})\n"
+        "    print(code, [ln for ln in err.getvalue().splitlines() if 'cache' in ln])\n"
+        "print((root.level, list(root.handlers)) == before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(recwalk.__file__))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True,
+        check=True,
+    )
+    first, second, root_unchanged = out.stdout.splitlines()
+    assert re.fullmatch(r"0 \['INFO recwalk: position law \(lmax=40, kmax=1600\): "
+                        r"cache miss in [^']*'\]", first)
+    assert re.fullmatch(r"0 \['INFO recwalk: position law \(lmax=40, kmax=1600\): "
+                        r"cache hit in [^']*'\]", second)
+    assert root_unchanged == "True"
+    assert out.stderr == ""
+
+
 #: the numpy submodules that each command loads after `import numpy,
 #: recwalk.cli`, at a small configuration.  numpy.random costs about 11 ms
 #: and 2.7 MB to import with OpenSSL's _hashlib masked (14 ms and 6.1 MB
-#: without), so only the commands that draw load it, on their first stream;
+#: without), so only the commands that draw load it, as they import recwalk.rng;
 #: numpy.fft only lll, for its convolutions; and no command loads scipy or numpy.ma,
 #: which np.median imports on its first call (about 13 ms and 1.3 MB)
 NUMPY_SUBMODULES = {

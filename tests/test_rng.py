@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import samplers as one_shot
-from recwalk.rng import _philox_key, stream
+from recwalk.rng import PhiloxKey, stream
 
 
 class TestStreamKeys:
@@ -45,7 +45,7 @@ class TestKeyOnlyStreams:
         assert np.array_equal(got.random(5), want.random(5))
 
     def test_key_is_two_words_only(self):
-        key = _philox_key()(np.array([1, 2], dtype=np.uint64))
+        key = PhiloxKey(np.array([1, 2], dtype=np.uint64))
         assert key.generate_state(2, np.uint64).tolist() == [1, 2]
         for n_words, dtype in ((4, np.uint32), (2, np.uint32), (3, np.uint64)):
             with pytest.raises(ValueError, match="two 64-bit words"):

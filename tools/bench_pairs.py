@@ -12,8 +12,11 @@ paths of different lengths are refused.  Pair i runs
     python3 bench/run.py --workload W --seed SEED+i --seconds S --trace 0
 
 in each checkout, the parent first in even pairs and the change first in
-odd ones.  Each run's last line is the benchmark's JSON result.  At the
-end it prints, per workload and end-to-end metric:
+odd ones.  With `--workload all` (the default) W is each workload of
+BENCHMARK.json in turn, and its two sides run back to back, so that a
+burst of load on the host falls on both sides of a pair rather than on
+one.  Each run's last line is the benchmark's JSON result.  At the end it
+prints, per workload and end-to-end metric:
   - each side's median and quartiles;
   - the change's median against the parent's, as a share of it;
   - the pairs the change won, ties counting for neither side;
@@ -70,15 +73,26 @@ def main() -> int:
         parser.error(f"checkout paths differ in length: {sides['parent']}, {sides['change']}")
     spec = json.loads((sides["parent"] / "BENCHMARK.json").read_text())
     metrics = {m["name"]: m for m in spec["end_to_end"]}
+    workloads = ([w["name"] for w in spec["workloads"]] if args.workload == "all"
+                 else [args.workload])
 
+    # per side, one result a pair: its failed runs and its metrics, named
+    # "workload.metric" as `bench/run.py --workload all` names them
     results: dict[str, list[dict]] = {side: [] for side in sides}
     for i in range(args.pairs):
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-        for side in order:
-            result = run(sides[side], args.workload, args.seed + i, args.seconds)
-            results[side].append(result)
-            print(f"pair {i + 1} {side}: correct {result['correct']}, "
-                  f"{result['failed']} of {result['attempted']} failed", flush=True)
+        pair = {side: {"failed": 0, "metrics": {}} for side in sides}
+        for workload in workloads:
+            prefix = f"{workload}." if len(workloads) > 1 else ""
+            for side in order:
+                result = run(sides[side], workload, args.seed + i, args.seconds)
+                pair[side]["failed"] += result["failed"]
+                pair[side]["metrics"].update(
+                    {prefix + key: value for key, value in result["metrics"].items()})
+                print(f"pair {i + 1} {workload} {side}: correct {result['correct']}, "
+                      f"{result['failed']} of {result['attempted']} failed", flush=True)
+        for side in sides:
+            results[side].append(pair[side])
 
     failed = {side: sum(r["failed"] for r in runs) for side, runs in results.items()}
     print(f"failed runs: parent {failed['parent']}, change {failed['change']}")
